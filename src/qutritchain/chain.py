@@ -8,7 +8,7 @@ The transferred state is therefore carried exactly by an unnormalized
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .model import (
     MHZ_TO_RAD_NS,
     QutritParams,
     QutritSystem,
-    basis_labels,
     chain_hamiltonian,
     coupling_operator,
     embed,
@@ -125,7 +124,11 @@ def evolve_chain_full(
     """Full 3^n-dim propagation of the schedule, compensation gates included.
 
     Validation-only oracle; capped at 4 qutrits.  Pulses are evolved one
-    segment at a time so each segment sees a single active coupling.
+    segment at a time so each segment sees a single active coupling.  A
+    segment is the step pulse shifted in time, and the Hamiltonian depends
+    on time only through the pulse, so each is evolved in the step pulse's
+    own window, as R^T P R on evolve_transfer's grid (up ramp R, exact
+    plateau P, down ramp R^T): front and full chain share one discretization.
     """
     if n > MAX_FULL_QUTRITS:
         raise ValueError(f"full chain simulation capped at {MAX_FULL_QUTRITS} qutrits")
@@ -133,21 +136,15 @@ def evolve_chain_full(
         raise ValueError("schedule length must be n - 1")
     sys = QutritSystem([QutritParams(eta) for _ in range(n)], couplings=[0.0] * (n - 1))
     diag = chain_hamiltonian(sys, 0.0)
-    labels = basis_labels(n)
     comp = phase_gate(*schedule.compensation)
-    dim = 3**n
-    u = np.eye(dim, dtype=complex)
+    pulse = schedule.step_pulse
+    g = lambda ts: pulse.value(ts) * MHZ_TO_RAD_NS
+    u = np.eye(3**n, dtype=complex)
     for seg in range(n - 1):
-        pulse = schedule.pulse_for_step(seg)
-        useg = evolve_affine(
-            diag,
-            coupling_operator(seg, n),
-            lambda ts, _p=pulse: _p.value(ts) * MHZ_TO_RAD_NS,
-            (pulse.t_offset, pulse.t_end),
-            dt,
-            basis=labels,
-        )
-        u = embed(comp, seg + 1, n) @ useg.matrix @ u
+        w = coupling_operator(seg, n)
+        r = evolve_affine(diag, w, g, pulse.ramp_window, dt).matrix
+        p = evolve_affine(diag, w, g, pulse.plateau_window, dt).matrix
+        u = embed(comp, seg + 1, n) @ r.T @ p @ r @ u
     return u
 
 

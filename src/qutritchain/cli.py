@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import analysis, chain, noise, transfer
-from .model import COUPLING_CAP_MHZ, rwa_residual
+from .model import rwa_residual
 from .pulse import TrapezoidPulse, analytic_params
 from .transfer import TransferReport
 
@@ -38,6 +38,14 @@ class ExperimentConfig:
     output_dir: str = "."
 
     def validate(self) -> None:
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(f.default, float) and (
+                isinstance(v, bool) or not isinstance(v, (int, float)) or not np.isfinite(v)
+            ):
+                raise ValueError(f"{f.name} must be a finite number, got {v!r}")
+        if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, (int, np.integer)):
+            raise ValueError(f"n_steps must be an integer, got {self.n_steps!r}")
         if self.eta <= 0:
             raise ValueError("eta must be positive")
         if self.t_ramp < 0:

@@ -14,6 +14,7 @@ import numpy as np
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-9
+AFFINE_CHUNK_BYTES = 32_000_000  # run unitaries evolve_affine builds at once
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -76,8 +77,10 @@ class Propagator:
         return complex(self.matrix[self.index(final), self.index(initial)])
 
 
-def _batch_step_unitaries(hs: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i H dt) for a stack of Hermitian matrices (k, d, d)."""
+def _batch_step_unitaries(hs: np.ndarray, dt) -> np.ndarray:
+    """exp(-i H dt) for a stack of Hermitian matrices (k, d, d); dt is one
+    duration or one per matrix."""
+    dt = np.asarray(dt, dtype=float)[..., None]
     if np.abs(hs.imag).max(initial=0.0) == 0.0:
         w, v = np.linalg.eigh(hs.real)
         phases = np.exp(-1j * w * dt)
@@ -87,23 +90,33 @@ def _batch_step_unitaries(hs: np.ndarray, dt: float) -> np.ndarray:
     return np.matmul(v * phases[:, None, :], v.conj().transpose(0, 2, 1))
 
 
+def _fold(us: np.ndarray) -> np.ndarray:
+    """Time-ordered product us[-1] @ ... @ us[0] of a (k, d, d) stack, by
+    multiplying neighbouring pairs in one batched matmul per level; each
+    level halves the stack (rounding up), so ceil(log2 k) levels leave one."""
+    for _ in range((len(us) - 1).bit_length()):
+        m = len(us) - len(us) % 2
+        us = np.concatenate((np.matmul(us[1:m:2], us[0:m:2]), us[m:]))
+    return us[0]
+
+
+def _runs(new_run: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start index and length of each run, given a flag per step that is True
+    where the step differs from the one before (the first step included)."""
+    starts = np.flatnonzero(new_run)
+    return starts, np.diff(np.append(starts, len(new_run)))
+
+
 def _fold_steps(hs: np.ndarray, dt: float, u: np.ndarray) -> np.ndarray:
     """Apply the time-ordered product of per-step exponentials to u.
 
-    Runs of consecutive identical Hamiltonians (pulse plateaus) commute
-    trivially, so each run is folded with a single matrix power instead of
-    step-by-step multiplication.
+    A run of consecutive identical Hamiltonians (a pulse plateau) is one
+    exponential over the run's whole duration, from one eigendecomposition.
     """
-    n = hs.shape[0]
-    new_run = np.ones(n, dtype=bool)
-    if n > 1:
-        new_run[1:] = np.any(hs[1:] != hs[:-1], axis=(1, 2))
-    starts = np.nonzero(new_run)[0]
-    ends = np.append(starts[1:], n)
-    steps = _batch_step_unitaries(hs[starts], dt)
-    for step, run in zip(steps, ends - starts):
-        u = (step if run == 1 else np.linalg.matrix_power(step, int(run))) @ u
-    return u
+    new_run = np.ones(hs.shape[0], dtype=bool)
+    new_run[1:] = np.any(hs[1:] != hs[:-1], axis=(1, 2))
+    starts, lengths = _runs(new_run)
+    return _fold(_batch_step_unitaries(hs[starts], dt * lengths)) @ u
 
 
 def evolve_affine(
@@ -116,10 +129,12 @@ def evolve_affine(
 ) -> Propagator:
     """Evolution under h(t) = d + c(t) w with Hermitian d, w and real c(t).
 
-    Same midpoint integrator as evolve(), but exponentials are computed once
-    per distinct sampled c value; a pulse plateau then costs one
-    eigendecomposition instead of one per step.  scale_of_t must accept an
-    array of times.
+    Same midpoint integrator as evolve(), but each run of equal sampled c
+    values is one exponential exp(-i h dt * run) from one eigendecomposition;
+    a pulse plateau then costs one eigendecomposition and is exact.  Runs
+    are found, exponentiated and folded in batches of at most
+    AFFINE_CHUNK_BYTES of run unitaries, with no loop over steps.
+    scale_of_t must accept an array of times.
     """
     for name, m in (("d", d), ("w", w)):
         defect = hermiticity_defect(np.asarray(m))
@@ -144,24 +159,13 @@ def evolve_affine(
         raise ValueError("scale_of_t must return one value per time")
 
     real = np.abs(d.imag).max(initial=0.0) == 0.0 and np.abs(w.imag).max(initial=0.0) == 0.0
-    d_w = (d.real, w.real) if real else (d, w)
-    cu, inv = np.unique(c, return_inverse=True)
-    steps = np.empty((len(cu), dim, dim), dtype=complex)
-    chunk = max(16, 64_000_000 // (dim * dim * 16))
-    for lo in range(0, len(cu), chunk):
-        sub = cu[lo : lo + chunk]
-        hs = d_w[0][None, :, :] + sub[:, None, None] * d_w[1][None, :, :]
-        steps[lo : lo + len(sub)] = _batch_step_unitaries(hs, dt_eff)
-
-    i = 0
-    while i < n_steps:
-        j = i
-        while j + 1 < n_steps and inv[j + 1] == inv[i]:
-            j += 1
-        run = j - i + 1
-        step = steps[inv[i]]
-        u = (step if run == 1 else np.linalg.matrix_power(step, run)) @ u
-        i = j + 1
+    d, w = (d.real, w.real) if real else (d, w)
+    starts, lengths = _runs(np.append(True, c[1:] != c[:-1]))
+    chunk = max(16, AFFINE_CHUNK_BYTES // (dim * dim * 16))
+    for lo in range(0, len(starts), chunk):
+        cs = c[starts[lo : lo + chunk]]
+        hs = d[None, :, :] + cs[:, None, None] * w[None, :, :]
+        u = _fold(_batch_step_unitaries(hs, dt_eff * lengths[lo : lo + chunk])) @ u
     return Propagator(u, basis, t0, t1)
 
 

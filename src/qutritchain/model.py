@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .evolution import Propagator, evolve, kron
+from .evolution import evolve, kron
 
 MHZ_TO_RAD_NS = 2.0 * np.pi * 1e-3
 

@@ -37,6 +37,17 @@ class TrapezoidPulse:
     def t_end(self) -> float:
         return self.t_offset + self.t_total
 
+    @property
+    def ramp_window(self) -> tuple[float, float]:
+        """(start, end) of the up ramp; the down ramp is its time reverse."""
+        return self.t_offset, self.t_offset + self.t_ramp
+
+    @property
+    def plateau_window(self) -> tuple[float, float]:
+        """(start, end) of the plateau, on which the amplitude is amp_max."""
+        t0 = self.t_offset + self.t_ramp
+        return t0, max(t0, self.t_end - self.t_ramp)
+
     def value(self, t):
         """Pulse amplitude in MHz at time t (scalar or array); 0 outside."""
         t = np.asarray(t, dtype=float) - self.t_offset
@@ -177,7 +188,8 @@ def solve_constraint(
     Seeded from the analytic parameters; the Jacobian is finite-difference
     and steps are clamped to keep g_max inside (0, 55].  Both m and l must
     be odd.  Raises ConstraintError on non-convergence (for example l = m,
-    which is infeasible since g_eff < g pointwise).
+    which is infeasible since g_eff < g pointwise), naming the coupler cap
+    when the search stalls at it with its Newton step pointing above.
     """
     if m % 2 == 0 or l % 2 == 0:
         raise ValueError("m and l must be odd")
@@ -210,6 +222,12 @@ def solve_constraint(
                 break
             scale /= 2.0
         else:
+            if g >= COUPLING_CAP_MHZ and step[0] > 0:
+                raise ConstraintError(
+                    f"solution needs g_max above the {COUPLING_CAP_MHZ} MHz coupler cap "
+                    f"(unclamped Newton step to {g + step[0]:.2f} MHz)",
+                    (abs(r[0]), abs(r[1])),
+                )
             raise ConstraintError("no descent step found", (abs(r[0]), abs(r[1])))
         g, t, r = g_new, t_new, r_new
     raise ConstraintError(f"no convergence in {max_iter} iterations", (abs(r[0]), abs(r[1])))

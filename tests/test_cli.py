@@ -116,6 +116,22 @@ def test_invalid_dt_is_config_error(tmp_path):
     assert run(["table1", "--dt-ns", 0, "--out", tmp_path]) == 2
 
 
+@pytest.mark.parametrize(
+    "flag", ["--dt-ns=inf", "--eta-mhz=nan", "--t-ramp-ns=-inf", "--t1-us=nan"]
+)
+def test_non_finite_value_is_config_error(tmp_path, capsys, flag):
+    assert run(["table1", "--analytic-only", flag, "--out", tmp_path]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "table1.json").exists()
+
+
+@pytest.mark.parametrize("values", [{"n_steps": 2.5}, {"eta": "200"}, {"dt": None}])
+def test_config_file_bad_type_is_config_error(tmp_path, values):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    assert run(["errors", "--config", cfg, "--out", tmp_path]) == 2
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"eta": 100.0, "dt": 0.01}))

@@ -149,6 +149,28 @@ def test_evolve_affine_matches_generic():
     assert np.allclose(u_ref.matrix, u_fast.matrix, atol=1e-13)
 
 
+def test_run_folds_match_step_by_step_product():
+    # reference: one exponential per midpoint step, multiplied in time order
+    rng = np.random.default_rng(5)
+    a, b = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
+    d, w = (a + a.conj().T) / 2, (b + b.conj().T) / 2
+    t_span, dt = (0.0, 5.0), 5.0 / 333
+
+    def c(t):
+        return np.minimum(t, 3.1)  # a ramp, then a plateau run; not time-symmetric
+
+    def h(t):
+        return d + c(t) * w
+
+    u_ref = np.eye(4, dtype=complex)
+    for k in range(333):
+        u_ref = expm_hermitian(h((k + 0.5) * dt), dt) @ u_ref
+    u_generic = evolve(h, t_span, dt)
+    u_affine = evolve_affine(d, w, c, t_span, dt)
+    assert np.abs(u_generic.matrix - u_ref).max() < 1e-12
+    assert np.abs(u_affine.matrix - u_ref).max() < 1e-12
+
+
 def test_evolve_affine_rejects_nonhermitian_parts():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="not Hermitian"):

@@ -168,6 +168,24 @@ def test_solve_constraint_l_equals_m_infeasible():
     assert err.value.residuals[1] > 1e-10
 
 
+def test_solve_constraint_names_coupler_cap():
+    # at eta * t_ramp = 290 the solution needs g_max ~ 55.6 MHz although the
+    # analytic seed 3 eta / 16 = 54 MHz is inside the 55 MHz coupler range
+    with pytest.raises(ConstraintError, match="55.0 MHz coupler cap") as err:
+        solve_constraint(288.0, t_ramp=290.0 / 288.0)
+    assert "55.57 MHz" in str(err.value)
+    sol = solve_constraint(285.0, t_ramp=290.0 / 285.0)
+    assert sol.g_max == pytest.approx(54.9886258, abs=1e-6)
+    assert max(sol.residuals) < 1e-10
+
+
+def test_trapezoid_windows():
+    p = TrapezoidPulse(30.0, 10.0, 2.0, t_offset=5.0)
+    assert p.ramp_window == (5.0, 7.0)
+    assert p.plateau_window == (7.0, 13.0)
+    assert TrapezoidPulse(30.0, 4.0, 2.0).plateau_window == (2.0, 2.0)
+
+
 def test_solve_constraint_rejects_even():
     with pytest.raises(ValueError, match="odd"):
         solve_constraint(200.0, m=2, l=1)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qutritchain import transfer
 from qutritchain.evolution import evolve
 from qutritchain.model import (
     MHZ_TO_RAD_NS,
@@ -121,6 +122,33 @@ def test_optimizer_quick_run_never_below_seed():
     u_seed = evolve_transfer(TrapezoidPulse(*seed, 2.0), ETA, dt=0.01)
     assert rep.fidelity >= qst_fidelity(u_seed) - 1e-12
     assert rep.t_qst > 0 and rep.g_max > 0 and 0 <= rep.leakage_11 < 1e-3
+
+
+def test_optimizer_builds_each_ramp_once(monkeypatch):
+    # every evolve_affine call is one window of one trapezoid: the up ramp
+    # (0, t_ramp) or the plateau; record (window, dt, g_max) per call
+    calls = []
+    real_evolve_affine = transfer.evolve_affine
+
+    def counting(d, w, scale_of_t, t_span, dt, basis=None):
+        g = float(scale_of_t(np.array([t_span[1]]))[0]) / MHZ_TO_RAD_NS
+        calls.append(("ramp" if t_span == (0.0, 2.0) else "plateau", dt, g))
+        return real_evolve_affine(d, w, scale_of_t, t_span, dt, basis)
+
+    monkeypatch.setattr(transfer, "evolve_affine", counting)
+    rep = optimize_pulse(ETA, 2.0, analytic_params(ETA), dt=0.001)
+
+    search_ramps = [g for kind, dt, g in calls if kind == "ramp" and dt == 0.002]
+    search_plateaus = [g for kind, dt, g in calls if kind == "plateau" and dt == 0.002]
+    assert len(search_ramps) == len(set(search_ramps)) > 10
+    assert set(search_ramps) == set(search_plateaus)
+    assert len(search_plateaus) > len(search_ramps)  # t searches reuse ramps
+    # the seed guard and the final report: two evolve_transfer calls at dt
+    assert sorted(kind for kind, dt, _ in calls if dt == 0.001) == ["plateau"] * 2 + ["ramp"] * 2
+    # reference optimum at dt = 1 ps, F as the unfactorized integrator gave it
+    assert rep.g_max == pytest.approx(37.633, abs=5e-4)
+    assert rep.t_qst == pytest.approx(21.952, abs=5e-4)
+    assert rep.fidelity == pytest.approx(0.9999618550421556, abs=1e-9)
 
 
 def test_report_json_keys(u_opt):
