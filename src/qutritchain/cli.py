@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import analysis, chain, noise, transfer
-from .model import rwa_residual
+from .model import COUPLING_CAP_MHZ, rwa_residual
 from .pulse import TrapezoidPulse, analytic_params
 from .transfer import TransferReport
 
@@ -30,7 +30,6 @@ EXIT_CONFIG = 2
 class ExperimentConfig:
     eta: float = 200.0          # MHz
     t_ramp: float = 2.0         # ns
-    coupling_cap: float = 55.0  # MHz
     dt: float = 0.001           # ns
     t1: float = 60.0            # us
     t2: float = 60.0            # us
@@ -52,8 +51,6 @@ class ExperimentConfig:
             raise ValueError("t_ramp must be nonnegative")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.coupling_cap <= 0:
-            raise ValueError("coupling_cap must be positive")
         if self.t1 <= 0 or self.t2 <= 0:
             raise ValueError("t1 and t2 must be positive")
         if self.t2 > 2.0 * self.t1 + 1e-12:
@@ -65,7 +62,6 @@ class ExperimentConfig:
 _FLAG_TO_FIELD = {
     "eta_mhz": "eta",
     "t_ramp_ns": "t_ramp",
-    "coupling_cap_mhz": "coupling_cap",
     "dt_ns": "dt",
     "t1_us": "t1",
     "t2_us": "t2",
@@ -78,7 +74,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with ExperimentConfig keys")
     p.add_argument("--eta-mhz", type=float, dest="eta_mhz")
     p.add_argument("--t-ramp-ns", type=float, dest="t_ramp_ns")
-    p.add_argument("--coupling-cap-mhz", type=float, dest="coupling_cap_mhz")
     p.add_argument("--dt-ns", type=float, dest="dt_ns")
     p.add_argument("--t1-us", type=float, dest="t1_us")
     p.add_argument("--t2-us", type=float, dest="t2_us")
@@ -163,7 +158,7 @@ def cmd_table1(cfg: ExperimentConfig, analytic_only: bool) -> int:
     payload = {
         "config": asdict(cfg),
         "analytic": json.loads(rep_a.to_json()),
-        "coupling_cap_exceeded": bool(g_a > cfg.coupling_cap),
+        "coupling_cap_exceeded": bool(g_a > COUPLING_CAP_MHZ),
     }
     if not analytic_only:
         rep_n = _optimize(cfg)
@@ -221,16 +216,8 @@ def cmd_errors(cfg: ExperimentConfig) -> int:
         os.path.join(cfg.output_dir, "fits.json"),
         {
             "config": asdict(cfg),
-            "intrinsic": {
-                "exponent": fit_a.exponent,
-                "prefactor": fit_a.prefactor,
-                "rms_residual": fit_a.rms_residual,
-            },
-            "decoherence": {
-                "exponent": fit_b.exponent,
-                "prefactor": fit_b.prefactor,
-                "rms_residual": fit_b.rms_residual,
-            },
+            "intrinsic": asdict(fit_a),
+            "decoherence": asdict(fit_b),
             "k_star": analysis.crossover(fit_a, fit_b),
             "intrinsic_free_fit": {"exponent": exp_free, "prefactor": pre_free},
         },

@@ -14,7 +14,7 @@ import numpy as np
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-9
-AFFINE_CHUNK_BYTES = 32_000_000  # run unitaries evolve_affine builds at once
+CHUNK_BYTES = 32_000_000  # step or run unitaries evolve/evolve_affine build at once
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -42,11 +42,7 @@ def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
     defect = hermiticity_defect(h)
     if defect > HERMITIAN_TOL:
         raise ValueError(f"matrix is not Hermitian: max |h - h^dagger| = {defect:.3e}")
-    if np.abs(h.imag).max(initial=0.0) == 0.0:
-        w, v = np.linalg.eigh(h.real)
-        return (v * np.exp(-1j * w * t)) @ v.T
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
+    return _batch_step_unitaries(h[None], t)[0]
 
 
 @dataclass(frozen=True)
@@ -107,16 +103,22 @@ def _runs(new_run: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, np.diff(np.append(starts, len(new_run)))
 
 
-def _fold_steps(hs: np.ndarray, dt: float, u: np.ndarray) -> np.ndarray:
-    """Apply the time-ordered product of per-step exponentials to u.
+def _n_steps(length: float, dt: float) -> int:
+    """Steps of about dt over a window: round(length/dt), at least one
+    unless the window is empty."""
+    return max(1, int(round(length / dt))) if length > 0 else 0
 
-    A run of consecutive identical Hamiltonians (a pulse plateau) is one
-    exponential over the run's whole duration, from one eigendecomposition.
-    """
-    new_run = np.ones(hs.shape[0], dtype=bool)
-    new_run[1:] = np.any(hs[1:] != hs[:-1], axis=(1, 2))
-    starts, lengths = _runs(new_run)
-    return _fold(_batch_step_unitaries(hs[starts], dt * lengths)) @ u
+
+def _midpoints(t_span: tuple[float, float], dt: float) -> tuple[np.ndarray, float]:
+    """Midpoint times and step of the grid of _n_steps equal steps over t_span."""
+    t0, t1 = t_span
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if t1 < t0:
+        raise ValueError("t_span must be increasing")
+    n = _n_steps(t1 - t0, dt)
+    dt_eff = (t1 - t0) / max(n, 1)
+    return t0 + (np.arange(n) + 0.5) * dt_eff, dt_eff
 
 
 def evolve_affine(
@@ -133,27 +135,20 @@ def evolve_affine(
     values is one exponential exp(-i h dt * run) from one eigendecomposition;
     a pulse plateau then costs one eigendecomposition and is exact.  Runs
     are found, exponentiated and folded in batches of at most
-    AFFINE_CHUNK_BYTES of run unitaries, with no loop over steps.
+    CHUNK_BYTES of run unitaries, with no loop over steps.
     scale_of_t must accept an array of times.
     """
     for name, m in (("d", d), ("w", w)):
         defect = hermiticity_defect(np.asarray(m))
         if defect > HERMITIAN_TOL:
             raise ValueError(f"{name} is not Hermitian: max asymmetry {defect:.3e}")
-    t0, t1 = t_span
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if t1 < t0:
-        raise ValueError("t_span must be increasing")
+    mids, dt_eff = _midpoints(t_span, dt)
     dim = d.shape[0]
     if basis is None:
         basis = tuple(str(i) for i in range(dim))
     u = np.eye(dim, dtype=complex)
-    if t1 == t0:
-        return Propagator(u, basis, t0, t1)
-    n_steps = max(1, int(round((t1 - t0) / dt)))
-    dt_eff = (t1 - t0) / n_steps
-    mids = t0 + (np.arange(n_steps) + 0.5) * dt_eff
+    if not len(mids):
+        return Propagator(u, basis, *t_span)
     c = np.asarray(scale_of_t(mids), dtype=float)
     if c.shape != mids.shape:
         raise ValueError("scale_of_t must return one value per time")
@@ -161,12 +156,12 @@ def evolve_affine(
     real = np.abs(d.imag).max(initial=0.0) == 0.0 and np.abs(w.imag).max(initial=0.0) == 0.0
     d, w = (d.real, w.real) if real else (d, w)
     starts, lengths = _runs(np.append(True, c[1:] != c[:-1]))
-    chunk = max(16, AFFINE_CHUNK_BYTES // (dim * dim * 16))
+    chunk = max(16, CHUNK_BYTES // (dim * dim * 16))
     for lo in range(0, len(starts), chunk):
         cs = c[starts[lo : lo + chunk]]
         hs = d[None, :, :] + cs[:, None, None] * w[None, :, :]
         u = _fold(_batch_step_unitaries(hs, dt_eff * lengths[lo : lo + chunk])) @ u
-    return Propagator(u, basis, t0, t1)
+    return Propagator(u, basis, *t_span)
 
 
 def evolve(
@@ -175,7 +170,6 @@ def evolve(
     dt: float,
     basis: tuple[str, ...] | None = None,
     vectorized: bool = False,
-    chunk_bytes: int = 48_000_000,
 ) -> Propagator:
     """Time-ordered evolution under a time-dependent Hermitian h(t).
 
@@ -184,24 +178,15 @@ def evolve(
     midpoint-sampled: U = prod_k exp(-i h(t_k + dt/2) dt), earliest step
     applied first.  Non-Hermitian samples are rejected with the max asymmetry.
     """
-    t0, t1 = t_span
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if t1 < t0:
-        raise ValueError("t_span must be increasing")
-    n_steps = max(1, int(round((t1 - t0) / dt))) if t1 > t0 else 0
+    mids, dt_eff = _midpoints(t_span, dt)
+    t0 = t_span[0]
     probe = np.asarray(h_of_t(np.array([t0])) if vectorized else h_of_t(t0))
     dim = probe.shape[-1]
     if basis is None:
         basis = tuple(str(i) for i in range(dim))
     u = np.eye(dim, dtype=complex)
-    if n_steps == 0:
-        return Propagator(u, basis, t0, t1)
-    dt_eff = (t1 - t0) / n_steps
-    mids = t0 + (np.arange(n_steps) + 0.5) * dt_eff
-
-    chunk = max(16, chunk_bytes // (dim * dim * 16))
-    for lo in range(0, n_steps, chunk):
+    chunk = max(16, CHUNK_BYTES // (dim * dim * 16))
+    for lo in range(0, len(mids), chunk):
         ts = mids[lo : lo + chunk]
         if vectorized:
             hs = np.asarray(h_of_t(ts), dtype=complex)
@@ -214,5 +199,7 @@ def evolve(
                 f"h(t) is not Hermitian at t = {ts[worst]:.6f} ns: "
                 f"max |h - h^dagger| = {defects[worst]:.3e}"
             )
-        u = _fold_steps(hs, dt_eff, u)
-    return Propagator(u, basis, t0, t1)
+        # a run of identical steps (a pulse plateau) is one exponential
+        starts, lengths = _runs(np.append(True, np.any(hs[1:] != hs[:-1], axis=(1, 2))))
+        u = _fold(_batch_step_unitaries(hs[starts], dt_eff * lengths)) @ u
+    return Propagator(u, basis, *t_span)

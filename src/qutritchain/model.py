@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .evolution import evolve, kron
+from .evolution import evolve, evolve_affine, kron
 
 MHZ_TO_RAD_NS = 2.0 * np.pi * 1e-3
 
@@ -136,26 +136,6 @@ def _clock_diag(sys: QutritSystem) -> np.ndarray:
     return d
 
 
-def rotating_hamiltonian(sys: QutritSystem, t: float) -> np.ndarray:
-    """Exact rotating-frame Hamiltonian (no RWA): local detunings plus
-    g(t) V(t), where V(t) = R(t)^dag X1 X2 R(t) with R = exp(i H_cl t).
-
-    V carries elements oscillating at omega_1 + omega_2; element (m, n) of
-    X1 X2 is multiplied by exp(i (E_n - E_m) t) with E the clock energies.
-    """
-    if sys.n != 2:
-        raise ValueError("rotating_hamiltonian is defined for two qutrits")
-    h = np.zeros((9, 9), dtype=complex)
-    for i, p in enumerate(sys.params):
-        d = p.delta_at(t)
-        h += embed(_local_diag(d, 2 * d - p.eta), i, 2)
-    e = _clock_diag(sys)
-    phases = np.exp(1j * (e[None, :] - e[:, None]) * t)
-    x = x_op()
-    v = kron(x, x) * phases
-    return h + sys.coupling_at(0, t) * MHZ_TO_RAD_NS * v
-
-
 def rwa_hamiltonian(sys: QutritSystem, t: float) -> np.ndarray:
     """Two-qutrit rotating-frame Hamiltonian after the RWA (global clock):
     local diag(0, Delta_i, 2 Delta_i - eta_i) plus (g/2)(X1 X2 + Y1 Y2)."""
@@ -228,9 +208,6 @@ def rwa_residual(
         v = xx[None, :, :] * np.exp(1j * de[None, :, :] * np.atleast_1d(ts)[:, None, None])
         return diag[None, :, :] + g[:, None, None] * v
 
-    def h_rwa(ts):
-        return diag[None, :, :] + g_values(ts)[:, None, None] * w_rwa[None, :, :]
-
     u_exact = evolve(h_exact, t_span, dt, basis=labels, vectorized=True)
-    u_rwa = evolve(h_rwa, t_span, dt, basis=labels, vectorized=True)
+    u_rwa = evolve_affine(diag, w_rwa, g_values, t_span, dt, basis=labels)
     return float(np.linalg.norm(u_exact.matrix - u_rwa.matrix, ord=2))

@@ -84,55 +84,45 @@ def pulse_area(p: TrapezoidPulse) -> float:
 def g_eff(g: float, eta: float) -> float:
     """Effective |02><20| coupling from level repulsion via |11>, in MHz.
 
-    g_eff = |eta/4 - sqrt((eta/4)^2 + g^2)|; for g << eta this is ~ 2 g^2/eta.
+    g_eff = sqrt((eta/4)^2 + g^2) - eta/4, written as g^2 / (eta/4 + sqrt(...))
+    to avoid the cancellation; for g << eta this is ~ 2 g^2/eta.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
     q = eta / 4.0
-    return abs(q - np.hypot(q, g))
+    return g * g / (q + np.hypot(q, g))
 
 
-def adaptive_simpson(f, a: float, b: float, rtol: float = 1e-12) -> float:
-    """Adaptive Simpson quadrature of f on [a, b] with relative tolerance."""
-    if b <= a:
-        return 0.0
+def _g_eff_integral(amp: float, q: float) -> float:
+    """Integral of g_eff from 0 to amp with q = eta/4, in MHz^2:
+    q^2 f(x), x = amp/q, f(x) = x sqrt(1 + x^2)/2 + asinh(x)/2 - x.
 
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(x0, x2, f0, f1, f2, whole, tol, depth):
-        xm = 0.5 * (x0 + x2)
-        fl = f(0.5 * (x0 + xm))
-        fr = f(0.5 * (xm + x2))
-        left = simpson(x0, xm, f0, fl, f1)
-        right = simpson(xm, x2, f1, fr, f2)
-        if depth > 48 or abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(x0, xm, f0, fl, f1, left, tol / 2.0, depth + 1) + recurse(
-            xm, x2, f1, fr, f2, right, tol / 2.0, depth + 1
-        )
-
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = simpson(a, b, fa, fm, fb)
-    tol = rtol * max(abs(whole), 1e-300)
-    return recurse(a, b, fa, fm, fb, whole, tol, 0)
+    f cancels down to x^3/6 for small x, so below x = 0.3 it is summed as
+    the term-by-term integral of sqrt(1 + u^2) - 1 = sum_k binom(1/2, k) u^2k.
+    """
+    x = amp / q
+    if x >= 0.3:
+        return q * q * (0.5 * x * np.hypot(1.0, x) + 0.5 * np.arcsinh(x) - x)
+    total, binom = 0.0, 0.5  # binom(1/2, k) at k = 1
+    for k in range(1, 17):
+        total += binom * x ** (2 * k + 1) / (2 * k + 1)
+        binom *= (0.5 - k) / (k + 1)
+    return q * q * total
 
 
-def effective_area(p: TrapezoidPulse, eta: float, rtol: float = 1e-12) -> float:
-    """Angular integral of g_eff(g(t)) over the pulse, in rad.
+def effective_area(p: TrapezoidPulse, eta: float) -> float:
+    """Angular integral of g_eff(g(t)) over the pulse, in rad, in closed form.
 
-    The plateau contributes g_eff(amp_max) * plateau duration exactly; the
-    ramps are integrated by adaptive quadrature (g_eff is nonlinear in g, so
-    their contribution is below the trapezoid-equivalent estimate).
+    The plateau contributes g_eff(amp_max) * plateau duration; each linear
+    ramp contributes (t_ramp / amp_max) * integral of g_eff from 0 to
+    amp_max (g_eff is nonlinear in g, so the ramps fall below the
+    trapezoid-equivalent estimate).
     """
     if p.amp_max == 0.0 or p.t_total == 0.0:
         return 0.0
-    t0 = p.t_offset
-    f = lambda t: g_eff(p.value(t), eta)
-    ramp_up = adaptive_simpson(f, t0, t0 + p.t_ramp, rtol)
-    ramp_down = adaptive_simpson(f, t0 + p.t_total - p.t_ramp, t0 + p.t_total, rtol)
     plateau = g_eff(p.amp_max, eta) * (p.t_total - 2.0 * p.t_ramp)
-    return (ramp_up + plateau + ramp_down) * MHZ_TO_RAD_NS
+    ramps = 2.0 * p.t_ramp * _g_eff_integral(p.amp_max, eta / 4.0) / p.amp_max
+    return (ramps + plateau) * MHZ_TO_RAD_NS
 
 
 def analytic_params(eta: float, t_ramp: float = 2.0, m: int = 3) -> tuple[float, float]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import Propagator, _batch_step_unitaries, evolve_affine
+from .evolution import Propagator, _batch_step_unitaries, _n_steps, evolve_affine
 from .model import (
     DELTA_RANGE_MHZ,
     MHZ_TO_RAD_NS,
@@ -26,7 +26,7 @@ from .model import (
     chain_hamiltonian,
     resonant_pair,
 )
-from .pulse import TrapezoidPulse, adaptive_simpson
+from .pulse import TrapezoidPulse
 
 COMP_LABELS = ("00", "01", "10", "02", "20")
 COMP_INDICES = tuple(basis_index(s) for s in COMP_LABELS)
@@ -67,10 +67,13 @@ def evolve_transfer(g_pulse: TrapezoidPulse, eta: float, dt: float = 0.001) -> P
     The down ramp is the up ramp reversed in time, a product of the same
     step unitaries in reverse order, and each step exp(-i H dt) of the real
     symmetric H is a symmetric matrix, so the down ramp is exactly R^T.
+    The windows are evolved in the pulse's own frame (offset 0), so a
+    shifted pulse gets the same grid and the same U.
     """
     d, w = _pair_parts(eta)
-    r = _window(g_pulse, d, w, g_pulse.ramp_window, dt)
-    p = _window(g_pulse, d, w, g_pulse.plateau_window, dt)
+    pulse = g_pulse.shifted(0.0)
+    r = _window(pulse, d, w, pulse.ramp_window, dt)
+    p = _window(pulse, d, w, pulse.plateau_window, dt)
     return Propagator(r.T @ p @ r, basis_labels(2), g_pulse.t_offset, g_pulse.t_end)
 
 
@@ -78,27 +81,37 @@ def population_series(
     g_pulse: TrapezoidPulse, eta: float, dt: float = 0.001, dt_out: float = 0.05
 ):
     """Transfer populations p01(t) = |<01|U(t)|10>|^2 and p02(t) = |<02|U(t)|20>|^2
-    sampled every dt_out, starting from |10> and |20>.  Returns (t, p01, p02)."""
-    d, w = _pair_parts(eta)
-    n = max(1, int(round(g_pulse.t_total / dt)))
-    dt_eff = g_pulse.t_total / n
-    mids = g_pulse.t_offset + (np.arange(n) + 0.5) * dt_eff
-    g = g_pulse.value(mids) * MHZ_TO_RAD_NS
-    gu, inv = np.unique(g, return_inverse=True)
-    steps = _batch_step_unitaries(d[None, :, :] + gu[:, None, None] * w[None, :, :], dt_eff)
+    from |10> and |20>, sampled about every dt_out on evolve_transfer's grid.
+    Returns (t, p01, p02) with t increasing from 0 to t_total; the last
+    sample is evolve_transfer's U = R^T P R.
 
-    i01, i10 = basis_index("01"), basis_index("10")
-    i02, i20 = basis_index("02"), basis_index("20")
-    stride = max(1, int(round(dt_out / dt_eff)))
-    u = np.eye(9, dtype=complex)
-    ts, p01, p02 = [0.0], [0.0], [0.0]
-    for k in range(n):
-        u = steps[inv[k]] @ u
-        if (k + 1) % stride == 0 or k == n - 1:
-            ts.append((k + 1) * dt_eff)
-            p01.append(abs(u[i01, i10]) ** 2)
-            p02.append(abs(u[i02, i20]) ** 2)
-    return np.array(ts), np.array(p01), np.array(p02)
+    Up ramp: the prefixes Q_m (first m steps) of R, built window by window.
+    Plateau: P(s) R at even offsets s, from one eigendecomposition.  Down
+    ramp: its last m steps are Q_m^T, by the step symmetry that makes it
+    R^T, so m steps before the end U(t) = conj(Q_m) U, with no integration.
+    """
+    d, w = _pair_parts(eta)
+    pulse = g_pulse.shifted(0.0)
+    t_ramp, t_plateau = pulse.t_ramp, pulse.t_total - 2.0 * pulse.t_ramp
+    n_ramp = _n_steps(t_ramp, dt)
+    dt_ramp = t_ramp / n_ramp if n_ramp else dt
+    edges = [*range(0, n_ramp, max(1, int(round(dt_out / dt_ramp)))), n_ramp]
+    prefixes = [np.eye(9, dtype=complex)]
+    for m0, m1 in zip(edges, edges[1:]):
+        prefixes.append(_window(pulse, d, w, (m0 * dt_ramp, m1 * dt_ramp), dt_ramp) @ prefixes[-1])
+    r = prefixes.pop()  # the plateau's first sample, P(0) R
+
+    n_plateau = _n_steps(t_plateau, max(dt_out, dt))
+    offsets = t_plateau * np.arange(n_plateau + 1) / max(n_plateau, 1)
+    h = d + pulse.amp_max * MHZ_TO_RAD_NS * w
+    plateau = _batch_step_unitaries(h[None], offsets) @ r
+    u = r.T @ plateau[-1]
+
+    us = np.array([*prefixes, *plateau, *(np.conj(q) @ u for q in prefixes[::-1])])
+    m = np.array(edges[:-1], dtype=float)
+    ts = np.concatenate([m * dt_ramp, t_ramp + offsets, pulse.t_total - m[::-1] * dt_ramp])
+    i01, i10, i02, i20 = (basis_index(s) for s in ("01", "10", "02", "20"))
+    return ts, np.abs(us[:, i01, i10]) ** 2, np.abs(us[:, i02, i20]) ** 2
 
 
 def count_transfer_peaks(populations: np.ndarray, height: float = 0.99) -> int:
@@ -299,7 +312,7 @@ def compensation_params(
     2*theta - eta_angular*t_phase on |2>, so t_phase = (2 theta - phi)/eta
     and delta_max = theta / (t_phase - t_ramp) in angular units.  The target
     pair is taken modulo 2 pi on a branch giving t_phase >= 2 t_ramp and an
-    in-range delta_max; both phase integrals are re-checked by quadrature.
+    in-range delta_max; both phase integrals are re-checked from the pulse.
     """
     eta_ang = eta * MHZ_TO_RAD_NS
     th = theta % (2.0 * np.pi)
@@ -319,8 +332,11 @@ def compensation_params(
             f"no feasible 2 pi branch for theta={theta}, phi={phi}, t_ramp={t_ramp}"
         )
 
-    shape = TrapezoidPulse(1.0, t_phase, t_ramp)
-    theta_int = delta_max * adaptive_simpson(shape.value, 0.0, t_phase) * MHZ_TO_RAD_NS
+    # the unit shape is linear between its breakpoints: the trapezoid rule
+    # over them is its exact integral
+    knots = np.array([0.0, t_ramp, t_phase - t_ramp, t_phase])
+    v = TrapezoidPulse(1.0, t_phase, t_ramp).value(knots)
+    theta_int = delta_max * np.diff(knots) @ (v[1:] + v[:-1]) / 2.0 * MHZ_TO_RAD_NS
     phi_int = 2.0 * theta_int - eta_ang * t_phase
     if _angle_gap(theta_int, theta) > 1e-10 or _angle_gap(phi_int, phi) > 1e-10:
         raise CompensationError(

@@ -147,6 +147,17 @@ def test_unknown_config_key_rejected(tmp_path):
     assert run(["table1", "--config", cfg, "--out", tmp_path]) == 2
 
 
+def test_coupling_cap_is_not_configurable(tmp_path, capsys):
+    # the cap is the fixed 55 MHz coupler range of model and pulse
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"coupling_cap": 40.0}))
+    assert run(["table1", "--analytic-only", "--config", cfg, "--out", tmp_path]) == 2
+    assert "coupling_cap" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run(["table1", "--analytic-only", "--coupling-cap-mhz", 40, "--out", tmp_path])
+    assert exc.value.code == 2
+
+
 def test_output_dir_from_env(tmp_path, monkeypatch):
     monkeypatch.setenv("QST_OUT_DIR", str(tmp_path / "envout"))
     assert run(["table1", "--analytic-only", *FAST]) == 0

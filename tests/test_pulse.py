@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from _oracles import adaptive_simpson
 from qutritchain.model import MHZ_TO_RAD_NS
 from qutritchain.pulse import (
     ConstraintError,
     TrapezoidPulse,
-    adaptive_simpson,
     analytic_params,
     effective_area,
     g_eff,
@@ -107,6 +107,22 @@ def test_effective_area_analytic_pulse_against_oracle():
     assert area > plateau_only
     # ... but stay below the trapezoid-equivalent estimate pi/2
     assert area < np.pi / 2
+
+
+@pytest.mark.parametrize("amp", [1e-6, 1e-4, 0.1, 1.0, 15.0, 37.5, 55.0])
+def test_effective_area_closed_form_against_quadrature(amp):
+    # fixed Simpson grid over the whole pulse (breakpoints on panel edges) of
+    # the cancellation-free integrand g^2 / (q + sqrt(q^2 + g^2)); the series
+    # branch of the ramp integral covers amp < 15 MHz at q = 50 MHz, and
+    # 0.1 MHz used to hang the adaptive quadrature
+    p, q = TrapezoidPulse(amp, 22.0, 2.0), 50.0
+
+    def stable(t):
+        g = p.value(t)
+        return g * g / (q + np.hypot(q, g))
+
+    oracle = composite_simpson(stable, 0.0, 22.0, 22_000) * MHZ_TO_RAD_NS
+    assert abs(effective_area(p, 4.0 * q) - oracle) <= 1e-10 * oracle
 
 
 def test_effective_area_increasing_in_amplitude():

@@ -4,17 +4,21 @@ import numpy as np
 import pytest
 
 from qutritchain import transfer
-from qutritchain.evolution import evolve
+from qutritchain.evolution import evolve, evolve_affine
 from qutritchain.model import (
     MHZ_TO_RAD_NS,
     QutritParams,
     QutritSystem,
     basis_index,
     basis_labels,
+    chain_hamiltonian,
+    coupling_operator,
     number_op,
+    resonant_pair,
     rwa_hamiltonian,
 )
-from qutritchain.pulse import TrapezoidPulse, adaptive_simpson, analytic_params
+from _oracles import adaptive_simpson
+from qutritchain.pulse import TrapezoidPulse, analytic_params
 from qutritchain.transfer import (
     COMP_INDICES,
     U_TARGET,
@@ -242,3 +246,68 @@ def test_population_series_shape_and_peaks():
     # the doubly excited level imprints a visible interference ripple on p02
     d = np.diff(p02)
     assert np.sum((np.sign(d[:-1]) > 0) & (np.sign(d[1:]) < 0)) >= 2
+
+
+def transfer_populations(u):
+    """|<01|U|10>|^2 and |<02|U|20>|^2 of a 9x9 matrix."""
+    i = basis_index
+    return abs(u[i("01"), i("10")]) ** 2, abs(u[i("02"), i("20")]) ** 2
+
+
+def test_population_series_ends_on_evolve_transfer():
+    # t_ramp / dt is not an integer here; one whole-pulse grid missed the
+    # Table 1 propagator by 3e-8 in p01
+    pulse = TrapezoidPulse(50.0, 22.0, 1.1474801)
+    _, p01, p02 = population_series(pulse, 252.7, dt=0.001)
+    want = transfer_populations(evolve_transfer(pulse, 252.7, dt=0.001).matrix)
+    assert abs(p01[-1] - want[0]) < 1e-12 and abs(p02[-1] - want[1]) < 1e-12
+
+
+def test_population_series_samples_match_direct_integration():
+    # every sample against the time-ordered product up to its time, window by
+    # window on evolve_transfer's grid: the up ramp and the mirrored down ramp
+    # on R's steps, the plateau in one exact step; checks the conj(Q_m) U
+    # shortcut for the down ramp
+    eta, dt = 252.7, 0.002
+    pulse = TrapezoidPulse(50.0, 6.0, 1.1474801)
+    d, w = chain_hamiltonian(resonant_pair(eta), 0.0), coupling_operator(0, 2)
+    g = lambda ts: pulse.value(ts) * MHZ_TO_RAD_NS
+    dt_ramp = pulse.t_ramp / round(pulse.t_ramp / dt)
+    t_down = pulse.t_total - pulse.t_ramp
+    ts, p01, p02 = population_series(pulse, eta, dt=dt, dt_out=0.05)
+    assert ts[0] == 0.0 and ts[-1] == pulse.t_total and np.all(np.diff(ts) > 0)
+    assert np.any((ts > 0) & (ts < pulse.t_ramp)) and np.any(ts > t_down)
+    for t, q01, q02 in zip(ts, p01, p02):
+        u = np.eye(9, dtype=complex)
+        for lo, hi, step in (
+            (0.0, pulse.t_ramp, dt_ramp),
+            (pulse.t_ramp, t_down, pulse.t_total),
+            (t_down, pulse.t_total, dt_ramp),
+        ):
+            if min(t, hi) > lo:
+                u = evolve_affine(d, w, g, (lo, min(t, hi)), step).matrix @ u
+        want = transfer_populations(u)
+        assert abs(q01 - want[0]) < 1e-12 and abs(q02 - want[1]) < 1e-12
+
+
+@pytest.mark.parametrize("t_total, t_ramp", [(10.0, 0.0), (4.0, 2.0), (0.0, 0.0)])
+def test_population_series_without_ramp_or_plateau(t_total, t_ramp):
+    pulse = TrapezoidPulse(30.0, t_total, t_ramp)
+    ts, p01, p02 = population_series(pulse, ETA, dt=0.002)
+    assert ts[0] == 0.0 and ts[-1] == t_total and np.all(np.diff(ts) > 0)
+    assert len(ts) == len(p01) == len(p02)
+    want = transfer_populations(evolve_transfer(pulse, ETA, dt=0.002).matrix)
+    assert abs(p01[-1] - want[0]) < 1e-12 and abs(p02[-1] - want[1]) < 1e-12
+
+
+@pytest.mark.parametrize("offset", [0.3, 1.0 / 3.0, 7.25, 123.456])
+def test_shifted_pulse_evolves_on_the_same_grid(offset):
+    # t_ramp / dt = 2.5: round() of a shifted window's length could land on
+    # either side of the half-integer
+    pulse = TrapezoidPulse(30.0, 5.0, 0.01)
+    moved = pulse.shifted(offset)
+    u, u_moved = evolve_transfer(pulse, ETA, dt=0.004), evolve_transfer(moved, ETA, dt=0.004)
+    assert np.array_equal(u_moved.matrix, u.matrix)
+    assert (u_moved.t_start, u_moved.t_end) == (offset, moved.t_end)
+    for a, b in zip(population_series(pulse, ETA, dt=0.004), population_series(moved, ETA, dt=0.004)):
+        assert np.array_equal(a, b)
