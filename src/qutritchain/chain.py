@@ -118,6 +118,18 @@ def make_schedule(
     return ChainSchedule(pulse, n_steps, (theta, phi)), u_step, phase_gate(theta, phi)
 
 
+def edge_permutation(k: int, n: int) -> np.ndarray:
+    """Basis-index permutation that relabels qutrit q as q + k (mod n).
+
+    With p = edge_permutation(k, n), m[np.ix_(p, p)] is the operator m with
+    edge 0 moved to edge k: coupling_operator(0, n) becomes
+    coupling_operator(k, n), and a Hamiltonian diagonal shared by all
+    qutrits is left unchanged.
+    """
+    axes = [(q - k) % n for q in range(n)]
+    return np.arange(3**n).reshape((3,) * n).transpose(axes).reshape(-1)
+
+
 def evolve_chain_full(
     schedule: ChainSchedule, n: int, eta: float, dt: float = 0.001
 ) -> np.ndarray:
@@ -129,6 +141,9 @@ def evolve_chain_full(
     on time only through the pulse, so each is evolved in the step pulse's
     own window, as R^T P R on evolve_transfer's grid (up ramp R, exact
     plateau P, down ramp R^T): front and full chain share one discretization.
+    Every qutrit has the same eta, so the edge-k Hamiltonian is the edge-0
+    one with its qutrits relabelled; the edge-0 step is evolved once and
+    relabelled per edge by edge_permutation.
     """
     if n > MAX_FULL_QUTRITS:
         raise ValueError(f"full chain simulation capped at {MAX_FULL_QUTRITS} qutrits")
@@ -139,12 +154,14 @@ def evolve_chain_full(
     comp = phase_gate(*schedule.compensation)
     pulse = schedule.step_pulse
     g = lambda ts: pulse.value(ts) * MHZ_TO_RAD_NS
+    w = coupling_operator(0, n)
+    r = evolve_affine(diag, w, g, pulse.ramp_window, dt).matrix
+    p = evolve_affine(diag, w, g, pulse.plateau_window, dt).matrix
+    step0 = r.T @ p @ r
     u = np.eye(3**n, dtype=complex)
     for seg in range(n - 1):
-        w = coupling_operator(seg, n)
-        r = evolve_affine(diag, w, g, pulse.ramp_window, dt).matrix
-        p = evolve_affine(diag, w, g, pulse.plateau_window, dt).matrix
-        u = embed(comp, seg + 1, n) @ r.T @ p @ r @ u
+        perm = edge_permutation(seg, n)
+        u = embed(comp, seg + 1, n) @ step0[np.ix_(perm, perm)] @ u
     return u
 
 

@@ -25,6 +25,18 @@ EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_CONFIG = 2
 
+# Most samples one curve may have: the midpoint grid of a transfer pulse
+# (t_qst / dt), an error curve (n_steps points) and an output CSV (duration
+# / dt_out rows).  t_qst is taken as the analytic value, which the
+# optimizer moves by a few percent at most.  The paper's settings need a
+# few 10^4 (22 ns at 1 ps).
+MAX_SAMPLES = 1_000_000
+
+
+def _check_samples(what: str, count: float) -> None:
+    if count > MAX_SAMPLES:
+        raise ValueError(f"{what} needs ~{count:.3g} samples, over the bound of {MAX_SAMPLES}")
+
 
 @dataclass
 class ExperimentConfig:
@@ -57,6 +69,14 @@ class ExperimentConfig:
             raise ValueError(f"T2 = {self.t2} us exceeds 2 T1 = {2 * self.t1} us")
         if self.n_steps < 1:
             raise ValueError("n_steps must be at least 1")
+        _check_samples("n_steps", self.n_steps)
+        _check_samples("the pulse grid t_qst / dt", self.pulse_duration() / self.dt)
+
+    def pulse_duration(self) -> float:
+        """Analytic t_qst in ns, the length of one transfer pulse."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # coupler cap: not a config error
+            return analytic_params(self.eta, t_ramp=self.t_ramp)[1]
 
 
 _FLAG_TO_FIELD = {
@@ -101,6 +121,14 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig(**values)
     cfg.validate()
     return cfg
+
+
+def _check_output_grid(cfg: ExperimentConfig, dt_out: float, n_pulses: int) -> None:
+    """dt_out must be finite and positive, and n_pulses pulses sampled every
+    dt_out must fit in MAX_SAMPLES rows."""
+    if not (np.isfinite(dt_out) and dt_out > 0):
+        raise ValueError(f"dt_out_ns must be a finite positive number, got {dt_out!r}")
+    _check_samples("the output grid duration / dt_out", n_pulses * cfg.pulse_duration() / dt_out)
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -298,6 +326,9 @@ def main(argv: list[str] | None = None) -> int:
         cfg = resolve_config(args)
         if args.command == "schedule" and args.n_qutrits < 2:
             raise ValueError("schedule needs at least 2 qutrits")
+        if args.command in ("populations", "schedule"):
+            pulses = args.n_qutrits - 1 if args.command == "schedule" else 1
+            _check_output_grid(cfg, args.dt_out_ns, pulses)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG

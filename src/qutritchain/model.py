@@ -188,7 +188,9 @@ def rwa_residual(
 
     Both frames share the clock omega (MHz) on both qutrits and the same
     resonant coupling schedule; the gap is O(g / omega) from the dropped
-    terms oscillating at omega_1 + omega_2.
+    terms oscillating at omega_1 + omega_2.  g_of_t (MHz) is called on
+    arrays of times, as evolve_affine's scale_of_t is; a scalar return is
+    broadcast to every time.
     """
     params = [QutritParams(eta, omega=omega), QutritParams(eta, omega=omega)]
     sys = QutritSystem(params, couplings=[0.0])
@@ -201,7 +203,8 @@ def rwa_residual(
     de = e[None, :] - e[:, None]
 
     def g_values(ts):
-        return np.array([g_of_t(t) for t in np.atleast_1d(ts)]) * MHZ_TO_RAD_NS
+        ts = np.atleast_1d(ts)
+        return np.broadcast_to(np.asarray(g_of_t(ts), dtype=float), ts.shape) * MHZ_TO_RAD_NS
 
     def h_exact(ts):
         g = g_values(ts)

@@ -4,6 +4,7 @@ import pytest
 from qutritchain.chain import (
     ChainSchedule,
     FrontState,
+    edge_permutation,
     evolve_chain_full,
     intrinsic_error_curve,
     make_schedule,
@@ -11,7 +12,7 @@ from qutritchain.chain import (
     uniform_state,
     validate_front_vs_full,
 )
-from qutritchain.evolution import evolve
+from qutritchain.evolution import evolve, evolve_affine
 from qutritchain.model import MHZ_TO_RAD_NS, chain_hamiltonian, coupling_operator, embed
 from qutritchain.model import QutritParams, QutritSystem
 from qutritchain.pulse import TrapezoidPulse
@@ -152,3 +153,33 @@ def test_full_chain_schedule_length_check():
     sched = ChainSchedule(TrapezoidPulse(G_OPT, T_OPT, 2.0), 3, (0.0, 0.0))
     with pytest.raises(ValueError, match="n - 1"):
         evolve_chain_full(sched, 3, ETA)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_edge_permutation_relabels_coupling_keeps_diagonal(n):
+    sys = QutritSystem([QutritParams(ETA)] * n, couplings=[0.0] * (n - 1))
+    diag = chain_hamiltonian(sys, 0.0)
+    w0 = coupling_operator(0, n)
+    for k in range(n - 1):
+        p = edge_permutation(k, n)
+        assert np.array_equal(np.sort(p), np.arange(3**n))
+        assert np.array_equal(w0[np.ix_(p, p)], coupling_operator(k, n))
+        assert np.array_equal(diag[np.ix_(p, p)], diag)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_full_chain_equals_per_edge_product(n):
+    # oracle: each edge evolved with its own coupling operator, no relabelling
+    dt = 0.004
+    schedule, _, comp = make_schedule(G_OPT, T_OPT, 2.0, ETA, n - 1, dt=dt)
+    pulse = schedule.step_pulse
+    sys = QutritSystem([QutritParams(ETA)] * n, couplings=[0.0] * (n - 1))
+    diag = chain_hamiltonian(sys, 0.0)
+    g = lambda ts: pulse.value(ts) * MHZ_TO_RAD_NS
+    expected = np.eye(3**n, dtype=complex)
+    for k in range(n - 1):
+        w = coupling_operator(k, n)
+        r = evolve_affine(diag, w, g, pulse.ramp_window, dt).matrix
+        p = evolve_affine(diag, w, g, pulse.plateau_window, dt).matrix
+        expected = embed(comp, k + 1, n) @ r.T @ p @ r @ expected
+    assert np.abs(evolve_chain_full(schedule, n, ETA, dt=dt) - expected).max() < 1e-12

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -169,3 +171,47 @@ def test_byte_identical_reruns(tmp_path):
     first = (tmp_path / "table1.json").read_bytes()
     assert run(["table1", "--analytic-only", "--out", tmp_path, *FAST]) == 0
     assert (tmp_path / "table1.json").read_bytes() == first
+
+
+def _no_optimize(cfg):
+    raise AssertionError("optimized before the config was checked")
+
+
+@pytest.mark.parametrize("command", ["populations", "schedule"])
+@pytest.mark.parametrize("dt_out", ["0", "-1", "nan", "inf", "-inf"])
+def test_bad_dt_out_is_config_error_before_optimizing(tmp_path, monkeypatch, capsys, command, dt_out):
+    monkeypatch.setattr("qutritchain.cli._optimize", _no_optimize)
+    assert run([command, f"--dt-out-ns={dt_out}", "--out", tmp_path, *FAST]) == 2
+    assert "dt_out_ns" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["errors", "--n-steps", 100_000_000],
+        ["errors", "--dt-ns", 1e-7],
+        ["errors", "--eta-mhz", 1e-6],
+        ["validate", "--dt-ns", 1e-9],
+        ["populations", "--dt-out-ns", 1e-9],
+        ["schedule", "--n-qutrits", 100_000, "--dt-out-ns", 0.05],
+    ],
+)
+def test_oversized_grid_is_config_error_before_optimizing(tmp_path, monkeypatch, capsys, args):
+    monkeypatch.setattr("qutritchain.cli._optimize", _no_optimize)
+    assert run([*args, "--out", tmp_path]) == 2
+    assert "bound" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    import qutritchain
+
+    src = os.path.dirname(os.path.dirname(qutritchain.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qutritchain", "table1", "--analytic-only", "--out", str(tmp_path), *FAST],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "table1.json").exists()

@@ -179,3 +179,26 @@ def test_rwa_residual_small_and_monotone():
     ]
     assert res[0] > res[1] > res[2]
     assert res[2] < 0.06  # order g/omega, far below unity
+
+
+def test_rwa_residual_samples_coupling_per_array():
+    pulse = TrapezoidPulse(37.5, 22.0, 2.0)
+    calls = []
+
+    def counted(ts):
+        calls.append(np.shape(ts))
+        return pulse.value(ts)
+
+    rwa_residual(200.0, counted, (0.0, 22.0), 4000.0, dt=0.002)  # 11000 midpoints
+    assert 0 < len(calls) <= 4
+
+
+def test_rwa_residual_matches_per_sample_reference():
+    pulse = TrapezoidPulse(37.5, 22.0, 2.0)
+
+    def per_sample(ts):
+        return np.array([pulse.value(t) for t in np.atleast_1d(ts)])
+
+    for omega in (2000.0, 8000.0):
+        fast = rwa_residual(200.0, pulse.value, (0.0, 3.0), omega, dt=0.002)
+        assert fast == rwa_residual(200.0, per_sample, (0.0, 3.0), omega, dt=0.002)
