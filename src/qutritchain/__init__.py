@@ -12,14 +12,13 @@ from .chain import (
     uniform_state,
     validate_front_vs_full,
 )
-from .evolution import Propagator, evolve, expm_hermitian, kron
+from .evolution import Propagator, evolve, expm_hermitian
 from .model import (
     QutritParams,
     QutritSystem,
     basis_labels,
     chain_hamiltonian,
     lab_hamiltonian,
-    rwa_hamiltonian,
     rwa_residual,
     x_op,
     y_op,
@@ -74,7 +73,6 @@ __all__ = [
     "free_exponent_fit",
     "g_eff",
     "intrinsic_error_curve",
-    "kron",
     "lab_hamiltonian",
     "make_schedule",
     "optimize_pulse",
@@ -83,7 +81,6 @@ __all__ = [
     "population_series",
     "pulse_area",
     "qst_fidelity",
-    "rwa_hamiltonian",
     "rwa_residual",
     "solve_constraint",
     "step_transfer",

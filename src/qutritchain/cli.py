@@ -27,9 +27,9 @@ EXIT_CONFIG = 2
 
 # Most samples one curve may have: the midpoint grid of a transfer pulse
 # (t_qst / dt), an error curve (n_steps points) and an output CSV (duration
-# / dt_out rows).  t_qst is taken as the analytic value, which the
-# optimizer moves by a few percent at most.  The paper's settings need a
-# few 10^4 (22 ns at 1 ps).
+# / dt_out rows times its columns).  t_qst is taken as the analytic value,
+# which the optimizer moves by a few percent at most.  The paper's settings
+# need a few 10^4 (22 ns at 1 ps).
 MAX_SAMPLES = 1_000_000
 
 
@@ -123,12 +123,13 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
-def _check_output_grid(cfg: ExperimentConfig, dt_out: float, n_pulses: int) -> None:
+def _check_output_grid(cfg: ExperimentConfig, dt_out: float, n_pulses: int, n_columns: int) -> None:
     """dt_out must be finite and positive, and n_pulses pulses sampled every
-    dt_out must fit in MAX_SAMPLES rows."""
+    dt_out into rows of n_columns values must fit in MAX_SAMPLES cells."""
     if not (np.isfinite(dt_out) and dt_out > 0):
         raise ValueError(f"dt_out_ns must be a finite positive number, got {dt_out!r}")
-    _check_samples("the output grid duration / dt_out", n_pulses * cfg.pulse_duration() / dt_out)
+    rows = n_pulses * cfg.pulse_duration() / dt_out
+    _check_samples("the output grid (duration / dt_out rows x columns)", rows * n_columns)
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -326,9 +327,11 @@ def main(argv: list[str] | None = None) -> int:
         cfg = resolve_config(args)
         if args.command == "schedule" and args.n_qutrits < 2:
             raise ValueError("schedule needs at least 2 qutrits")
-        if args.command in ("populations", "schedule"):
-            pulses = args.n_qutrits - 1 if args.command == "schedule" else 1
-            _check_output_grid(cfg, args.dt_out_ns, pulses)
+        if args.command == "populations":
+            _check_output_grid(cfg, args.dt_out_ns, 1, 3)  # t, p01, p02
+        if args.command == "schedule":
+            # t and one coupling per edge
+            _check_output_grid(cfg, args.dt_out_ns, args.n_qutrits - 1, args.n_qutrits)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG

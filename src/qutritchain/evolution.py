@@ -17,11 +17,6 @@ UNITARY_TOL = 1e-9
 CHUNK_BYTES = 32_000_000  # step or run unitaries evolve/evolve_affine build at once
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; dims multiply, block structure a_ij * b."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def hermiticity_defect(h: np.ndarray) -> float:
     """Max absolute asymmetry |h - h^dagger|."""
     return float(np.abs(h - h.conj().T).max()) if h.size else 0.0

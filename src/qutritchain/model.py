@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .evolution import evolve, evolve_affine, kron
+from .evolution import evolve, evolve_affine
 
 MHZ_TO_RAD_NS = 2.0 * np.pi * 1e-3
 
@@ -58,7 +58,7 @@ def embed(op: np.ndarray, k: int, n: int) -> np.ndarray:
     """Embed a single-qutrit operator on qutrit k (0-based) into n qutrits."""
     out = np.eye(1, dtype=complex)
     for j in range(n):
-        out = kron(out, op if j == k else np.eye(3, dtype=complex))
+        out = np.kron(out, op if j == k else np.eye(3, dtype=complex))
     return out
 
 
@@ -125,7 +125,7 @@ def lab_hamiltonian(sys: QutritSystem, t: float) -> np.ndarray:
         h += embed(_local_diag(eps, 2 * eps - p.eta), i, 2)
     g = sys.coupling_at(0, t) * MHZ_TO_RAD_NS
     x = x_op()
-    return h + g * kron(x, x)
+    return h + g * np.kron(x, x)
 
 
 def _clock_diag(sys: QutritSystem) -> np.ndarray:
@@ -134,14 +134,6 @@ def _clock_diag(sys: QutritSystem) -> np.ndarray:
     for i, p in enumerate(sys.params):
         d += np.diag(embed(_local_diag(p.omega, 2 * p.omega), i, 2)).real
     return d
-
-
-def rwa_hamiltonian(sys: QutritSystem, t: float) -> np.ndarray:
-    """Two-qutrit rotating-frame Hamiltonian after the RWA (global clock):
-    local diag(0, Delta_i, 2 Delta_i - eta_i) plus (g/2)(X1 X2 + Y1 Y2)."""
-    if sys.n != 2:
-        raise ValueError("rwa_hamiltonian is defined for two qutrits")
-    return chain_hamiltonian(sys, t)
 
 
 def coupling_operator(k: int, n: int) -> np.ndarray:
@@ -197,7 +189,7 @@ def rwa_residual(
     labels = basis_labels(2)
 
     diag = chain_hamiltonian(sys, 0.0)
-    xx = kron(x_op(), x_op())
+    xx = np.kron(x_op(), x_op())
     w_rwa = coupling_operator(0, 2)
     e = _clock_diag(sys)
     de = e[None, :] - e[:, None]

@@ -16,7 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import Propagator, _batch_step_unitaries, _n_steps, evolve_affine
+from .evolution import (
+    Propagator,
+    _batch_step_unitaries,
+    _fold,
+    _midpoints,
+    _n_steps,
+    evolve_affine,
+)
 from .model import (
     DELTA_RANGE_MHZ,
     MHZ_TO_RAD_NS,
@@ -53,17 +60,61 @@ def _pair_parts(eta: float) -> tuple[np.ndarray, np.ndarray]:
     return d, coupling_operator(0, 2)
 
 
-def _window(pulse: TrapezoidPulse, d: np.ndarray, w: np.ndarray, span, dt: float) -> np.ndarray:
-    """Propagator of h(t) = d + g(t) w over the time window span of pulse."""
-    return evolve_affine(d, w, lambda ts: pulse.value(ts) * MHZ_TO_RAD_NS, span, dt).matrix
+def _pair_window(pulse: TrapezoidPulse, eta: float, span, dt: float) -> np.ndarray:
+    """Propagator of the resonant pair under pulse over the window span, on
+    evolve_affine's midpoint grid, in closed form by excitation sector.
+
+    D + g W conserves excitation, and with s, a = (|02> +- |20>)/sqrt2 every
+    sector block is 1x1 or 2x2 (angular e = eta, g = g(t)):
+    {00}: 0; {22}: -2e; {a}: -e; {01,10}: g sx; {12,21}: -e + 2g sx;
+    {s,11}: [[-e, 2g], [2g, 0]].  The sx blocks commute from step to step,
+    so their product is exp(-i A sx) with A = sum g_k dt (2A for {12,21}).
+    Only {s,11} is time ordered: each step is exp(i e dt/2) exp(-i K dt) with
+    K = [[-e/2, 2g], [2g, e/2]], K^2 = (e^2/4 + 4g^2) I, folded by _fold.
+    """
+    mids, dt_eff = _midpoints(span, dt)
+    r = np.eye(9, dtype=complex)
+    if not len(mids):
+        return r
+    e = eta * MHZ_TO_RAD_NS
+    b = 2.0 * pulse.value(mids) * MHZ_TO_RAD_NS
+    t = dt_eff * len(mids)
+    a = 0.5 * np.sum(b) * dt_eff
+
+    omega = np.hypot(0.5 * e, b)
+    c, s = np.cos(omega * dt_eff), np.sin(omega * dt_eff) / omega
+    steps = np.empty((len(mids), 2, 2), dtype=complex)
+    steps[:, 0, 0] = c + 0.5j * e * s
+    steps[:, 1, 1] = c - 0.5j * e * s
+    steps[:, 0, 1] = steps[:, 1, 0] = -1j * b * s
+    m = np.exp(0.5j * e * t) * _fold(steps)
+
+    i01, i02, i10, i11, i12, i20, i21, i22 = (
+        basis_index(x) for x in ("01", "02", "10", "11", "12", "20", "21", "22")
+    )
+    r[i01, i01] = r[i10, i10] = np.cos(a)
+    r[i01, i10] = r[i10, i01] = -1j * np.sin(a)
+    ph = np.exp(1j * e * t)
+    r[i12, i12] = r[i21, i21] = ph * np.cos(2.0 * a)
+    r[i12, i21] = r[i21, i12] = -1j * ph * np.sin(2.0 * a)
+    r[i22, i22] = ph * ph
+    r[i02, i02] = r[i20, i20] = 0.5 * (m[0, 0] + ph)
+    r[i02, i20] = r[i20, i02] = 0.5 * (m[0, 0] - ph)
+    r[i02, i11] = r[i20, i11] = m[0, 1] / np.sqrt(2.0)
+    r[i11, i02] = r[i11, i20] = m[1, 0] / np.sqrt(2.0)
+    r[i11, i11] = m[1, 1]
+    return r
 
 
 def evolve_transfer(g_pulse: TrapezoidPulse, eta: float, dt: float = 0.001) -> Propagator:
     """9x9 propagator for the resonant pair (Delta1 = Delta2 = 0) driven by
     the coupling pulse, over the pulse's own time window.
 
-    Built as U = R^T P R.  R is the up ramp, integrated on its own grid of
-    round(t_ramp/dt) midpoint steps; P is the plateau, one exact exponential.
+    Built as U = R^T P R.  R is the up ramp on its own grid of
+    round(t_ramp/dt) midpoint steps, in closed form by excitation sector
+    (_pair_window, no eigendecomposition).  P is the plateau: its midpoint
+    steps are all equal, so evolve_affine makes it one exact exponential
+    (and bench/tracing.py counts those steps through transfer.evolve_affine).
     The down ramp is the up ramp reversed in time, a product of the same
     step unitaries in reverse order, and each step exp(-i H dt) of the real
     symmetric H is a symmetric matrix, so the down ramp is exactly R^T.
@@ -72,8 +123,9 @@ def evolve_transfer(g_pulse: TrapezoidPulse, eta: float, dt: float = 0.001) -> P
     """
     d, w = _pair_parts(eta)
     pulse = g_pulse.shifted(0.0)
-    r = _window(pulse, d, w, pulse.ramp_window, dt)
-    p = _window(pulse, d, w, pulse.plateau_window, dt)
+    r = _pair_window(pulse, eta, pulse.ramp_window, dt)
+    g = lambda ts: pulse.value(ts) * MHZ_TO_RAD_NS
+    p = evolve_affine(d, w, g, pulse.plateau_window, dt).matrix
     return Propagator(r.T @ p @ r, basis_labels(2), g_pulse.t_offset, g_pulse.t_end)
 
 
@@ -85,10 +137,11 @@ def population_series(
     Returns (t, p01, p02) with t increasing from 0 to t_total; the last
     sample is evolve_transfer's U = R^T P R.
 
-    Up ramp: the prefixes Q_m (first m steps) of R, built window by window.
-    Plateau: P(s) R at even offsets s, from one eigendecomposition.  Down
-    ramp: its last m steps are Q_m^T, by the step symmetry that makes it
-    R^T, so m steps before the end U(t) = conj(Q_m) U, with no integration.
+    Up ramp: the prefixes Q_m (first m steps) of R, built window by window
+    in closed form (_pair_window).  Plateau: P(s) R at even offsets s, from
+    one eigendecomposition.  Down ramp: its last m steps are Q_m^T, by the
+    step symmetry that makes it R^T, so m steps before the end
+    U(t) = conj(Q_m) U, with no integration.
     """
     d, w = _pair_parts(eta)
     pulse = g_pulse.shifted(0.0)
@@ -98,7 +151,7 @@ def population_series(
     edges = [*range(0, n_ramp, max(1, int(round(dt_out / dt_ramp)))), n_ramp]
     prefixes = [np.eye(9, dtype=complex)]
     for m0, m1 in zip(edges, edges[1:]):
-        prefixes.append(_window(pulse, d, w, (m0 * dt_ramp, m1 * dt_ramp), dt_ramp) @ prefixes[-1])
+        prefixes.append(_pair_window(pulse, eta, (m0 * dt_ramp, m1 * dt_ramp), dt_ramp) @ prefixes[-1])
     r = prefixes.pop()  # the plateau's first sample, P(0) R
 
     n_plateau = _n_steps(t_plateau, max(dt_out, dt))
@@ -221,9 +274,11 @@ def optimize_pulse(
     report is evaluated at dt.  Never returns a report below the seed; on a
     fidelity tie the smaller g_max wins.
 
-    Search evaluations are evolve_transfer's R^T P R at search_dt with the
-    up ramp R memoized per g_max for this call: the ramp does not depend on
-    t_qst, so a t_qst line search costs one plateau exponential per point.
+    Search evaluations are evolve_transfer's R^T P R at search_dt, with the
+    closed-form up ramp R (_pair_window) memoized per g_max for this call:
+    the ramp does not depend on t_qst, so a t_qst line search costs one
+    plateau exponential (one 9x9 eigendecomposition, with no midpoint grid)
+    per point.
     """
     g0, t0 = seed
     search_dt = 2.0 * dt
@@ -236,9 +291,10 @@ def optimize_pulse(
         if key not in cache:
             pulse = TrapezoidPulse(g, t, t_ramp)
             if g not in ramps:
-                ramps[g] = _window(pulse, d, w, pulse.ramp_window, search_dt)
+                ramps[g] = _pair_window(pulse, eta, pulse.ramp_window, search_dt)
             r = ramps[g]
-            p = _window(pulse, d, w, pulse.plateau_window, search_dt)
+            t_plateau = t - 2.0 * t_ramp
+            p = _batch_step_unitaries((d + g * MHZ_TO_RAD_NS * w)[None], t_plateau)[0]
             cache[key] = qst_fidelity(r.T @ p @ r)
         return cache[key]
 

@@ -195,6 +195,7 @@ def test_bad_dt_out_is_config_error_before_optimizing(tmp_path, monkeypatch, cap
         ["validate", "--dt-ns", 1e-9],
         ["populations", "--dt-out-ns", 1e-9],
         ["schedule", "--n-qutrits", 100_000, "--dt-out-ns", 0.05],
+        ["schedule", "--n-qutrits", 1000, "--dt-out-ns", 0.05],  # rows alone fit
     ],
 )
 def test_oversized_grid_is_config_error_before_optimizing(tmp_path, monkeypatch, capsys, args):

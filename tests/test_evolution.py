@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+from numpy import kron
 
 from qutritchain.evolution import (
     Propagator,
     evolve,
     evolve_affine,
     expm_hermitian,
-    kron,
     unitarity_defect,
 )
 from qutritchain.model import MHZ_TO_RAD_NS, x_op

@@ -1,10 +1,11 @@
 """Property tests of the factorized trapezoid propagator U = R^T P R that
-evolve_transfer builds (up ramp R, exact plateau P, down ramp R^T)."""
+evolve_transfer builds (up ramp R, exact plateau P, down ramp R^T), and of
+the closed-form pair window it builds R from."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from qutritchain.evolution import evolve, evolve_affine, unitarity_defect
+from qutritchain.evolution import _n_steps, evolve, evolve_affine, unitarity_defect
 from qutritchain.model import (
     MHZ_TO_RAD_NS,
     chain_hamiltonian,
@@ -13,7 +14,7 @@ from qutritchain.model import (
     resonant_pair,
 )
 from qutritchain.pulse import TrapezoidPulse
-from qutritchain.transfer import evolve_transfer
+from qutritchain.transfer import _pair_parts, _pair_window, evolve_transfer
 
 PROPS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 # roundoff of a product of ~10^3 to 10^4 unitary 9x9 steps in float64
@@ -30,6 +31,36 @@ def pair_parts(eta):
 
 def coupling(pulse):
     return lambda ts: pulse.value(ts) * MHZ_TO_RAD_NS
+
+
+@PROPS
+@given(
+    eta=etas,
+    g=st.floats(0.0, 55.0, exclude_min=True),
+    dt=st.sampled_from([0.001, 0.002, 0.004, 0.01]),
+    t_ramp=st.floats(0.0, 3.0),
+    cuts=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+)
+@example(eta=200.0, g=37.5, dt=0.002, t_ramp=0.0, cuts=(0.0, 1.0))
+@example(eta=200.0, g=37.5, dt=0.002, t_ramp=2.0, cuts=(0.5, 0.5))
+def test_pair_window_matches_dense_evolve_affine(eta, g, dt, t_ramp, cuts):
+    # the whole up ramp, and the prefix window (m0, m1) of its steps that
+    # population_series builds; t_ramp = 0 or m0 = m1 gives an empty window
+    pulse = TrapezoidPulse(g, 2 * t_ramp + 1.0, t_ramp)
+    n_ramp = _n_steps(t_ramp, dt)
+    dt_ramp = t_ramp / n_ramp if n_ramp else dt
+    m0, m1 = sorted(round(c * n_ramp) for c in cuts)
+    d, w = _pair_parts(eta)
+    n_tot = np.diag(np.kron(number_op(), np.eye(3)) + np.kron(np.eye(3), number_op())).real
+    off_sector = n_tot[:, None] != n_tot[None, :]
+    for span, step in ((pulse.ramp_window, dt), ((m0 * dt_ramp, m1 * dt_ramp), dt_ramp)):
+        r = _pair_window(pulse, eta, span, step)
+        dense = evolve_affine(d, w, coupling(pulse), span, step).matrix
+        assert np.abs(r - dense).max() < 1e-12
+        assert unitarity_defect(r) < ROUNDOFF
+        assert not r[off_sector].any()
+        if span[1] == span[0]:
+            assert np.array_equal(r, np.eye(9))
 
 
 @PROPS

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from numpy import kron
 
-from qutritchain.evolution import evolve, hermiticity_defect, kron
+from qutritchain.evolution import evolve, hermiticity_defect
 from qutritchain.model import (
     MHZ_TO_RAD_NS,
     QutritParams,
@@ -9,11 +10,11 @@ from qutritchain.model import (
     basis_index,
     basis_labels,
     chain_hamiltonian,
+    chain_hamiltonian as rwa_hamiltonian,
     embed,
     lab_hamiltonian,
     number_op,
     resonant_pair,
-    rwa_hamiltonian,
     rwa_residual,
     x_op,
     y_op,

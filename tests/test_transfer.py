@@ -12,10 +12,10 @@ from qutritchain.model import (
     basis_index,
     basis_labels,
     chain_hamiltonian,
+    chain_hamiltonian as rwa_hamiltonian,
     coupling_operator,
     number_op,
     resonant_pair,
-    rwa_hamiltonian,
 )
 from _oracles import adaptive_simpson
 from qutritchain.pulse import TrapezoidPulse, analytic_params
@@ -129,26 +129,41 @@ def test_optimizer_quick_run_never_below_seed():
 
 
 def test_optimizer_builds_each_ramp_once(monkeypatch):
-    # every evolve_affine call is one window of one trapezoid: the up ramp
-    # (0, t_ramp) or the plateau; record (window, dt, g_max) per call
+    # every _pair_window call is the up ramp (0, t_ramp) of one trapezoid;
+    # a search plateau is one _batch_step_unitaries call and the plateau of
+    # evolve_transfer one evolve_affine call; record (kind, dt, g_max) per
+    # call, with g_max in rad/ns and dt None for the search plateaus
     calls = []
+    real_pair_window = transfer._pair_window
+    real_step_unitaries = transfer._batch_step_unitaries
     real_evolve_affine = transfer.evolve_affine
 
-    def counting(d, w, scale_of_t, t_span, dt, basis=None):
-        g = float(scale_of_t(np.array([t_span[1]]))[0]) / MHZ_TO_RAD_NS
-        calls.append(("ramp" if t_span == (0.0, 2.0) else "plateau", dt, g))
+    def ramp(pulse, eta, span, dt):
+        assert span == (0.0, 2.0)
+        calls.append(("ramp", dt, pulse.amp_max * MHZ_TO_RAD_NS))
+        return real_pair_window(pulse, eta, span, dt)
+
+    def search_plateau(hs, dt):
+        calls.append(("plateau", None, hs[0, 1, 3].real))
+        return real_step_unitaries(hs, dt)
+
+    def plateau(d, w, scale_of_t, t_span, dt, basis=None):
+        calls.append(("plateau", dt, float(scale_of_t(np.array([t_span[1]]))[0])))
         return real_evolve_affine(d, w, scale_of_t, t_span, dt, basis)
 
-    monkeypatch.setattr(transfer, "evolve_affine", counting)
+    monkeypatch.setattr(transfer, "_pair_window", ramp)
+    monkeypatch.setattr(transfer, "_batch_step_unitaries", search_plateau)
+    monkeypatch.setattr(transfer, "evolve_affine", plateau)
     rep = optimize_pulse(ETA, 2.0, analytic_params(ETA), dt=0.001)
 
     search_ramps = [g for kind, dt, g in calls if kind == "ramp" and dt == 0.002]
-    search_plateaus = [g for kind, dt, g in calls if kind == "plateau" and dt == 0.002]
+    search_plateaus = [g for kind, dt, g in calls if kind == "plateau" and dt is None]
     assert len(search_ramps) == len(set(search_ramps)) > 10
     assert set(search_ramps) == set(search_plateaus)
     assert len(search_plateaus) > len(search_ramps)  # t searches reuse ramps
     # the seed guard and the final report: two evolve_transfer calls at dt
     assert sorted(kind for kind, dt, _ in calls if dt == 0.001) == ["plateau"] * 2 + ["ramp"] * 2
+    assert len(calls) == len(search_ramps) + len(search_plateaus) + 4
     # reference optimum at dt = 1 ps, F as the unfactorized integrator gave it
     assert rep.g_max == pytest.approx(37.633, abs=5e-4)
     assert rep.t_qst == pytest.approx(21.952, abs=5e-4)
