@@ -14,11 +14,8 @@ from .chain import (
 )
 from .evolution import Propagator, evolve, expm_hermitian
 from .model import (
-    QutritParams,
-    QutritSystem,
     basis_labels,
     chain_hamiltonian,
-    lab_hamiltonian,
     rwa_residual,
     x_op,
     y_op,
@@ -54,8 +51,6 @@ __all__ = [
     "PowerLawFit",
     "Propagator",
     "QutritChannel",
-    "QutritParams",
-    "QutritSystem",
     "TransferReport",
     "TrapezoidPulse",
     "amplitude_damping",
@@ -73,7 +68,6 @@ __all__ = [
     "free_exponent_fit",
     "g_eff",
     "intrinsic_error_curve",
-    "lab_hamiltonian",
     "make_schedule",
     "optimize_pulse",
     "phase_damping",

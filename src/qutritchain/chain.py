@@ -16,8 +16,6 @@ from .evolution import Propagator, evolve_affine
 from .model import (
     MAX_FULL_QUTRITS,
     MHZ_TO_RAD_NS,
-    QutritParams,
-    QutritSystem,
     chain_hamiltonian,
     coupling_operator,
     embed,
@@ -38,7 +36,6 @@ class FrontState:
     """Unnormalized 3-amplitude state carried along the chain."""
 
     amplitudes: np.ndarray
-    site: int = 0
 
     def __post_init__(self):
         a = np.asarray(self.amplitudes, dtype=complex)
@@ -86,7 +83,7 @@ def step_transfer(front: FrontState, u_step: Propagator, comp: np.ndarray) -> Fr
     sending qutrit onto |0> (unnormalized), compensate the receiver."""
     pair = np.kron(front.amplitudes, KET0)
     out = u_step.matrix @ pair
-    return FrontState(np.asarray(comp) @ out[:3], site=front.site + 1)
+    return FrontState(np.asarray(comp) @ out[:3])
 
 
 def intrinsic_error_curve(
@@ -149,8 +146,7 @@ def evolve_chain_full(
         raise ValueError(f"full chain simulation capped at {MAX_FULL_QUTRITS} qutrits")
     if schedule.n_steps != n - 1:
         raise ValueError("schedule length must be n - 1")
-    sys = QutritSystem([QutritParams(eta) for _ in range(n)], couplings=[0.0] * (n - 1))
-    diag = chain_hamiltonian(sys, 0.0)
+    diag = chain_hamiltonian(eta, [0.0] * (n - 1))
     comp = phase_gate(*schedule.compensation)
     pulse = schedule.step_pulse
     g = lambda ts: pulse.value(ts) * MHZ_TO_RAD_NS

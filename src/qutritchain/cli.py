@@ -57,6 +57,8 @@ class ExperimentConfig:
                 raise ValueError(f"{f.name} must be a finite number, got {v!r}")
         if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, (int, np.integer)):
             raise ValueError(f"n_steps must be an integer, got {self.n_steps!r}")
+        if not isinstance(self.output_dir, str):
+            raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
         if self.eta <= 0:
             raise ValueError("eta must be positive")
         if self.t_ramp < 0:
@@ -109,6 +111,8 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
         with open(args.config) as f:
             loaded = json.load(f)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config file must hold a JSON object, got {type(loaded).__name__}")
         known = {f.name for f in fields(ExperimentConfig)}
         bad = set(loaded) - known
         if bad:
@@ -207,8 +211,6 @@ def cmd_populations(cfg: ExperimentConfig, dt_out: float) -> int:
 
 
 def cmd_schedule(cfg: ExperimentConfig, n_qutrits: int, dt_out: float) -> int:
-    if n_qutrits < 2:
-        raise ValueError("schedule needs at least 2 qutrits")
     rep = _optimize(cfg)
     sched = chain.ChainSchedule(
         TrapezoidPulse(rep.g_max, rep.t_qst, cfg.t_ramp),

@@ -56,10 +56,6 @@ class Propagator:
         if defect > UNITARY_TOL:
             raise ValueError(f"propagator is not unitary: |U^dag U - I|_F = {defect:.3e}")
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def index(self, label: str) -> int:
         return self.basis.index(label)
 
@@ -132,6 +128,12 @@ def evolve_affine(
     are found, exponentiated and folded in batches of at most
     CHUNK_BYTES of run unitaries, with no loop over steps.
     scale_of_t must accept an array of times.
+
+    The window is split into round((t1 - t0) / dt) equal steps (at least one
+    if it is not empty), counted from the float difference t1 - t0.  Windows
+    of equal length at different offsets can therefore get step counts one
+    apart: at dt = 0.002, (0, 0.005) takes 2 steps and (0.1, 0.105) takes 3.
+    The package's callers evolve every window at offset 0.
     """
     for name, m in (("d", d), ("w", w)):
         defect = hermiticity_defect(np.asarray(m))
@@ -159,34 +161,42 @@ def evolve_affine(
     return Propagator(u, basis, *t_span)
 
 
+def _sampled(h_of_t, ts: np.ndarray, dim: int | None = None) -> np.ndarray:
+    """h_of_t(ts) as a complex (len(ts), dim, dim) stack; any other shape
+    is rejected."""
+    hs = np.asarray(h_of_t(ts), dtype=complex)
+    if dim is None and hs.ndim == 3:
+        dim = hs.shape[-1]
+    if hs.shape != (len(ts), dim, dim):
+        raise ValueError(
+            f"h_of_t must return a (k, d, d) stack for k = {len(ts)} times, got shape {hs.shape}"
+        )
+    return hs
+
+
 def evolve(
     h_of_t,
     t_span: tuple[float, float],
     dt: float,
     basis: tuple[str, ...] | None = None,
-    vectorized: bool = False,
 ) -> Propagator:
     """Time-ordered evolution under a time-dependent Hermitian h(t).
 
-    h_of_t maps a time in ns to a Hamiltonian in rad/ns; with vectorized=True
-    it must accept an array of times and return a (k, d, d) stack.  Steps are
-    midpoint-sampled: U = prod_k exp(-i h(t_k + dt/2) dt), earliest step
-    applied first.  Non-Hermitian samples are rejected with the max asymmetry.
+    h_of_t maps an array of k times in ns to a (k, d, d) stack of
+    Hamiltonians in rad/ns, as evolve_affine's scale_of_t maps times to
+    values.  Steps are midpoint-sampled: U = prod_k exp(-i h(t_k + dt/2) dt),
+    earliest step applied first.  Non-Hermitian samples are rejected with
+    the max asymmetry.
     """
     mids, dt_eff = _midpoints(t_span, dt)
-    t0 = t_span[0]
-    probe = np.asarray(h_of_t(np.array([t0])) if vectorized else h_of_t(t0))
-    dim = probe.shape[-1]
+    dim = _sampled(h_of_t, np.array([t_span[0]])).shape[-1]
     if basis is None:
         basis = tuple(str(i) for i in range(dim))
     u = np.eye(dim, dtype=complex)
     chunk = max(16, CHUNK_BYTES // (dim * dim * 16))
     for lo in range(0, len(mids), chunk):
         ts = mids[lo : lo + chunk]
-        if vectorized:
-            hs = np.asarray(h_of_t(ts), dtype=complex)
-        else:
-            hs = np.stack([np.asarray(h_of_t(t), dtype=complex) for t in ts])
+        hs = _sampled(h_of_t, ts, dim)
         defects = np.abs(hs - hs.conj().transpose(0, 2, 1)).reshape(len(ts), -1).max(axis=1)
         worst = int(np.argmax(defects))
         if defects[worst] > HERMITIAN_TOL:

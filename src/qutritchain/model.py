@@ -1,4 +1,4 @@
-"""Transmon-qutrit Hamiltonians: lab frame, rotating frame, RWA, and chains.
+"""Transmon-qutrit chain Hamiltonians in the RWA, and the RWA residual.
 
 Each transmon keeps its three lowest levels.  Public parameters are cyclic
 frequencies in MHz and times in ns; matrices are built in angular rad/ns
@@ -8,7 +8,6 @@ qutrit 1 most significant: index("ab..") = 3^(n-1)*a + 3^(n-2)*b + ...
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -62,80 +61,6 @@ def embed(op: np.ndarray, k: int, n: int) -> np.ndarray:
     return out
 
 
-def _as_callable(x) -> Callable[[float], float]:
-    return x if callable(x) else (lambda t, _v=float(x): _v)
-
-
-@dataclass(frozen=True)
-class QutritParams:
-    """Single-transmon parameters; eta > 0, |delta(t)| within the tuning range."""
-
-    eta: float                 # anharmonicity, MHz
-    delta: float | Callable[[float], float] = 0.0  # detuning Delta(t), MHz
-    omega: float = 0.0         # clock frequency, MHz (lab-frame use only)
-
-    def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("anharmonicity eta must be positive")
-        if not callable(self.delta) and abs(self.delta) > DELTA_RANGE_MHZ:
-            raise ValueError(f"|delta| exceeds {DELTA_RANGE_MHZ} MHz tuning range")
-
-    def delta_at(self, t: float) -> float:
-        return float(_as_callable(self.delta)(t))
-
-
-@dataclass(frozen=True)
-class QutritSystem:
-    """N coupled qutrits with per-edge time-dependent couplings g_k(t) in MHz."""
-
-    params: Sequence[QutritParams]
-    couplings: Sequence = field(default_factory=list)  # n-1 entries, MHz or callable
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need at least one qutrit")
-        if len(self.couplings) != self.n - 1:
-            raise ValueError("couplings must have n-1 entries")
-
-    @property
-    def n(self) -> int:
-        return len(self.params)
-
-    def coupling_at(self, k: int, t: float) -> float:
-        g = float(_as_callable(self.couplings[k])(t))
-        if g < -1e-12 or g > COUPLING_CAP_MHZ + 1e-9:
-            raise ValueError(f"g_{k}(t) = {g} MHz outside 0..{COUPLING_CAP_MHZ} MHz")
-        return g
-
-
-def _local_diag(e01: float, e02: float) -> np.ndarray:
-    """diag(0, e01, e02) in rad/ns from cyclic MHz inputs."""
-    return np.diag([0.0, e01 * MHZ_TO_RAD_NS, e02 * MHZ_TO_RAD_NS]).astype(complex)
-
-
-def lab_hamiltonian(sys: QutritSystem, t: float) -> np.ndarray:
-    """Two-qutrit lab-frame Hamiltonian: local diag(0, eps, 2 eps - eta) plus
-    the inductive coupling g(t) X1 X2 (the XX term keeps the counter-rotating
-    part, e.g. <00|H|11> = g)."""
-    if sys.n != 2:
-        raise ValueError("lab_hamiltonian is defined for two qutrits")
-    h = np.zeros((9, 9), dtype=complex)
-    for i, p in enumerate(sys.params):
-        eps = p.omega + p.delta_at(t)  # lab-frame qutrit frequency, MHz
-        h += embed(_local_diag(eps, 2 * eps - p.eta), i, 2)
-    g = sys.coupling_at(0, t) * MHZ_TO_RAD_NS
-    x = x_op()
-    return h + g * np.kron(x, x)
-
-
-def _clock_diag(sys: QutritSystem) -> np.ndarray:
-    """Diagonal of the clock Hamiltonian (rad/ns) for the rotating frame."""
-    d = np.zeros(9)
-    for i, p in enumerate(sys.params):
-        d += np.diag(embed(_local_diag(p.omega, 2 * p.omega), i, 2)).real
-    return d
-
-
 def coupling_operator(k: int, n: int) -> np.ndarray:
     """(X_k X_k+1 + Y_k Y_k+1) / 2 embedded in n qutrits (0-based edge k)."""
     xx = embed(x_op(), k, n) @ embed(x_op(), k + 1, n)
@@ -143,35 +68,36 @@ def coupling_operator(k: int, n: int) -> np.ndarray:
     return (xx + yy) / 2.0
 
 
-def chain_hamiltonian(sys: QutritSystem, t: float) -> np.ndarray:
-    """N-qutrit nearest-neighbor RWA Hamiltonian.
+def chain_hamiltonian(eta: float, couplings: Sequence[float]) -> np.ndarray:
+    """RWA Hamiltonian (rad/ns) of len(couplings) + 1 identical qutrits on
+    resonance: diag(0, 0, -eta) on every qutrit plus g_k (X X + Y Y)/2 on
+    edge k, with eta and the constant couplings g_k in MHz.
 
     Full Hilbert-space construction is capped at 4 qutrits; longer chains are
     handled by front propagation, not by dense evolution.
     """
-    n = sys.n
+    n = len(couplings) + 1
+    if not eta > 0:  # NaN fails too
+        raise ValueError("anharmonicity eta must be positive")
     if n > MAX_FULL_QUTRITS:
         raise ValueError(
             f"full Hilbert space capped at {MAX_FULL_QUTRITS} qutrits (3^{n} dims requested)"
         )
     dim = 3**n
     h = np.zeros((dim, dim), dtype=complex)
-    for i, p in enumerate(sys.params):
-        d = p.delta_at(t)
-        h += embed(_local_diag(d, 2 * d - p.eta), i, n)
-    for k in range(n - 1):
-        h += sys.coupling_at(k, t) * MHZ_TO_RAD_NS * coupling_operator(k, n)
+    local = np.diag([0.0, 0.0, -eta * MHZ_TO_RAD_NS]).astype(complex)
+    for i in range(n):
+        h += embed(local, i, n)
+    for k, g in enumerate(couplings):
+        if not -1e-12 <= g <= COUPLING_CAP_MHZ + 1e-9:
+            raise ValueError(f"g_{k} = {g} MHz outside 0..{COUPLING_CAP_MHZ} MHz")
+        h += g * MHZ_TO_RAD_NS * coupling_operator(k, n)
     return h
-
-
-def resonant_pair(eta: float) -> QutritSystem:
-    """Two qutrits on resonance (Delta1 = Delta2 = 0) with no coupling yet."""
-    return QutritSystem([QutritParams(eta), QutritParams(eta)], couplings=[0.0])
 
 
 def rwa_residual(
     eta: float,
-    g_of_t: Callable[[float], float],
+    g_of_t: Callable[[np.ndarray], np.ndarray],
     t_span: tuple[float, float],
     omega: float,
     dt: float = 0.001,
@@ -184,14 +110,11 @@ def rwa_residual(
     arrays of times, as evolve_affine's scale_of_t is; a scalar return is
     broadcast to every time.
     """
-    params = [QutritParams(eta, omega=omega), QutritParams(eta, omega=omega)]
-    sys = QutritSystem(params, couplings=[0.0])
     labels = basis_labels(2)
-
-    diag = chain_hamiltonian(sys, 0.0)
+    diag = chain_hamiltonian(eta, [0.0])
     xx = np.kron(x_op(), x_op())
     w_rwa = coupling_operator(0, 2)
-    e = _clock_diag(sys)
+    e = omega * MHZ_TO_RAD_NS * np.add.outer(np.arange(3), np.arange(3)).ravel()
     de = e[None, :] - e[:, None]
 
     def g_values(ts):
@@ -203,6 +126,6 @@ def rwa_residual(
         v = xx[None, :, :] * np.exp(1j * de[None, :, :] * np.atleast_1d(ts)[:, None, None])
         return diag[None, :, :] + g[:, None, None] * v
 
-    u_exact = evolve(h_exact, t_span, dt, basis=labels, vectorized=True)
+    u_exact = evolve(h_exact, t_span, dt, basis=labels)
     u_rwa = evolve_affine(diag, w_rwa, g_values, t_span, dt, basis=labels)
     return float(np.linalg.norm(u_exact.matrix - u_rwa.matrix, ord=2))

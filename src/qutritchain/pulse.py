@@ -55,8 +55,8 @@ class TrapezoidPulse:
         if self.t_ramp == 0.0:
             shape = 1.0 * inside
         else:
-            up = np.clip(t / self.t_ramp, 0.0, 1.0)
-            down = np.clip((self.t_total - t) / self.t_ramp, 0.0, 1.0)
+            up = np.clip(t, 0.0, self.t_ramp) / self.t_ramp
+            down = np.clip(self.t_total - t, 0.0, self.t_ramp) / self.t_ramp
             shape = np.minimum(up, down) * inside
         out = self.amp_max * shape
         return float(out) if out.ndim == 0 else out
@@ -64,13 +64,6 @@ class TrapezoidPulse:
     def area_mhz_ns(self) -> float:
         """Geometric area in MHz*ns (two half-triangle ramp deficits)."""
         return self.amp_max * (self.t_total - self.t_ramp)
-
-    def samples(self, dt: float):
-        """Yield (t_ns, amplitude_MHz) pairs over [t_offset, t_offset+t_total]."""
-        n = max(1, int(round(self.t_total / dt)))
-        for i in range(n + 1):
-            t = self.t_offset + self.t_total * i / n
-            yield t, self.value(t)
 
     def shifted(self, t_offset: float) -> "TrapezoidPulse":
         return replace(self, t_offset=t_offset)

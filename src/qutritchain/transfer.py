@@ -31,7 +31,6 @@ from .model import (
     basis_labels,
     coupling_operator,
     chain_hamiltonian,
-    resonant_pair,
 )
 from .pulse import TrapezoidPulse
 
@@ -56,7 +55,7 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 def _pair_parts(eta: float) -> tuple[np.ndarray, np.ndarray]:
     """Resonant two-qutrit Hamiltonian split H(g) = D + g_angular * W, with D
     and W real symmetric."""
-    d = chain_hamiltonian(resonant_pair(eta), 0.0)
+    d = chain_hamiltonian(eta, [0.0])
     return d, coupling_operator(0, 2)
 
 

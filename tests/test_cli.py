@@ -127,11 +127,28 @@ def test_non_finite_value_is_config_error(tmp_path, capsys, flag):
     assert not (tmp_path / "table1.json").exists()
 
 
-@pytest.mark.parametrize("values", [{"n_steps": 2.5}, {"eta": "200"}, {"dt": None}])
-def test_config_file_bad_type_is_config_error(tmp_path, values):
+@pytest.mark.parametrize(
+    "values",
+    [
+        {"n_steps": 2.5},
+        {"eta": "200"},
+        {"dt": None},
+        5,
+        None,
+        [],
+        {"output_dir": 5},
+        {"output_dir": None},
+    ],
+)
+def test_config_file_bad_type_is_config_error(tmp_path, monkeypatch, capsys, values):
+    monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(values))
-    assert run(["errors", "--config", cfg, "--out", tmp_path]) == 2
+    # --out would override a bad output_dir, so those cases run without it
+    out = [] if isinstance(values, dict) and "output_dir" in values else ["--out", tmp_path]
+    assert run(["errors", "--config", cfg, *out]) == 2
+    assert "invalid config" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
 
 def test_config_file_and_flag_precedence(tmp_path):

@@ -86,7 +86,7 @@ def test_expm_rejects_nonhermitian():
 
 
 def test_evolve_zero_hamiltonian_is_identity():
-    u = evolve(lambda t: np.zeros((2, 2)), (0.0, 22.0), 0.01)
+    u = evolve(lambda ts: np.zeros((len(ts), 2, 2)), (0.0, 22.0), 0.01)
     assert np.allclose(u.matrix, np.eye(2), atol=1e-14)
     assert u.t_start == 0.0 and u.t_end == 22.0
 
@@ -95,7 +95,7 @@ def test_evolve_sigma_x_half_pi_swaps():
     # constant g sigma^x with integral g dt = pi/2 -> full amplitude swap
     g = np.pi / 2 / 10.0
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    u = evolve(lambda t: g * sx, (0.0, 10.0), 0.001)
+    u = evolve(lambda ts: np.broadcast_to(g * sx, (len(ts), 2, 2)), (0.0, 10.0), 0.001)
     assert abs(abs(u.matrix[0, 1]) - 1.0) < 1e-10
     assert abs(u.matrix[0, 0]) < 1e-10
 
@@ -105,30 +105,31 @@ def test_evolve_time_dependent_unitarity():
     a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     h0 = (a + a.conj().T) / 2
 
-    def h(t):
-        return np.cos(0.3 * t) * h0
+    def h(ts):
+        return np.cos(0.3 * ts)[:, None, None] * h0[None]
 
     u = evolve(h, (0.0, 15.0), 0.005)
     assert unitarity_defect(u.matrix) < 1e-9
 
 
-def test_evolve_vectorized_matches_scalar():
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-
-    def h_scalar(t):
-        return 0.2 * np.sin(t) * sx
-
-    def h_vec(ts):
-        return 0.2 * np.sin(np.atleast_1d(ts))[:, None, None] * sx[None, :, :]
-
-    u1 = evolve(h_scalar, (0.0, 4.0), 0.01)
-    u2 = evolve(h_vec, (0.0, 4.0), 0.01, vectorized=True)
-    assert np.allclose(u1.matrix, u2.matrix, atol=1e-14)
+@pytest.mark.parametrize(
+    "h_of_t",
+    [
+        lambda ts: np.eye(2),  # one matrix, not a stack
+        lambda ts: np.zeros((1, 2, 2)),  # one matrix for every time
+        lambda ts: np.zeros((len(ts), 2, 3)),  # not square
+        lambda ts: np.zeros(len(ts)),  # scalars
+        lambda ts: np.zeros((len(ts), 2 + (len(ts) > 1), 2 + (len(ts) > 1))),  # size changes
+    ],
+)
+def test_evolve_rejects_h_of_t_without_stack(h_of_t):
+    with pytest.raises(ValueError, match=r"\(k, d, d\) stack"):
+        evolve(h_of_t, (0.0, 1.0), 0.1)
 
 
 def test_evolve_rejects_nonhermitian_h_of_t():
-    def h(t):
-        return np.array([[0.0, t], [0.0, 0.0]])
+    def h(ts):
+        return np.array([[[0.0, t], [0.0, 0.0]] for t in ts])
 
     with pytest.raises(ValueError, match="not Hermitian at t"):
         evolve(h, (0.0, 1.0), 0.1)
@@ -139,8 +140,8 @@ def test_evolve_affine_matches_generic():
     d = np.diag([0.0, 0.3, -0.9]).astype(complex)
     w = x_op()
 
-    def h(t):
-        return d + pulse.value(t) * MHZ_TO_RAD_NS * w
+    def h(ts):
+        return d[None] + (pulse.value(ts) * MHZ_TO_RAD_NS)[:, None, None] * w[None]
 
     u_ref = evolve(h, (0.0, 8.0), 0.005)
     u_fast = evolve_affine(
@@ -159,12 +160,12 @@ def test_run_folds_match_step_by_step_product():
     def c(t):
         return np.minimum(t, 3.1)  # a ramp, then a plateau run; not time-symmetric
 
-    def h(t):
-        return d + c(t) * w
+    def h(ts):
+        return d[None] + c(ts)[:, None, None] * w[None]
 
     u_ref = np.eye(4, dtype=complex)
     for k in range(333):
-        u_ref = expm_hermitian(h((k + 0.5) * dt), dt) @ u_ref
+        u_ref = expm_hermitian(h(np.array([(k + 0.5) * dt]))[0], dt) @ u_ref
     u_generic = evolve(h, t_span, dt)
     u_affine = evolve_affine(d, w, c, t_span, dt)
     assert np.abs(u_generic.matrix - u_ref).max() < 1e-12

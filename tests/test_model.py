@@ -5,26 +5,22 @@ from numpy import kron
 from qutritchain.evolution import evolve, hermiticity_defect
 from qutritchain.model import (
     MHZ_TO_RAD_NS,
-    QutritParams,
-    QutritSystem,
     basis_index,
     basis_labels,
     chain_hamiltonian,
-    chain_hamiltonian as rwa_hamiltonian,
+    coupling_operator,
     embed,
-    lab_hamiltonian,
     number_op,
-    resonant_pair,
     rwa_residual,
     x_op,
     y_op,
 )
 from qutritchain.pulse import TrapezoidPulse
+from qutritchain.transfer import _pair_parts
 
 
-def pair(eta=200.0, g=37.5, delta=0.0, omega=0.0):
-    p = QutritParams(eta, delta=delta, omega=omega)
-    return QutritSystem([p, p], couplings=[g])
+def pair(eta=200.0, g=37.5):
+    return chain_hamiltonian(eta, [g])
 
 
 def test_x_entries():
@@ -47,28 +43,14 @@ def test_x2_plus_y2_diag():
     assert np.allclose((x @ x + y @ y) / 2, np.diag([1.0, 3.0, 2.0]), atol=1e-14)
 
 
-def test_lab_zero_coupling_zero_eps_diagonal():
-    h = lab_hamiltonian(pair(g=0.0), 0.0)
-    eta = 200.0 * MHZ_TO_RAD_NS
-    per_qutrit = np.array([0.0, 0.0, -eta])
-    expected = (per_qutrit[:, None] + per_qutrit[None, :]).ravel()
-    assert np.allclose(h, np.diag(expected), atol=1e-15)
-
-
-def test_lab_counter_rotating_element():
-    h = lab_hamiltonian(pair(), 0.0)
-    g = 37.5 * MHZ_TO_RAD_NS
-    assert abs(h[basis_index("00"), basis_index("11")] - g) < 1e-15
+def test_rwa_counter_rotating_removed():
+    h = pair()
+    assert h[basis_index("00"), basis_index("11")] == 0.0
     assert hermiticity_defect(h) == 0.0
 
 
-def test_rwa_counter_rotating_removed():
-    h = rwa_hamiltonian(pair(), 0.0)
-    assert h[basis_index("00"), basis_index("11")] == 0.0
-
-
 def test_rwa_single_excitation_block_is_g_sigma_x():
-    h = rwa_hamiltonian(pair(), 0.0)
+    h = pair()
     idx = [basis_index("01"), basis_index("10")]
     block = h[np.ix_(idx, idx)]
     g = 37.5 * MHZ_TO_RAD_NS
@@ -76,12 +58,11 @@ def test_rwa_single_excitation_block_is_g_sigma_x():
 
 
 def test_rwa_double_excitation_block_after_rescaling():
-    delta = 30.0
-    h = rwa_hamiltonian(pair(delta=delta), 0.0)
+    h = pair()
     idx = [basis_index("11"), basis_index("02"), basis_index("20")]
     block = h[np.ix_(idx, idx)]
-    # subtract the 2*Delta - eta global shift of the sector
-    shift = (2 * delta - 200.0) * MHZ_TO_RAD_NS
+    # subtract the -eta global shift of the sector
+    shift = -200.0 * MHZ_TO_RAD_NS
     block = block - shift * np.eye(3)
     g = 37.5 * MHZ_TO_RAD_NS
     eta = 200.0 * MHZ_TO_RAD_NS
@@ -96,24 +77,22 @@ def test_rwa_double_excitation_block_after_rescaling():
 
 
 def test_chain_n2_equals_rwa():
-    sys = pair(delta=12.0)
-    assert np.array_equal(chain_hamiltonian(sys, 0.0), rwa_hamiltonian(sys, 0.0))
+    # the two-qutrit chain is the RWA pair D + g W that transfer evolves
+    d, w = _pair_parts(200.0)
+    assert np.array_equal(pair(), d + 37.5 * MHZ_TO_RAD_NS * w)
+    assert np.array_equal(w, coupling_operator(0, 2))
 
 
 def test_chain_n3_third_qutrit_decoupled_when_g2_zero():
-    p = QutritParams(200.0)
-    sys3 = QutritSystem([p, p, p], couplings=[37.5, 0.0])
-    h3 = chain_hamiltonian(sys3, 0.0)
-    h2 = rwa_hamiltonian(pair(), 0.0)
+    h3 = chain_hamiltonian(200.0, [37.5, 0.0])
+    h2 = pair()
     dloc = np.diag([0.0, 0.0, -200.0 * MHZ_TO_RAD_NS]).astype(complex)
     expected = kron(h2, np.eye(3)) + embed(dloc, 2, 3)
     assert np.allclose(h3, expected, atol=1e-14)
 
 
 def test_chain_all_zero_is_diagonal_minus_eta_per_double_excitation():
-    p = QutritParams(200.0)
-    sys = QutritSystem([p, p, p], couplings=[0.0, 0.0])
-    h = chain_hamiltonian(sys, 0.0)
+    h = chain_hamiltonian(200.0, [0.0, 0.0])
     assert np.allclose(h, np.diag(np.diag(h)), atol=1e-15)
     eta = 200.0 * MHZ_TO_RAD_NS
     for i, label in enumerate(basis_labels(3)):
@@ -122,24 +101,24 @@ def test_chain_all_zero_is_diagonal_minus_eta_per_double_excitation():
 
 
 def test_chain_capacity_error():
-    p = QutritParams(200.0)
-    sys = QutritSystem([p] * 5, couplings=[0.0] * 4)
     with pytest.raises(ValueError, match="capped"):
-        chain_hamiltonian(sys, 0.0)
+        chain_hamiltonian(200.0, [0.0] * 4)
 
 
 def test_excitation_number_conserved():
-    h = rwa_hamiltonian(pair(delta=17.0), 0.0)
+    h = pair()
     n_tot = kron(number_op(), np.eye(3)) + kron(np.eye(3), number_op())
     assert np.abs(h @ n_tot - n_tot @ h).max() < 1e-12
 
 
 def test_vacuum_invariant_under_coupling():
     pulse = TrapezoidPulse(37.5, 22.0, 2.0)
-    sys = QutritSystem(
-        [QutritParams(200.0), QutritParams(200.0)], couplings=[pulse.value]
-    )
-    u = evolve(lambda t: rwa_hamiltonian(sys, t), (0.0, 22.0), 0.01, basis=basis_labels(2))
+    d, w = chain_hamiltonian(200.0, [0.0]), coupling_operator(0, 2)
+
+    def h(ts):
+        return d[None] + (pulse.value(ts) * MHZ_TO_RAD_NS)[:, None, None] * w[None]
+
+    u = evolve(h, (0.0, 22.0), 0.01, basis=basis_labels(2))
     col = u.matrix[:, basis_index("00")]
     assert abs(col[basis_index("00")] - 1.0) < 1e-12
     assert np.linalg.norm(np.delete(col, basis_index("00"))) < 1e-12
@@ -155,17 +134,22 @@ def test_basis_ordering_contract():
 
 def test_params_validation():
     with pytest.raises(ValueError, match="eta"):
-        QutritParams(0.0)
-    with pytest.raises(ValueError, match="delta"):
-        QutritParams(200.0, delta=3000.0)
-    with pytest.raises(ValueError, match="n-1"):
-        QutritSystem([QutritParams(200.0)], couplings=[1.0])
+        chain_hamiltonian(0.0, [0.0])
+    with pytest.raises(ValueError, match="eta"):
+        chain_hamiltonian(-200.0, [])
+    with pytest.raises(ValueError, match="eta"):
+        chain_hamiltonian(float("nan"), [0.0])
+    assert chain_hamiltonian(200.0, []).shape == (3, 3)  # one qutrit, no edge
 
 
 def test_coupling_cap_enforced():
-    sys = pair(g=60.0)
     with pytest.raises(ValueError, match="outside"):
-        rwa_hamiltonian(sys, 0.0)
+        pair(g=60.0)
+    with pytest.raises(ValueError, match="outside"):
+        chain_hamiltonian(200.0, [37.5, -1.0])
+    with pytest.raises(ValueError, match="outside"):
+        pair(g=float("nan"))
+    pair(g=55.0 + 1e-10)  # the cap itself, within roundoff, is allowed
 
 
 def test_rwa_residual_zero_coupling():

@@ -213,10 +213,23 @@ def test_adaptive_simpson():
     assert adaptive_simpson(np.sin, 1.0, 1.0) == 0.0
 
 
-def test_samples_export():
-    pts = list(ANALYTIC_PULSE.samples(0.5))
-    assert pts[0] == (0.0, 0.0)
-    assert pts[-1][0] == pytest.approx(22.0)
-    ts = np.array([t for t, _ in pts])
-    assert np.all(np.diff(ts) > 0)
-    assert max(g for _, g in pts) == 37.5
+def test_value_subnormal_ramp_does_not_overflow():
+    p = TrapezoidPulse(30.0, 10.0, 5e-324)
+    ts = np.linspace(0.0, 10.0, 101)
+    with np.errstate(all="raise"):
+        g = p.value(ts)
+        assert p.value(5.0) == 30.0
+    assert g[0] == 0.0 and g[-1] == 0.0
+    assert np.all(g[1:-1] == 30.0)
+
+
+def test_value_clipped_ramps_equal_divided_ramps():
+    # clipping t to [0, t_ramp] before dividing cannot overflow, and on a
+    # normal grid it gives bitwise the values of clip(t / t_ramp, 0, 1)
+    p = TrapezoidPulse(37.5, 22.0, 2.0, t_offset=1.5)
+    ts = np.linspace(0.0, 25.0, 25_001)
+    t = ts - p.t_offset
+    up = np.clip(t / p.t_ramp, 0.0, 1.0)
+    down = np.clip((p.t_total - t) / p.t_ramp, 0.0, 1.0)
+    old = p.amp_max * (np.minimum(up, down) * ((t >= 0.0) & (t <= p.t_total)))
+    assert np.array_equal(p.value(ts), old)
