@@ -23,9 +23,6 @@ from .model import (
 from .pulse import TrapezoidPulse
 from .transfer import evolve_transfer, measure_compensation, phase_gate
 
-KET0 = np.array([1.0, 0.0, 0.0], dtype=complex)
-
-
 def uniform_state() -> np.ndarray:
     """(|0> + |1> + |2>) / sqrt(3)."""
     return np.ones(3, dtype=complex) / np.sqrt(3.0)
@@ -80,10 +77,13 @@ class ChainSchedule:
 
 def step_transfer(front: FrontState, u_step: Propagator, comp: np.ndarray) -> FrontState:
     """One adjacent-pair transfer: embed front x |0>, evolve, project the
-    sending qutrit onto |0> (unnormalized), compensate the receiver."""
-    pair = np.kron(front.amplitudes, KET0)
-    out = u_step.matrix @ pair
-    return FrontState(np.asarray(comp) @ out[:3])
+    sending qutrit onto |0> (unnormalized), compensate the receiver.
+
+    The embedded pair state |j0> is basis index 3j and the projection keeps
+    indices 0..2, so the step is the 3x3 block u_step.matrix[:3, ::3]
+    applied to the front: one gather, no 9-dim state.
+    """
+    return FrontState(np.asarray(comp) @ (u_step.matrix[:3, ::3] @ front.amplitudes))
 
 
 def intrinsic_error_curve(

@@ -7,12 +7,15 @@ Exit codes: 0 success, 1 numerical-convergence failure, 2 invalid config.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import operator
 import os
 import sys
 import tempfile
 import warnings
 from dataclasses import asdict, dataclass, fields
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -31,6 +34,7 @@ EXIT_CONFIG = 2
 # which the optimizer moves by a few percent at most.  The paper's settings
 # need a few 10^4 (22 ns at 1 ps).
 MAX_SAMPLES = 1_000_000
+CSV_BLOCK_ROWS = 2048  # rows write_csv formats and writes at a time
 
 
 def _check_samples(what: str, count: float) -> None:
@@ -136,13 +140,16 @@ def _check_output_grid(cfg: ExperimentConfig, dt_out: float, n_pulses: int, n_co
     _check_samples("the output grid (duration / dt_out rows x columns)", rows * n_columns)
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks: Iterable[str]) -> None:
+    """Write the text chunks to a temp file in path's directory, then move it
+    onto path.  If a chunk fails (the iterable raises), the temp file is
+    removed and a file already at path is left as it was."""
     d = os.path.dirname(path) or "."
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "w", newline="\n") as f:
-            f.write(text)
+            f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -150,20 +157,51 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{x:.11e}"  # 12 significant digits
+def _int_cells(column) -> list[str]:
+    """Cells "%d"; a cell that is not an integer is a TypeError."""
+    return list(map(str, map(operator.index, column)))
+
+
+def _float_cells(column) -> np.ndarray:
+    """Cells "%.11e" (12 significant digits), each distinct float bit
+    pattern formatted once; -0.0, NaN and +-inf keep Python's text."""
+    bits, inverse = np.unique(np.asarray(column, dtype=float).view(np.int64), return_inverse=True)
+    text = np.array([f"{x:.11e}" for x in bits.view(float).tolist()], dtype=object)
+    return text[inverse]
+
+
+def _csv_chunks(header: list[str], rows) -> Iterator[str]:
+    yield ",".join(header) + "\n"
+    rows = iter(rows)
+    columns = None
+    while block := list(itertools.islice(rows, CSV_BLOCK_ROWS)):
+        if columns is None:
+            columns = [_int_cells if isinstance(v, (int, np.integer)) else _float_cells
+                       for v in block[0]]
+        if set(map(len, block)) != {len(columns)}:
+            raise ValueError(f"every CSV row needs the first row's {len(columns)} cells")
+        cells = [cells_of(col) for cells_of, col in zip(columns, zip(*block))]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """Write header and rows (any iterable of equal-length tuples) to path
+    as CSV, atomically.
+
+    Each column takes its type from its first row: integers (int or
+    np.integer) are written as "%d", anything else as a float "%.11e"
+    (12 significant digits).  Rows are formatted and written CSV_BLOCK_ROWS
+    at a time, so the whole text is never held, and within a block each
+    distinct float value is formatted once.  The bytes are those of
+    formatting cell by cell.  Rows of unequal length are a ValueError.  If
+    rows raises, so does write_csv, and a file already at path is left as
+    it was.
+    """
+    _atomic_write(path, _csv_chunks(header, rows))
 
 
 def write_json(path: str, payload: dict) -> None:
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
 def _write_sidecar(path: str, cfg: ExperimentConfig) -> None:

@@ -112,6 +112,18 @@ def _midpoints(t_span: tuple[float, float], dt: float) -> tuple[np.ndarray, floa
     return t0 + (np.arange(n) + 0.5) * dt_eff, dt_eff
 
 
+def _per_time(values, ts: np.ndarray, name: str) -> np.ndarray:
+    """The values a callable `name` returned for the times ts, as one float
+    per time.  A 0-d value is a constant and is broadcast to every time;
+    any other shape but ts's is a ValueError."""
+    c = np.asarray(values, dtype=float)
+    if c.ndim == 0:
+        return np.full(ts.shape, c)
+    if c.shape != ts.shape:
+        raise ValueError(f"{name} must return one value per time")
+    return c
+
+
 def evolve_affine(
     d: np.ndarray,
     w: np.ndarray,
@@ -127,7 +139,8 @@ def evolve_affine(
     a pulse plateau then costs one eigendecomposition and is exact.  Runs
     are found, exponentiated and folded in batches of at most
     CHUNK_BYTES of run unitaries, with no loop over steps.
-    scale_of_t must accept an array of times.
+    scale_of_t must accept an array of times and return one value per
+    time; a 0-d return, as from lambda t: 0.0, is broadcast to every time.
 
     The window is split into round((t1 - t0) / dt) equal steps (at least one
     if it is not empty), counted from the float difference t1 - t0.  Windows
@@ -146,9 +159,7 @@ def evolve_affine(
     u = np.eye(dim, dtype=complex)
     if not len(mids):
         return Propagator(u, basis, *t_span)
-    c = np.asarray(scale_of_t(mids), dtype=float)
-    if c.shape != mids.shape:
-        raise ValueError("scale_of_t must return one value per time")
+    c = _per_time(scale_of_t(mids), mids, "scale_of_t")
 
     real = np.abs(d.imag).max(initial=0.0) == 0.0 and np.abs(w.imag).max(initial=0.0) == 0.0
     d, w = (d.real, w.real) if real else (d, w)

@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .evolution import evolve, evolve_affine
+from .evolution import _per_time, evolve, evolve_affine
 
 MHZ_TO_RAD_NS = 2.0 * np.pi * 1e-3
 
@@ -107,8 +107,8 @@ def rwa_residual(
     Both frames share the clock omega (MHz) on both qutrits and the same
     resonant coupling schedule; the gap is O(g / omega) from the dropped
     terms oscillating at omega_1 + omega_2.  g_of_t (MHz) is called on
-    arrays of times, as evolve_affine's scale_of_t is; a scalar return is
-    broadcast to every time.
+    arrays of times and follows evolve_affine's rule for scale_of_t: one
+    value per time, or a 0-d constant broadcast to every time.
     """
     labels = basis_labels(2)
     diag = chain_hamiltonian(eta, [0.0])
@@ -119,7 +119,7 @@ def rwa_residual(
 
     def g_values(ts):
         ts = np.atleast_1d(ts)
-        return np.broadcast_to(np.asarray(g_of_t(ts), dtype=float), ts.shape) * MHZ_TO_RAD_NS
+        return _per_time(g_of_t(ts), ts, "g_of_t") * MHZ_TO_RAD_NS
 
     def h_exact(ts):
         g = g_values(ts)

@@ -10,6 +10,7 @@ three levels.  Amplitude damping with gamma = 1 - exp(-t/T1):
 Pure dephasing multiplies rho_mn by exp(-(m-n)^2 t / T_phi) with
 1/T_phi = 1/T2 - 1/(2 T1), so the 0-1 coherence of the combined channel
 decays as exp(-t/T2) and the rate grows quadratically with level distance.
+The idle error curve of the chain is this channel in closed form.
 """
 
 from __future__ import annotations
@@ -51,6 +52,17 @@ class QutritChannel:
         return c
 
 
+def _dephasing_rate(t: float, t1: float, t2: float) -> float:
+    """Pure-dephasing rate 1/T_phi = 1/T2 - 1/(2 T1) in 1/us, for a duration
+    t >= 0 ns and positive t1, t2 with T2 <= 2 T1."""
+    if t < 0 or t1 <= 0 or t2 <= 0:
+        raise ValueError("need t >= 0 and positive t1, t2")
+    rate_phi = 1.0 / t2 - 0.5 / t1
+    if rate_phi < -1e-15:
+        raise ValueError(f"T2 = {t2} us exceeds 2 T1 = {2 * t1} us: invalid regime")
+    return max(rate_phi, 0.0)
+
+
 def amplitude_damping(t: float, t1: float) -> QutritChannel:
     """Three-level energy relaxation over t ns with lifetime t1 us."""
     if t < 0 or t1 <= 0:
@@ -74,12 +86,7 @@ def phase_damping(t: float, t1: float, t2: float) -> QutritChannel:
     operators are diagonal, obtained from the eigendecomposition of the
     positive semidefinite coherence-decay kernel exp(-(m-n)^2 t / T_phi).
     """
-    if t < 0 or t1 <= 0 or t2 <= 0:
-        raise ValueError("need t >= 0 and positive t1, t2")
-    rate_phi = 1.0 / t2 - 0.5 / t1  # 1/us
-    if rate_phi < -1e-15:
-        raise ValueError(f"T2 = {t2} us exceeds 2 T1 = {2 * t1} us: invalid regime")
-    rate_phi = max(rate_phi, 0.0)
+    rate_phi = _dephasing_rate(t, t1, t2)
     m = np.arange(3)
     kernel = np.exp(-((m[:, None] - m[None, :]) ** 2) * rate_phi * t * 1e-3)
     w, v = np.linalg.eigh(kernel)
@@ -103,12 +110,25 @@ def decoherence_error_curve(
 
     The chain protocol leaves every qutrit idle except the transferring
     pair, so decoherence acts like this single-qutrit channel for the whole
-    k * t_qst duration.
+    t = k * t_qst duration.  The curve is decohered_state's channel in
+    closed form, for all k at once and with no Kraus operators.  With
+    gamma = 1 - exp(-t/T1), r = exp(-t/T_phi) and u the uniform state,
+    amplitude damping takes |u><u| to (a a^T + b b^T + c c^T) / 3 with
+    a = (1, sqrt(1-gamma), 1-gamma), b = (sqrt(gamma), sqrt(2 gamma (1-gamma)), 0)
+    and c = (gamma, 0, 0); dephasing multiplies element mn by r^((m-n)^2).
+    The overlap with u is the mean of the elements, which is
+
+        1/3 + 2/9 [sqrt(1-gamma) (2 + (sqrt 2 - 1) gamma) r + (1-gamma) r^4].
+
+    It matches the channel loop to a few 1e-15.  Raises the ValueErrors of
+    phase_damping for t_qst < 0, t1 <= 0, t2 <= 0 and T2 > 2 T1.
     """
-    u = np.ones(3, dtype=complex) / np.sqrt(3.0)
-    rho0 = np.outer(u, u.conj())
-    out = np.empty((n_steps, 2))
-    for k in range(1, n_steps + 1):
-        rho = decohered_state(rho0, k * t_qst, t1, t2)
-        out[k - 1] = (k, 1.0 - float(np.real(np.conj(u) @ rho @ u)))
-    return out
+    rate_phi = _dephasing_rate(t_qst, t1, t2)
+    k = np.arange(1, n_steps + 1)
+    t = k * t_qst * 1e-3  # us
+    keep = np.exp(-t / t1)  # 1 - gamma
+    overlap = 1.0 / 3.0 + 2.0 / 9.0 * (
+        np.sqrt(keep) * (2.0 + (np.sqrt(2.0) - 1.0) * (1.0 - keep)) * np.exp(-rate_phi * t)
+        + keep * np.exp(-4.0 * rate_phi * t)
+    )
+    return np.column_stack((k, 1.0 - overlap))

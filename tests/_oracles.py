@@ -1,5 +1,7 @@
-"""Reference quadrature shared by the tests, independent of the package's
-closed forms."""
+"""Reference implementations shared by the tests, independent of the
+package's closed forms and fast paths."""
+
+import numpy as np
 
 
 def adaptive_simpson(f, a: float, b: float, rtol: float = 1e-12) -> float:
@@ -26,3 +28,18 @@ def adaptive_simpson(f, a: float, b: float, rtol: float = 1e-12) -> float:
     whole = simpson(a, b, fa, fm, fb)
     tol = rtol * max(abs(whole), 1e-300)
     return recurse(a, b, fa, fm, fb, whole, tol, 0)
+
+
+def _fmt(x) -> str:
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return f"{x:.11e}"  # 12 significant digits
+
+
+def write_csv(path: str, header: list[str], rows) -> None:
+    """The CSV writer that formats one cell at a time and joins the whole
+    text before writing it."""
+    lines = [",".join(header)]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    with open(path, "w", newline="\n") as f:
+        f.write("\n".join(lines) + "\n")

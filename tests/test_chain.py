@@ -47,6 +47,40 @@ def test_norm_never_increases(step):
             assert front.norm_deficit >= -1e-12
 
 
+def _kron_step(front, u_step, comp):
+    """step_transfer on the full 9-dim pair state: front x |0>, evolve,
+    keep the sender-|0> amplitudes, compensate."""
+    out = u_step.matrix @ np.kron(front.amplitudes, np.array([1.0, 0.0, 0.0], dtype=complex))
+    return FrontState(np.asarray(comp) @ out[:3])
+
+
+def _random_fronts(seed, count):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(count, 3)) + 1j * rng.normal(size=(count, 3))
+    return a / np.linalg.norm(a, axis=1, keepdims=True)
+
+
+def test_step_transfer_equals_kron_reference(step):
+    _, u_step, comp = step
+    for a in _random_fronts(11, 20):
+        front = FrontState(a)
+        assert np.array_equal(
+            step_transfer(front, u_step, comp).amplitudes,
+            _kron_step(front, u_step, comp).amplitudes,
+        )
+
+
+def test_intrinsic_error_curve_equals_kron_loop(step):
+    _, u_step, comp = step
+    for psi0 in (uniform_state(), *_random_fronts(12, 2)):
+        front = FrontState(psi0)
+        ref = np.empty((500, 2))
+        for k in range(1, 501):
+            front = _kron_step(front, u_step, comp)
+            ref[k - 1] = (k, 1.0 - abs(front.overlap(psi0)) ** 2)
+        assert np.array_equal(intrinsic_error_curve(500, u_step, comp, psi0), ref)
+
+
 def test_norm_deficit_equals_pair_leakage(step):
     _, u_step, comp = step
     psi0 = uniform_state()

@@ -6,7 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-from qutritchain.cli import main
+import _oracles
+from qutritchain.chain import ChainSchedule
+from qutritchain.cli import CSV_BLOCK_ROWS, main, write_csv
+from qutritchain.noise import decoherence_error_curve
+from qutritchain.pulse import TrapezoidPulse
 
 # coarse step keeps the CLI tests quick; the physics is converged well below
 # the assertions used here
@@ -233,3 +237,74 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "table1.json").exists()
+
+
+def _fig2b_rows(n=300):
+    ts = np.linspace(0.0, 22.0, n)
+    return zip(ts, np.sin(0.07 * ts) ** 2, np.sin(0.05 * ts) ** 2 * np.exp(-ts))
+
+
+def _fig3_rows():
+    sched = ChainSchedule(TrapezoidPulse(37.5, 22.0, 2.0), 5, (0.0, 0.0))
+    ts = np.linspace(0.0, sched.total_duration, 2201)
+    return zip(ts, *sched.coupling_values(ts))
+
+
+def _fig4_rows(n=CSV_BLOCK_ROWS + 7):
+    deco = decoherence_error_curve(n, 21.9521)
+    return zip(deco[:, 0].astype(int), 1e-5 * deco[:, 0], deco[:, 1])
+
+
+def _special_rows():
+    values = [-0.0, 0.0, float("nan"), -np.inf, np.inf, 5e-324, 1e300, -1e-300, 0.1, 2.0 / 3.0]
+    return [(k, v, np.float64(v), -v) for k, v in enumerate(values)]
+
+
+def _sized_rows(n):
+    return lambda: ((np.int64(k), 0.25 * (k % 7), np.sqrt(k)) for k in range(n))
+
+
+@pytest.mark.parametrize(
+    "make_rows",
+    [
+        _fig2b_rows,
+        _fig3_rows,
+        _fig4_rows,
+        _special_rows,
+        _sized_rows(0),
+        _sized_rows(1),
+        _sized_rows(CSV_BLOCK_ROWS),
+        _sized_rows(CSV_BLOCK_ROWS + 1),
+        _sized_rows(2 * CSV_BLOCK_ROWS),
+    ],
+    ids=["fig2b", "fig3", "fig4", "special-values", "rows0", "rows1", "one-block",
+         "one-block-plus-1", "two-blocks"],
+)
+def test_write_csv_bytes_match_cell_by_cell_writer(tmp_path, make_rows):
+    rows = list(make_rows())
+    header = [f"c{j}" for j in range(len(rows[0]) if rows else 3)]
+    write_csv(str(tmp_path / "new.csv"), header, make_rows())  # a generator or zip
+    _oracles.write_csv(str(tmp_path / "ref.csv"), header, rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_write_csv_failure_keeps_old_file_and_leaves_no_temp(tmp_path):
+    path = tmp_path / "fig4.csv"
+    path.write_bytes(b"k,error\n1,5.00000000000e-01\n")
+
+    def rows():
+        for k in range(2 * CSV_BLOCK_ROWS + 5):  # past two whole blocks
+            yield k, 0.5 * k
+        raise RuntimeError("row source failed")
+
+    with pytest.raises(RuntimeError, match="row source failed"):
+        write_csv(str(path), ["k", "error"], rows())
+    assert path.read_bytes() == b"k,error\n1,5.00000000000e-01\n"
+    assert os.listdir(tmp_path) == ["fig4.csv"]
+
+
+def test_write_csv_rejects_rows_of_unequal_length(tmp_path):
+    rows = [(k, 0.5 * k) for k in range(CSV_BLOCK_ROWS + 3)] + [(1,)]
+    with pytest.raises(ValueError, match="first row's 2 cells"):
+        write_csv(str(tmp_path / "fig.csv"), ["k", "x"], rows)
+    assert os.listdir(tmp_path) == []

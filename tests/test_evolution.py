@@ -178,6 +178,34 @@ def test_evolve_affine_rejects_nonhermitian_parts():
         evolve_affine(bad, np.eye(2), lambda ts: np.zeros_like(ts), (0.0, 1.0), 0.1)
 
 
+@pytest.mark.parametrize(
+    "constant, explicit",
+    [
+        (lambda t: 0.0, lambda ts: np.zeros(len(ts))),
+        (lambda t: np.float64(0.3), lambda ts: np.full(len(ts), 0.3)),
+    ],
+)
+def test_evolve_affine_broadcasts_a_constant_scale(constant, explicit):
+    d = np.diag([0.0, 0.3, -0.9]).astype(complex)
+    u_const = evolve_affine(d, x_op(), constant, (0.0, 2.0), 0.01)
+    u_explicit = evolve_affine(d, x_op(), explicit, (0.0, 2.0), 0.01)
+    assert np.array_equal(u_const.matrix, u_explicit.matrix)
+
+
+@pytest.mark.parametrize(
+    "scale_of_t",
+    [
+        lambda ts: np.zeros(len(ts) + 1),  # one value too many
+        lambda ts: np.zeros(1),  # one value for every time
+        lambda ts: np.zeros((len(ts), 1)),  # a column, not one value per time
+        lambda ts: [],
+    ],
+)
+def test_evolve_affine_rejects_scale_of_wrong_shape(scale_of_t):
+    with pytest.raises(ValueError, match="scale_of_t must return one value per time"):
+        evolve_affine(np.eye(2), np.eye(2), scale_of_t, (0.0, 1.0), 0.1)
+
+
 def test_evolve_dt_halving_table1_fidelity():
     # analytic 200 MHz pulse: halving dt moves the fidelity by < 1e-8
     pulse = TrapezoidPulse(37.5, 22.0, 2.0)

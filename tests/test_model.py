@@ -156,6 +156,11 @@ def test_rwa_residual_zero_coupling():
     assert rwa_residual(200.0, lambda t: 0.0, (0.0, 10.0), 6000.0, dt=0.01) == 0.0
 
 
+def test_rwa_residual_rejects_coupling_of_wrong_shape():
+    with pytest.raises(ValueError, match="g_of_t must return one value per time"):
+        rwa_residual(200.0, lambda ts: np.zeros(1), (0.0, 10.0), 6000.0, dt=0.01)
+
+
 def test_rwa_residual_small_and_monotone():
     pulse = TrapezoidPulse(37.5, 22.0, 2.0)
     res = [

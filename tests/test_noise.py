@@ -141,3 +141,46 @@ def test_decoherence_zero_duration_error_is_zero():
     rho = decohered_state(uniform_rho(), 0.0, 60.0, 60.0)
     u = np.ones(3) / np.sqrt(3.0)
     assert 1.0 - np.real(u @ rho @ u) == pytest.approx(0.0, abs=1e-15)
+
+
+def _channel_loop_curve(n_steps, t_qst, t1, t2):
+    """decoherence_error_curve as one Kraus-channel evolution per k."""
+    u = np.ones(3, dtype=complex) / np.sqrt(3.0)
+    out = np.empty((n_steps, 2))
+    for k in range(1, n_steps + 1):
+        rho = decohered_state(np.outer(u, u.conj()), k * t_qst, t1, t2)
+        out[k - 1] = (k, 1.0 - float(np.real(np.conj(u) @ rho @ u)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "t1, t2",
+    [
+        (60.0, 60.0),  # T2 = T1
+        (60.0, 120.0),  # T2 = 2 T1: no pure dephasing (T_phi infinite)
+        (60.0, 25.0),  # T2 < T1
+        (20.0, 30.0),  # short T1
+    ],
+)
+def test_decoherence_curve_matches_channel_loop(t1, t2):
+    curve = decoherence_error_curve(2000, T_QST, t1, t2)
+    ref = _channel_loop_curve(2000, T_QST, t1, t2)
+    assert np.array_equal(curve[:, 0], ref[:, 0])
+    assert np.abs(curve[:, 1] - ref[:, 1]).max() <= 1e-14
+
+
+def test_decoherence_curve_empty():
+    assert decoherence_error_curve(0, T_QST).shape == (0, 2)
+
+
+@pytest.mark.parametrize(
+    "t_qst, t1, t2",
+    [(T_QST, 60.0, 121.0), (T_QST, 0.0, 60.0), (T_QST, 60.0, 0.0), (T_QST, 60.0, -1.0),
+     (-1.0, 60.0, 60.0)],
+)
+def test_decoherence_curve_rejects_what_the_channels_reject(t_qst, t1, t2):
+    with pytest.raises(ValueError) as channel_error:
+        decohered_state(uniform_rho(), t_qst, t1, t2)
+    with pytest.raises(ValueError) as curve_error:
+        decoherence_error_curve(5, t_qst, t1, t2)
+    assert str(curve_error.value) == str(channel_error.value)
