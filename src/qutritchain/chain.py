@@ -70,9 +70,22 @@ class ChainSchedule:
         return self.n_steps * self.step_pulse.t_total
 
     def coupling_values(self, ts) -> np.ndarray:
-        """g_k(t) array of shape (n_steps, len(ts)) for the whole schedule."""
-        ts = np.atleast_1d(ts)
-        return np.stack([self.pulse_for_step(k).value(ts) for k in range(self.n_steps)])
+        """g_k(t) array of shape (n_steps, len(ts)) for ascending times ts.
+
+        Edge k is evaluated only on the samples of its own window
+        [k T, (k+1) T], padded by one sample on each side; its pulse is
+        exactly 0 outside that window, so the rest of the row stays 0.
+        """
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        if np.any(ts[1:] < ts[:-1]):
+            raise ValueError("coupling_values needs ascending times")
+        g = np.zeros((self.n_steps, len(ts)))
+        for k in range(self.n_steps):
+            pulse = self.pulse_for_step(k)
+            lo = max(int(np.searchsorted(ts, pulse.t_offset)) - 1, 0)
+            hi = int(np.searchsorted(ts, pulse.t_end, side="right")) + 1
+            g[k, lo:hi] = pulse.value(ts[lo:hi])
+        return g
 
 
 def step_transfer(front: FrontState, u_step: Propagator, comp: np.ndarray) -> FrontState:

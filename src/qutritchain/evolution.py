@@ -112,6 +112,17 @@ def _midpoints(t_span: tuple[float, float], dt: float) -> tuple[np.ndarray, floa
     return t0 + (np.arange(n) + 0.5) * dt_eff, dt_eff
 
 
+def _chunk(dim: int) -> int:
+    """Steps or runs per batch: CHUNK_BYTES of dim x dim unitaries, at least
+    16 (16 steps while the size is not yet known, dim = 0)."""
+    return max(16, CHUNK_BYTES // (dim * dim * 16)) if dim else 16
+
+
+def _labels(dim: int) -> tuple[str, ...]:
+    """Default basis labels "0", "1", ... for a dim-dimensional propagator."""
+    return tuple(str(i) for i in range(dim))
+
+
 def _per_time(values, ts: np.ndarray, name: str) -> np.ndarray:
     """The values a callable `name` returned for the times ts, as one float
     per time.  A 0-d value is a constant and is broadcast to every time;
@@ -154,8 +165,7 @@ def evolve_affine(
             raise ValueError(f"{name} is not Hermitian: max asymmetry {defect:.3e}")
     mids, dt_eff = _midpoints(t_span, dt)
     dim = d.shape[0]
-    if basis is None:
-        basis = tuple(str(i) for i in range(dim))
+    basis = basis or _labels(dim)
     u = np.eye(dim, dtype=complex)
     if not len(mids):
         return Propagator(u, basis, *t_span)
@@ -164,7 +174,7 @@ def evolve_affine(
     real = np.abs(d.imag).max(initial=0.0) == 0.0 and np.abs(w.imag).max(initial=0.0) == 0.0
     d, w = (d.real, w.real) if real else (d, w)
     starts, lengths = _runs(np.append(True, c[1:] != c[:-1]))
-    chunk = max(16, CHUNK_BYTES // (dim * dim * 16))
+    chunk = _chunk(dim)
     for lo in range(0, len(starts), chunk):
         cs = c[starts[lo : lo + chunk]]
         hs = d[None, :, :] + cs[:, None, None] * w[None, :, :]
@@ -200,14 +210,20 @@ def evolve(
     the max asymmetry.
     """
     mids, dt_eff = _midpoints(t_span, dt)
-    dim = _sampled(h_of_t, np.array([t_span[0]])).shape[-1]
-    if basis is None:
-        basis = tuple(str(i) for i in range(dim))
-    u = np.eye(dim, dtype=complex)
-    chunk = max(16, CHUNK_BYTES // (dim * dim * 16))
-    for lo in range(0, len(mids), chunk):
-        ts = mids[lo : lo + chunk]
-        hs = _sampled(h_of_t, ts, dim)
+    if not len(mids):  # an empty window: h is sampled once, only for its size
+        dim = _sampled(h_of_t, np.array([t_span[0]])).shape[-1]
+        return Propagator(np.eye(dim, dtype=complex), basis or _labels(dim), *t_span)
+    # the first chunk fixes the size; it is sized for the basis if one is given
+    dim = len(basis) if basis is not None else 0
+    u = None
+    lo = 0
+    while lo < len(mids):
+        ts = mids[lo : lo + _chunk(dim)]
+        lo += len(ts)
+        hs = _sampled(h_of_t, ts, None if u is None else dim)
+        if u is None:
+            dim = hs.shape[-1]
+            u = np.eye(dim, dtype=complex)
         defects = np.abs(hs - hs.conj().transpose(0, 2, 1)).reshape(len(ts), -1).max(axis=1)
         worst = int(np.argmax(defects))
         if defects[worst] > HERMITIAN_TOL:
@@ -218,4 +234,4 @@ def evolve(
         # a run of identical steps (a pulse plateau) is one exponential
         starts, lengths = _runs(np.append(True, np.any(hs[1:] != hs[:-1], axis=(1, 2))))
         u = _fold(_batch_step_unitaries(hs[starts], dt_eff * lengths)) @ u
-    return Propagator(u, basis, *t_span)
+    return Propagator(u, basis or _labels(dim), *t_span)

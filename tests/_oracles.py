@@ -3,6 +3,15 @@ package's closed forms and fast paths."""
 
 import numpy as np
 
+from qutritchain.evolution import _per_time, evolve, evolve_affine
+from qutritchain.model import (
+    MHZ_TO_RAD_NS,
+    basis_labels,
+    chain_hamiltonian,
+    coupling_operator,
+    x_op,
+)
+
 
 def adaptive_simpson(f, a: float, b: float, rtol: float = 1e-12) -> float:
     """Adaptive Simpson quadrature of f on [a, b] with relative tolerance."""
@@ -43,3 +52,33 @@ def write_csv(path: str, header: list[str], rows) -> None:
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     with open(path, "w", newline="\n") as f:
         f.write("\n".join(lines) + "\n")
+
+
+def rwa_residual_rotating(
+    eta: float,
+    g_of_t,
+    t_span: tuple[float, float],
+    omega: float,
+    dt: float = 0.001,
+) -> float:
+    """The RWA residual evolved in the rotating frame, where the exact
+    Hamiltonian carries exp(i de t) phases and no two steps are equal."""
+    labels = basis_labels(2)
+    diag = chain_hamiltonian(eta, [0.0])
+    xx = np.kron(x_op(), x_op())
+    w_rwa = coupling_operator(0, 2)
+    e = omega * MHZ_TO_RAD_NS * np.add.outer(np.arange(3), np.arange(3)).ravel()
+    de = e[None, :] - e[:, None]
+
+    def g_values(ts):
+        ts = np.atleast_1d(ts)
+        return _per_time(g_of_t(ts), ts, "g_of_t") * MHZ_TO_RAD_NS
+
+    def h_exact(ts):
+        g = g_values(ts)
+        v = xx[None, :, :] * np.exp(1j * de[None, :, :] * np.atleast_1d(ts)[:, None, None])
+        return diag[None, :, :] + g[:, None, None] * v
+
+    u_exact = evolve(h_exact, t_span, dt, basis=labels)
+    u_rwa = evolve_affine(diag, w_rwa, g_values, t_span, dt, basis=labels)
+    return float(np.linalg.norm(u_exact.matrix - u_rwa.matrix, ord=2))

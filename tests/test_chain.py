@@ -169,6 +169,23 @@ def test_schedule_pulses_abut():
         sched.pulse_for_step(3)
 
 
+@pytest.mark.parametrize("n_qutrits", [2, 4, 40])
+@pytest.mark.parametrize("dt_out", [T_OPT / 8, 0.37])  # 0.37 ns does not divide T
+def test_coupling_values_match_full_grid(n_qutrits, dt_out):
+    sched = ChainSchedule(TrapezoidPulse(G_OPT, T_OPT, 2.0), n_qutrits - 1, (0.0, 0.0))
+    n_out = int(round(sched.total_duration / dt_out))
+    ts = np.linspace(0.0, sched.total_duration, n_out + 1)
+    ts = np.sort(np.concatenate([ts, np.arange(n_qutrits) * T_OPT]))  # samples at k T
+    ref = np.stack([sched.pulse_for_step(k).value(ts) for k in range(sched.n_steps)])
+    assert np.array_equal(sched.coupling_values(ts), ref)
+
+
+def test_coupling_values_need_ascending_times():
+    sched = ChainSchedule(TrapezoidPulse(G_OPT, T_OPT, 2.0), 2, (0.0, 0.0))
+    with pytest.raises(ValueError, match="ascending"):
+        sched.coupling_values(np.array([1.0, 0.5]))
+
+
 def test_front_vs_full_small_chains():
     assert validate_front_vs_full(2, G_OPT, T_OPT, 2.0, ETA, dt=0.002) < 1e-12
     assert validate_front_vs_full(3, G_OPT, T_OPT, 2.0, ETA, dt=0.002) < 1e-10

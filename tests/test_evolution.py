@@ -119,12 +119,13 @@ def test_evolve_time_dependent_unitarity():
         lambda ts: np.zeros((1, 2, 2)),  # one matrix for every time
         lambda ts: np.zeros((len(ts), 2, 3)),  # not square
         lambda ts: np.zeros(len(ts)),  # scalars
-        lambda ts: np.zeros((len(ts), 2 + (len(ts) > 1), 2 + (len(ts) > 1))),  # size changes
+        lambda ts: np.zeros((len(ts),) + (2 + (ts[0] > 1.0),) * 2),  # size changes along t
     ],
 )
 def test_evolve_rejects_h_of_t_without_stack(h_of_t):
+    # 20 steps: without a basis, the first 16 fix the size and the rest must match it
     with pytest.raises(ValueError, match=r"\(k, d, d\) stack"):
-        evolve(h_of_t, (0.0, 1.0), 0.1)
+        evolve(h_of_t, (0.0, 2.0), 0.1)
 
 
 def test_evolve_rejects_nonhermitian_h_of_t():

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from numpy import kron
 
+from _oracles import rwa_residual_rotating
+from qutritchain import evolution
 from qutritchain.evolution import evolve, hermiticity_defect
 from qutritchain.model import (
     MHZ_TO_RAD_NS,
@@ -180,7 +182,38 @@ def test_rwa_residual_samples_coupling_per_array():
         return pulse.value(ts)
 
     rwa_residual(200.0, counted, (0.0, 22.0), 4000.0, dt=0.002)  # 11000 midpoints
-    assert 0 < len(calls) <= 4
+    assert calls == [(11000,), (11000,)]  # one grid per propagator, no probe
+
+
+@pytest.mark.parametrize("omega", [2000.0, 8000.0])
+def test_rwa_residual_matches_fine_rotating_frame(omega):
+    pulse = TrapezoidPulse(37.5, 22.0, 2.0)
+    ref = rwa_residual_rotating(200.0, pulse.value, (0.0, 3.0), omega, dt=0.0001)
+    res = rwa_residual(200.0, pulse.value, (0.0, 3.0), omega, dt=0.002)
+    assert res == pytest.approx(ref, rel=1e-5)
+
+
+def test_rwa_residual_dt_halving():
+    pulse = TrapezoidPulse(37.5, 22.0, 2.0)
+    coarse, fine = (
+        rwa_residual(200.0, pulse.value, (0.0, 22.0), 8000.0, dt=dt) for dt in (0.002, 0.001)
+    )
+    assert coarse == pytest.approx(fine, rel=1e-6)
+
+
+def test_rwa_residual_plateau_is_one_eigendecomposition(monkeypatch):
+    decomposed = []
+
+    def counted(hs, dt):
+        decomposed.append(len(hs))
+        return batch_step_unitaries(hs, dt)
+
+    batch_step_unitaries = evolution._batch_step_unitaries
+    monkeypatch.setattr(evolution, "_batch_step_unitaries", counted)
+    pulse = TrapezoidPulse(37.5, 22.0, 2.0)
+    rwa_residual(200.0, pulse.value, (0.0, 22.0), 4000.0, dt=0.002)
+    # each side: 1000 steps per ramp plus at most two for the plateau
+    assert sum(decomposed) <= 2 * (2 * 1000 + 2)
 
 
 def test_rwa_residual_matches_per_sample_reference():
