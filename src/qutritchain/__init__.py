@@ -12,7 +12,7 @@ from .chain import (
     uniform_state,
     validate_front_vs_full,
 )
-from .evolution import Propagator, evolve, expm_hermitian
+from .evolution import evolve, expm_hermitian
 from .model import (
     basis_labels,
     chain_hamiltonian,
@@ -49,7 +49,6 @@ __all__ = [
     "FrontState",
     "PhaseCompensation",
     "PowerLawFit",
-    "Propagator",
     "QutritChannel",
     "TransferReport",
     "TrapezoidPulse",

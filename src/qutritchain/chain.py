@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import Propagator, evolve_affine
+from .evolution import evolve_affine
 from .model import (
     MAX_FULL_QUTRITS,
     MHZ_TO_RAD_NS,
@@ -59,12 +59,6 @@ class ChainSchedule:
     n_steps: int
     compensation: tuple[float, float]  # (theta, phi) applied after each step
 
-    def pulse_for_step(self, k: int) -> TrapezoidPulse:
-        """Pulse on edge k (0-based), active during [k T, (k+1) T]."""
-        if not 0 <= k < self.n_steps:
-            raise IndexError("step index out of range")
-        return self.step_pulse.shifted(k * self.step_pulse.t_total)
-
     @property
     def total_duration(self) -> float:
         return self.n_steps * self.step_pulse.t_total
@@ -72,36 +66,38 @@ class ChainSchedule:
     def coupling_values(self, ts) -> np.ndarray:
         """g_k(t) array of shape (n_steps, len(ts)) for ascending times ts.
 
-        Edge k is evaluated only on the samples of its own window
-        [k T, (k+1) T], padded by one sample on each side; its pulse is
-        exactly 0 outside that window, so the rest of the row stays 0.
+        Edge k (0-based) carries the step pulse started at k T, active during
+        [k T, (k+1) T].  It is evaluated only on the samples of that window,
+        padded by one sample on each side; its pulse is exactly 0 outside
+        the window, so the rest of the row stays 0.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         if np.any(ts[1:] < ts[:-1]):
             raise ValueError("coupling_values needs ascending times")
         g = np.zeros((self.n_steps, len(ts)))
         for k in range(self.n_steps):
-            pulse = self.pulse_for_step(k)
-            lo = max(int(np.searchsorted(ts, pulse.t_offset)) - 1, 0)
-            hi = int(np.searchsorted(ts, pulse.t_end, side="right")) + 1
-            g[k, lo:hi] = pulse.value(ts[lo:hi])
+            start = k * self.step_pulse.t_total
+            end = start + self.step_pulse.t_total
+            lo = max(int(np.searchsorted(ts, start)) - 1, 0)
+            hi = int(np.searchsorted(ts, end, side="right")) + 1
+            g[k, lo:hi] = self.step_pulse.value(ts[lo:hi] - start)
         return g
 
 
-def step_transfer(front: FrontState, u_step: Propagator, comp: np.ndarray) -> FrontState:
+def step_transfer(front: FrontState, u_step: np.ndarray, comp: np.ndarray) -> FrontState:
     """One adjacent-pair transfer: embed front x |0>, evolve, project the
     sending qutrit onto |0> (unnormalized), compensate the receiver.
 
     The embedded pair state |j0> is basis index 3j and the projection keeps
-    indices 0..2, so the step is the 3x3 block u_step.matrix[:3, ::3]
-    applied to the front: one gather, no 9-dim state.
+    indices 0..2, so the step is the 3x3 block u_step[:3, ::3] applied to
+    the front: one gather, no 9-dim state.
     """
-    return FrontState(np.asarray(comp) @ (u_step.matrix[:3, ::3] @ front.amplitudes))
+    return FrontState(np.asarray(comp) @ (u_step[:3, ::3] @ front.amplitudes))
 
 
 def intrinsic_error_curve(
     n_steps: int,
-    u_step: Propagator,
+    u_step: np.ndarray,
     comp: np.ndarray,
     initial: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -119,7 +115,7 @@ def intrinsic_error_curve(
 
 def make_schedule(
     g_max: float, t_qst: float, t_ramp: float, eta: float, n_steps: int, dt: float = 0.001
-) -> tuple[ChainSchedule, Propagator, np.ndarray]:
+) -> tuple[ChainSchedule, np.ndarray, np.ndarray]:
     """Build the repeated-pulse schedule plus its step propagator and the
     per-step compensation gate measured from that propagator."""
     pulse = TrapezoidPulse(g_max, t_qst, t_ramp)
@@ -147,9 +143,9 @@ def evolve_chain_full(
 
     Validation-only oracle; capped at 4 qutrits.  Pulses are evolved one
     segment at a time so each segment sees a single active coupling.  A
-    segment is the step pulse shifted in time, and the Hamiltonian depends
+    segment is the step pulse started later, and the Hamiltonian depends
     on time only through the pulse, so each is evolved in the step pulse's
-    own window, as R^T P R on evolve_transfer's grid (up ramp R, exact
+    own window [0, T], as R^T P R on evolve_transfer's grid (up ramp R, exact
     plateau P, down ramp R^T): front and full chain share one discretization.
     Every qutrit has the same eta, so the edge-k Hamiltonian is the edge-0
     one with its qutrits relabelled; the edge-0 step is evolved once and
@@ -164,8 +160,8 @@ def evolve_chain_full(
     pulse = schedule.step_pulse
     g = lambda ts: pulse.value(ts) * MHZ_TO_RAD_NS
     w = coupling_operator(0, n)
-    r = evolve_affine(diag, w, g, pulse.ramp_window, dt).matrix
-    p = evolve_affine(diag, w, g, pulse.plateau_window, dt).matrix
+    r = evolve_affine(diag, w, g, pulse.ramp_window, dt)
+    p = evolve_affine(diag, w, g, pulse.plateau_window, dt)
     step0 = r.T @ p @ r
     u = np.eye(3**n, dtype=complex)
     for seg in range(n - 1):

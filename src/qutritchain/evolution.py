@@ -8,8 +8,6 @@ construction (each step is exp(-i H dt) of a Hermitian H).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
@@ -40,28 +38,12 @@ def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
     return _batch_step_unitaries(h[None], t)[0]
 
 
-@dataclass(frozen=True)
-class Propagator:
-    """Unitary time-evolution matrix with its basis labels and time window."""
-
-    matrix: np.ndarray
-    basis: tuple[str, ...]
-    t_start: float
-    t_end: float
-
-    def __post_init__(self):
-        if self.matrix.shape != (len(self.basis), len(self.basis)):
-            raise ValueError("propagator shape does not match basis size")
-        defect = unitarity_defect(self.matrix)
-        if defect > UNITARY_TOL:
-            raise ValueError(f"propagator is not unitary: |U^dag U - I|_F = {defect:.3e}")
-
-    def index(self, label: str) -> int:
-        return self.basis.index(label)
-
-    def amplitude(self, final: str, initial: str) -> complex:
-        """<final|U|initial> by basis label."""
-        return complex(self.matrix[self.index(final), self.index(initial)])
+def _unitary(u: np.ndarray) -> np.ndarray:
+    """u, after checking that it is unitary to UNITARY_TOL."""
+    defect = unitarity_defect(u)
+    if defect > UNITARY_TOL:
+        raise ValueError(f"propagator is not unitary: |U^dag U - I|_F = {defect:.3e}")
+    return u
 
 
 def _batch_step_unitaries(hs: np.ndarray, dt) -> np.ndarray:
@@ -113,14 +95,8 @@ def _midpoints(t_span: tuple[float, float], dt: float) -> tuple[np.ndarray, floa
 
 
 def _chunk(dim: int) -> int:
-    """Steps or runs per batch: CHUNK_BYTES of dim x dim unitaries, at least
-    16 (16 steps while the size is not yet known, dim = 0)."""
-    return max(16, CHUNK_BYTES // (dim * dim * 16)) if dim else 16
-
-
-def _labels(dim: int) -> tuple[str, ...]:
-    """Default basis labels "0", "1", ... for a dim-dimensional propagator."""
-    return tuple(str(i) for i in range(dim))
+    """Steps or runs per batch: CHUNK_BYTES of dim x dim unitaries, at least 16."""
+    return max(16, CHUNK_BYTES // (dim * dim * 16))
 
 
 def _per_time(values, ts: np.ndarray, name: str) -> np.ndarray:
@@ -141,8 +117,7 @@ def evolve_affine(
     scale_of_t,
     t_span: tuple[float, float],
     dt: float,
-    basis: tuple[str, ...] | None = None,
-) -> Propagator:
+) -> np.ndarray:
     """Evolution under h(t) = d + c(t) w with Hermitian d, w and real c(t).
 
     Same midpoint integrator as evolve(), but each run of equal sampled c
@@ -157,7 +132,8 @@ def evolve_affine(
     if it is not empty), counted from the float difference t1 - t0.  Windows
     of equal length at different offsets can therefore get step counts one
     apart: at dt = 0.002, (0, 0.005) takes 2 steps and (0.1, 0.105) takes 3.
-    The package's callers evolve every window at offset 0.
+    The package's callers evolve every window at offset 0.  Returns the
+    (d, d) propagator, checked to be unitary.
     """
     for name, m in (("d", d), ("w", w)):
         defect = hermiticity_defect(np.asarray(m))
@@ -165,10 +141,9 @@ def evolve_affine(
             raise ValueError(f"{name} is not Hermitian: max asymmetry {defect:.3e}")
     mids, dt_eff = _midpoints(t_span, dt)
     dim = d.shape[0]
-    basis = basis or _labels(dim)
     u = np.eye(dim, dtype=complex)
     if not len(mids):
-        return Propagator(u, basis, *t_span)
+        return u
     c = _per_time(scale_of_t(mids), mids, "scale_of_t")
 
     real = np.abs(d.imag).max(initial=0.0) == 0.0 and np.abs(w.imag).max(initial=0.0) == 0.0
@@ -179,7 +154,7 @@ def evolve_affine(
         cs = c[starts[lo : lo + chunk]]
         hs = d[None, :, :] + cs[:, None, None] * w[None, :, :]
         u = _fold(_batch_step_unitaries(hs, dt_eff * lengths[lo : lo + chunk])) @ u
-    return Propagator(u, basis, *t_span)
+    return _unitary(u)
 
 
 def _sampled(h_of_t, ts: np.ndarray, dim: int | None = None) -> np.ndarray:
@@ -195,26 +170,23 @@ def _sampled(h_of_t, ts: np.ndarray, dim: int | None = None) -> np.ndarray:
     return hs
 
 
-def evolve(
-    h_of_t,
-    t_span: tuple[float, float],
-    dt: float,
-    basis: tuple[str, ...] | None = None,
-) -> Propagator:
+def evolve(h_of_t, t_span: tuple[float, float], dt: float) -> np.ndarray:
     """Time-ordered evolution under a time-dependent Hermitian h(t).
 
     h_of_t maps an array of k times in ns to a (k, d, d) stack of
     Hamiltonians in rad/ns, as evolve_affine's scale_of_t maps times to
     values.  Steps are midpoint-sampled: U = prod_k exp(-i h(t_k + dt/2) dt),
     earliest step applied first.  Non-Hermitian samples are rejected with
-    the max asymmetry.
+    the max asymmetry.  Returns the (d, d) propagator, checked to be unitary.
     """
     mids, dt_eff = _midpoints(t_span, dt)
     if not len(mids):  # an empty window: h is sampled once, only for its size
         dim = _sampled(h_of_t, np.array([t_span[0]])).shape[-1]
-        return Propagator(np.eye(dim, dtype=complex), basis or _labels(dim), *t_span)
-    # the first chunk fixes the size; it is sized for the basis if one is given
-    dim = len(basis) if basis is not None else 0
+        return np.eye(dim, dtype=complex)
+    # h's size is known only once it is sampled: the first chunk is sized
+    # for the 9-dim pair (rwa_residual's grid in one call), later ones for
+    # the size the first returned
+    dim = 9
     u = None
     lo = 0
     while lo < len(mids):
@@ -234,4 +206,4 @@ def evolve(
         # a run of identical steps (a pulse plateau) is one exponential
         starts, lengths = _runs(np.append(True, np.any(hs[1:] != hs[:-1], axis=(1, 2))))
         u = _fold(_batch_step_unitaries(hs[starts], dt_eff * lengths)) @ u
-    return Propagator(u, basis or _labels(dim), *t_span)
+    return _unitary(u)

@@ -27,9 +27,6 @@ class QutritChannel:
     """Kraus map on a single-qutrit density matrix."""
 
     kraus_ops: tuple[np.ndarray, ...]
-    duration: float       # ns
-    t1: float | None      # us
-    t2: float | None      # us
 
     def __post_init__(self):
         defect = self.completeness_defect()
@@ -75,7 +72,7 @@ def amplitude_damping(t: float, t1: float) -> QutritChannel:
     e1[1, 2] = np.sqrt(2.0 * gamma * (1.0 - gamma))
     e2 = np.zeros((3, 3), dtype=complex)
     e2[0, 2] = gamma
-    return QutritChannel((e0, e1, e2), t, t1, None)
+    return QutritChannel((e0, e1, e2))
 
 
 def phase_damping(t: float, t1: float, t2: float) -> QutritChannel:
@@ -94,7 +91,7 @@ def phase_damping(t: float, t1: float, t2: float) -> QutritChannel:
         np.diag(np.sqrt(max(wi, 0.0)) * v[:, i]).astype(complex)
         for i, wi in enumerate(w)
     )
-    return QutritChannel(ops, t, t1, t2)
+    return QutritChannel(ops)
 
 
 def decohered_state(rho: np.ndarray, t: float, t1: float, t2: float) -> np.ndarray:

@@ -9,7 +9,7 @@ pi/2.  Areas are reported in radians; amplitudes are cyclic MHz, times ns.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,14 +18,13 @@ from .model import COUPLING_CAP_MHZ, MHZ_TO_RAD_NS
 
 @dataclass(frozen=True)
 class TrapezoidPulse:
-    """Trapezoid with linear ramps of t_ramp each: zero at the endpoints,
-    amp_max on the plateau [t_ramp, t_total - t_ramp] (times relative to
-    t_offset).  Geometric area is amp_max * (t_total - t_ramp)."""
+    """Trapezoid on [0, t_total] with linear ramps of t_ramp each: zero at
+    the endpoints, amp_max on the plateau [t_ramp, t_total - t_ramp].
+    Geometric area is amp_max * (t_total - t_ramp)."""
 
-    amp_max: float          # MHz
-    t_total: float          # ns
-    t_ramp: float           # ns, duration of EACH ramp
-    t_offset: float = 0.0   # ns, start time within a schedule
+    amp_max: float  # MHz
+    t_total: float  # ns
+    t_ramp: float   # ns, duration of EACH ramp
 
     def __post_init__(self):
         if self.amp_max < 0:
@@ -34,23 +33,18 @@ class TrapezoidPulse:
             raise ValueError("need t_total >= 2 * t_ramp >= 0")
 
     @property
-    def t_end(self) -> float:
-        return self.t_offset + self.t_total
-
-    @property
     def ramp_window(self) -> tuple[float, float]:
         """(start, end) of the up ramp; the down ramp is its time reverse."""
-        return self.t_offset, self.t_offset + self.t_ramp
+        return 0.0, self.t_ramp
 
     @property
     def plateau_window(self) -> tuple[float, float]:
         """(start, end) of the plateau, on which the amplitude is amp_max."""
-        t0 = self.t_offset + self.t_ramp
-        return t0, max(t0, self.t_end - self.t_ramp)
+        return self.t_ramp, max(self.t_ramp, self.t_total - self.t_ramp)
 
     def value(self, t):
         """Pulse amplitude in MHz at time t (scalar or array); 0 outside."""
-        t = np.asarray(t, dtype=float) - self.t_offset
+        t = np.asarray(t, dtype=float)
         inside = (t >= 0.0) & (t <= self.t_total)
         if self.t_ramp == 0.0:
             shape = 1.0 * inside
@@ -64,9 +58,6 @@ class TrapezoidPulse:
     def area_mhz_ns(self) -> float:
         """Geometric area in MHz*ns (two half-triangle ramp deficits)."""
         return self.amp_max * (self.t_total - self.t_ramp)
-
-    def shifted(self, t_offset: float) -> "TrapezoidPulse":
-        return replace(self, t_offset=t_offset)
 
 
 def pulse_area(p: TrapezoidPulse) -> float:
@@ -118,17 +109,15 @@ def effective_area(p: TrapezoidPulse, eta: float) -> float:
     return (ramps + plateau) * MHZ_TO_RAD_NS
 
 
-def analytic_params(eta: float, t_ramp: float = 2.0, m: int = 3) -> tuple[float, float]:
+def analytic_params(eta: float, t_ramp: float = 2.0) -> tuple[float, float]:
     """Closed-form trapezoid parameters (g_max MHz, t_qst ns).
 
-    Solves g_max = 3 g_eff(g_max) together with the m pi/2 area condition,
-    giving g_max = 3 eta / 16 and t_qst = t_ramp + 8 pi / eta_angular.  Only
-    m = 3 is supported; the 3:1 area ratio is baked into the derivation.
+    Solves g_max = 3 g_eff(g_max) together with the 3 pi/2 pulse-area
+    condition, giving g_max = 3 eta / 16 and t_qst = t_ramp + 8 pi / eta_angular.
+    The 3:1 area ratio (m = 3, l = 1) is baked into the derivation.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    if m != 3:
-        raise ValueError("analytic parameters exist only for m = 3 (3:1 area ratio)")
     g_max = 3.0 * eta / 16.0
     t_qst = t_ramp + 8.0 * np.pi / (eta * MHZ_TO_RAD_NS)
     if g_max > COUPLING_CAP_MHZ:
@@ -176,7 +165,7 @@ def solve_constraint(
     """
     if m % 2 == 0 or l % 2 == 0:
         raise ValueError("m and l must be odd")
-    g, t = analytic_params(eta, t_ramp=t_ramp, m=3)
+    g, t = analytic_params(eta, t_ramp=t_ramp)
 
     def residual(g_, t_):
         p = TrapezoidPulse(g_, t_, t_ramp)

@@ -17,18 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import (
-    Propagator,
     _batch_step_unitaries,
     _fold,
     _midpoints,
     _n_steps,
+    _unitary,
     evolve_affine,
 )
 from .model import (
     DELTA_RANGE_MHZ,
     MHZ_TO_RAD_NS,
     basis_index,
-    basis_labels,
     coupling_operator,
     chain_hamiltonian,
 )
@@ -60,8 +59,8 @@ def _pair_parts(eta: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pair_window(pulse: TrapezoidPulse, eta: float, span, dt: float) -> np.ndarray:
-    """Propagator of the resonant pair under pulse over the window span, on
-    evolve_affine's midpoint grid, in closed form by excitation sector.
+    """9x9 propagator of the resonant pair under pulse over the window span,
+    on evolve_affine's midpoint grid, in closed form by excitation sector.
 
     D + g W conserves excitation, and with s, a = (|02> +- |20>)/sqrt2 every
     sector block is 1x1 or 2x2 (angular e = eta, g = g(t)):
@@ -105,9 +104,9 @@ def _pair_window(pulse: TrapezoidPulse, eta: float, span, dt: float) -> np.ndarr
     return r
 
 
-def evolve_transfer(g_pulse: TrapezoidPulse, eta: float, dt: float = 0.001) -> Propagator:
+def evolve_transfer(g_pulse: TrapezoidPulse, eta: float, dt: float = 0.001) -> np.ndarray:
     """9x9 propagator for the resonant pair (Delta1 = Delta2 = 0) driven by
-    the coupling pulse, over the pulse's own time window.
+    the coupling pulse over [0, t_total], checked to be unitary.
 
     Built as U = R^T P R.  R is the up ramp on its own grid of
     round(t_ramp/dt) midpoint steps, in closed form by excitation sector
@@ -117,15 +116,12 @@ def evolve_transfer(g_pulse: TrapezoidPulse, eta: float, dt: float = 0.001) -> P
     The down ramp is the up ramp reversed in time, a product of the same
     step unitaries in reverse order, and each step exp(-i H dt) of the real
     symmetric H is a symmetric matrix, so the down ramp is exactly R^T.
-    The windows are evolved in the pulse's own frame (offset 0), so a
-    shifted pulse gets the same grid and the same U.
     """
     d, w = _pair_parts(eta)
-    pulse = g_pulse.shifted(0.0)
-    r = _pair_window(pulse, eta, pulse.ramp_window, dt)
-    g = lambda ts: pulse.value(ts) * MHZ_TO_RAD_NS
-    p = evolve_affine(d, w, g, pulse.plateau_window, dt).matrix
-    return Propagator(r.T @ p @ r, basis_labels(2), g_pulse.t_offset, g_pulse.t_end)
+    r = _pair_window(g_pulse, eta, g_pulse.ramp_window, dt)
+    g = lambda ts: g_pulse.value(ts) * MHZ_TO_RAD_NS
+    p = evolve_affine(d, w, g, g_pulse.plateau_window, dt)
+    return _unitary(r.T @ p @ r)
 
 
 def population_series(
@@ -143,25 +139,25 @@ def population_series(
     U(t) = conj(Q_m) U, with no integration.
     """
     d, w = _pair_parts(eta)
-    pulse = g_pulse.shifted(0.0)
-    t_ramp, t_plateau = pulse.t_ramp, pulse.t_total - 2.0 * pulse.t_ramp
+    t_ramp, t_plateau = g_pulse.t_ramp, g_pulse.t_total - 2.0 * g_pulse.t_ramp
     n_ramp = _n_steps(t_ramp, dt)
     dt_ramp = t_ramp / n_ramp if n_ramp else dt
     edges = [*range(0, n_ramp, max(1, int(round(dt_out / dt_ramp)))), n_ramp]
     prefixes = [np.eye(9, dtype=complex)]
     for m0, m1 in zip(edges, edges[1:]):
-        prefixes.append(_pair_window(pulse, eta, (m0 * dt_ramp, m1 * dt_ramp), dt_ramp) @ prefixes[-1])
+        window = _pair_window(g_pulse, eta, (m0 * dt_ramp, m1 * dt_ramp), dt_ramp)
+        prefixes.append(window @ prefixes[-1])
     r = prefixes.pop()  # the plateau's first sample, P(0) R
 
     n_plateau = _n_steps(t_plateau, max(dt_out, dt))
     offsets = t_plateau * np.arange(n_plateau + 1) / max(n_plateau, 1)
-    h = d + pulse.amp_max * MHZ_TO_RAD_NS * w
+    h = d + g_pulse.amp_max * MHZ_TO_RAD_NS * w
     plateau = _batch_step_unitaries(h[None], offsets) @ r
     u = r.T @ plateau[-1]
 
     us = np.array([*prefixes, *plateau, *(np.conj(q) @ u for q in prefixes[::-1])])
     m = np.array(edges[:-1], dtype=float)
-    ts = np.concatenate([m * dt_ramp, t_ramp + offsets, pulse.t_total - m[::-1] * dt_ramp])
+    ts = np.concatenate([m * dt_ramp, t_ramp + offsets, g_pulse.t_total - m[::-1] * dt_ramp])
     i01, i10, i02, i20 = (basis_index(s) for s in ("01", "10", "02", "20"))
     return ts, np.abs(us[:, i01, i10]) ** 2, np.abs(us[:, i02, i20]) ** 2
 
@@ -185,10 +181,6 @@ def count_transfer_peaks(populations: np.ndarray, height: float = 0.99) -> int:
     return peaks
 
 
-def _as_matrix(u) -> np.ndarray:
-    return u.matrix if isinstance(u, Propagator) else np.asarray(u)
-
-
 def qst_fidelity(u) -> float:
     """Average-fidelity metric of a 9x9 propagator against the swap target.
 
@@ -197,7 +189,7 @@ def qst_fidelity(u) -> float:
     F = [Tr(M M^dag) + |Tr(target^dag M)|^2] / (d (d + 1)) with d = 5.
     Leakage out of the subspace reduces the trace term.
     """
-    m = _as_matrix(u)
+    m = np.asarray(u)
     if m.shape != (9, 9):
         raise ValueError("expected a 9x9 two-qutrit propagator")
     block = np.abs(m[np.ix_(COMP_INDICES, COMP_INDICES)])
@@ -231,13 +223,10 @@ class TransferReport:
         )
 
 
-def measure_report(u: Propagator, g_max: float, t_qst: float) -> TransferReport:
-    a1 = u.amplitude("01", "10")
-    a2 = u.amplitude("02", "20")
-    leak = abs(u.amplitude("11", "20")) ** 2
-    return TransferReport(
-        g_max, t_qst, qst_fidelity(u), leak, float(np.angle(a1)), float(np.angle(a2))
-    )
+def measure_report(u: np.ndarray, g_max: float, t_qst: float) -> TransferReport:
+    phase_1, phase_2 = measure_compensation(u)
+    leak = abs(u[basis_index("11"), basis_index("20")]) ** 2
+    return TransferReport(g_max, t_qst, qst_fidelity(u), leak, phase_1, phase_2)
 
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> float:
@@ -324,13 +313,13 @@ def phase_gate(theta: float, phi: float) -> np.ndarray:
     return np.diag([1.0, np.exp(-1j * theta), np.exp(-1j * phi)])
 
 
-def measure_compensation(u: Propagator) -> tuple[float, float]:
+def measure_compensation(u: np.ndarray) -> tuple[float, float]:
     """Phases accumulated by one transfer step: args of the |10> -> |01> and
     |20> -> |02> amplitudes (the latter contains the eta*t_qst rotating-frame
     phase of the doubly excited level)."""
     return (
-        float(np.angle(u.amplitude("01", "10"))),
-        float(np.angle(u.amplitude("02", "20"))),
+        float(np.angle(u[basis_index("01"), basis_index("10")])),
+        float(np.angle(u[basis_index("02"), basis_index("20")])),
     )
 
 

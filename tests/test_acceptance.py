@@ -69,7 +69,7 @@ def error_curves(step):
 
 
 def test_criterion_1_analytic_parameters():
-    g, t = analytic_params(ETA, t_ramp=T_RAMP, m=3)
+    g, t = analytic_params(ETA, t_ramp=T_RAMP)
     ok = abs(g - 37.5) < 1e-12 and abs(t - 22.0) < 1e-12
     check(1, ok, f"analytic (g_max, t_qst) = ({g:.12f} MHz, {t:.12f} ns), want exactly (37.5, 22)")
 
@@ -183,7 +183,7 @@ def test_criterion_10_property_suites(u_analytic, step):
     failures = []
 
     worst_unitarity = max(
-        unitarity_defect(u_analytic[0].matrix), unitarity_defect(u_step.matrix)
+        unitarity_defect(u_analytic[0]), unitarity_defect(u_step)
     )
     if worst_unitarity >= 1e-9:
         failures.append(f"unitarity {worst_unitarity:.2e}")
@@ -197,7 +197,7 @@ def test_criterion_10_property_suites(u_analytic, step):
 
     n_loc = np.diag([0.0, 1.0, 2.0])
     sectors = np.diag(np.kron(n_loc, np.eye(3)) + np.kron(np.eye(3), n_loc)).round()
-    off = u_step.matrix[sectors[:, None] != sectors[None, :]]
+    off = u_step[sectors[:, None] != sectors[None, :]]
     block_defect = float(np.abs(off).max())
     if block_defect >= 1e-10:
         failures.append(f"sector block-diagonality {block_defect:.2e}")

@@ -13,7 +13,13 @@ from qutritchain.chain import (
     validate_front_vs_full,
 )
 from qutritchain.evolution import evolve, evolve_affine
-from qutritchain.model import MHZ_TO_RAD_NS, chain_hamiltonian, coupling_operator, embed
+from qutritchain.model import (
+    MHZ_TO_RAD_NS,
+    basis_index,
+    chain_hamiltonian,
+    coupling_operator,
+    embed,
+)
 from qutritchain.pulse import TrapezoidPulse
 from qutritchain.transfer import measure_compensation, phase_gate
 
@@ -50,7 +56,7 @@ def test_norm_never_increases(step):
 def _kron_step(front, u_step, comp):
     """step_transfer on the full 9-dim pair state: front x |0>, evolve,
     keep the sender-|0> amplitudes, compensate."""
-    out = u_step.matrix @ np.kron(front.amplitudes, np.array([1.0, 0.0, 0.0], dtype=complex))
+    out = u_step @ np.kron(front.amplitudes, np.array([1.0, 0.0, 0.0], dtype=complex))
     return FrontState(np.asarray(comp) @ out[:3])
 
 
@@ -88,7 +94,7 @@ def test_norm_deficit_equals_pair_leakage(step):
     # oracle: evolve the embedded pair state and measure what leaks out of
     # the (sender = |0>) subspace
     pair = np.kron(psi0, np.array([1.0, 0.0, 0.0], dtype=complex))
-    out = u_step.matrix @ pair
+    out = u_step @ pair
     deficit = 1.0 - float(np.vdot(out[:3], out[:3]).real)
     assert front.norm_deficit == pytest.approx(deficit, abs=1e-12)
 
@@ -117,8 +123,8 @@ def test_intrinsic_error_matches_closed_form(step):
     # the per-step front map is diagonal: amplitudes pick up the compensated
     # transfer factors, so the k-step error has a closed form
     _, u_step, comp = step
-    c1 = comp[1, 1] * u_step.amplitude("01", "10")
-    c2 = comp[2, 2] * u_step.amplitude("02", "20")
+    c1 = comp[1, 1] * u_step[basis_index("01"), basis_index("10")]
+    c2 = comp[2, 2] * u_step[basis_index("02"), basis_index("20")]
     ks = np.arange(1, 31)
     expected = 1.0 - np.abs((1.0 + c1**ks + c2**ks) / 3.0) ** 2
     curve = intrinsic_error_curve(30, u_step, comp)
@@ -150,7 +156,7 @@ def test_projector_on_passed_qutrit_commutes():
         g = pulse.value(ts) * MHZ_TO_RAD_NS
         return diag[None] + g[:, None, None] * w[None]
 
-    u = evolve(h, (0.0, T_OPT), 0.01).matrix
+    u = evolve(h, (0.0, T_OPT), 0.01)
     proj = embed(np.diag([1.0, 0.0, 0.0]).astype(complex), 0, 3)
     assert np.abs(proj @ u - u @ proj).max() < 1e-12
 
@@ -158,15 +164,12 @@ def test_projector_on_passed_qutrit_commutes():
 def test_schedule_pulses_abut():
     sched = ChainSchedule(TrapezoidPulse(G_OPT, T_OPT, 2.0), 3, (0.1, 0.2))
     assert sched.total_duration == pytest.approx(3 * T_OPT)
-    for k in range(3):
-        p = sched.pulse_for_step(k)
-        assert p.t_offset == pytest.approx(k * T_OPT)
-        assert p.t_end == pytest.approx((k + 1) * T_OPT)
     ts = np.linspace(0.0, sched.total_duration, 400)
     g = sched.coupling_values(ts)
     assert np.all((g > 0).sum(axis=0) <= 1)
-    with pytest.raises(IndexError):
-        sched.pulse_for_step(3)
+    for k in range(3):
+        on = ts[g[k] > 0]
+        assert k * T_OPT < on.min() and on.max() < (k + 1) * T_OPT
 
 
 @pytest.mark.parametrize("n_qutrits", [2, 4, 40])
@@ -176,7 +179,7 @@ def test_coupling_values_match_full_grid(n_qutrits, dt_out):
     n_out = int(round(sched.total_duration / dt_out))
     ts = np.linspace(0.0, sched.total_duration, n_out + 1)
     ts = np.sort(np.concatenate([ts, np.arange(n_qutrits) * T_OPT]))  # samples at k T
-    ref = np.stack([sched.pulse_for_step(k).value(ts) for k in range(sched.n_steps)])
+    ref = np.stack([sched.step_pulse.value(ts - k * T_OPT) for k in range(sched.n_steps)])
     assert np.array_equal(sched.coupling_values(ts), ref)
 
 
@@ -225,7 +228,7 @@ def test_full_chain_equals_per_edge_product(n):
     expected = np.eye(3**n, dtype=complex)
     for k in range(n - 1):
         w = coupling_operator(k, n)
-        r = evolve_affine(diag, w, g, pulse.ramp_window, dt).matrix
-        p = evolve_affine(diag, w, g, pulse.plateau_window, dt).matrix
+        r = evolve_affine(diag, w, g, pulse.ramp_window, dt)
+        p = evolve_affine(diag, w, g, pulse.plateau_window, dt)
         expected = embed(comp, k + 1, n) @ r.T @ p @ r @ expected
     assert np.abs(evolve_chain_full(schedule, n, ETA, dt=dt) - expected).max() < 1e-12

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from numpy import kron
 
+from qutritchain import evolution, transfer
 from qutritchain.evolution import (
-    Propagator,
     evolve,
     evolve_affine,
     expm_hermitian,
@@ -87,8 +87,7 @@ def test_expm_rejects_nonhermitian():
 
 def test_evolve_zero_hamiltonian_is_identity():
     u = evolve(lambda ts: np.zeros((len(ts), 2, 2)), (0.0, 22.0), 0.01)
-    assert np.allclose(u.matrix, np.eye(2), atol=1e-14)
-    assert u.t_start == 0.0 and u.t_end == 22.0
+    assert np.allclose(u, np.eye(2), atol=1e-14)
 
 
 def test_evolve_sigma_x_half_pi_swaps():
@@ -96,8 +95,8 @@ def test_evolve_sigma_x_half_pi_swaps():
     g = np.pi / 2 / 10.0
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
     u = evolve(lambda ts: np.broadcast_to(g * sx, (len(ts), 2, 2)), (0.0, 10.0), 0.001)
-    assert abs(abs(u.matrix[0, 1]) - 1.0) < 1e-10
-    assert abs(u.matrix[0, 0]) < 1e-10
+    assert abs(abs(u[0, 1]) - 1.0) < 1e-10
+    assert abs(u[0, 0]) < 1e-10
 
 
 def test_evolve_time_dependent_unitarity():
@@ -109,7 +108,7 @@ def test_evolve_time_dependent_unitarity():
         return np.cos(0.3 * ts)[:, None, None] * h0[None]
 
     u = evolve(h, (0.0, 15.0), 0.005)
-    assert unitarity_defect(u.matrix) < 1e-9
+    assert unitarity_defect(u) < 1e-9
 
 
 @pytest.mark.parametrize(
@@ -123,9 +122,10 @@ def test_evolve_time_dependent_unitarity():
     ],
 )
 def test_evolve_rejects_h_of_t_without_stack(h_of_t):
-    # 20 steps: without a basis, the first 16 fix the size and the rest must match it
+    # 30000 steps: the first chunk, sized for a 9-dim pair (about 25000
+    # steps), fixes the size and the rest must match it
     with pytest.raises(ValueError, match=r"\(k, d, d\) stack"):
-        evolve(h_of_t, (0.0, 2.0), 0.1)
+        evolve(h_of_t, (0.0, 3.0), 1e-4)
 
 
 def test_evolve_rejects_nonhermitian_h_of_t():
@@ -148,7 +148,7 @@ def test_evolve_affine_matches_generic():
     u_fast = evolve_affine(
         d, w, lambda ts: pulse.value(ts) * MHZ_TO_RAD_NS, (0.0, 8.0), 0.005
     )
-    assert np.allclose(u_ref.matrix, u_fast.matrix, atol=1e-13)
+    assert np.allclose(u_ref, u_fast, atol=1e-13)
 
 
 def test_run_folds_match_step_by_step_product():
@@ -169,8 +169,8 @@ def test_run_folds_match_step_by_step_product():
         u_ref = expm_hermitian(h(np.array([(k + 0.5) * dt]))[0], dt) @ u_ref
     u_generic = evolve(h, t_span, dt)
     u_affine = evolve_affine(d, w, c, t_span, dt)
-    assert np.abs(u_generic.matrix - u_ref).max() < 1e-12
-    assert np.abs(u_affine.matrix - u_ref).max() < 1e-12
+    assert np.abs(u_generic - u_ref).max() < 1e-12
+    assert np.abs(u_affine - u_ref).max() < 1e-12
 
 
 def test_evolve_affine_rejects_nonhermitian_parts():
@@ -190,7 +190,7 @@ def test_evolve_affine_broadcasts_a_constant_scale(constant, explicit):
     d = np.diag([0.0, 0.3, -0.9]).astype(complex)
     u_const = evolve_affine(d, x_op(), constant, (0.0, 2.0), 0.01)
     u_explicit = evolve_affine(d, x_op(), explicit, (0.0, 2.0), 0.01)
-    assert np.array_equal(u_const.matrix, u_explicit.matrix)
+    assert np.array_equal(u_const, u_explicit)
 
 
 @pytest.mark.parametrize(
@@ -215,12 +215,15 @@ def test_evolve_dt_halving_table1_fidelity():
     assert abs(f_coarse - f_fine) < 1e-8
 
 
-def test_propagator_validates_unitarity():
+def test_propagator_validates_unitarity(monkeypatch):
+    def doubled(hs, dt):
+        return np.broadcast_to(2.0 * np.eye(hs.shape[-1], dtype=complex), hs.shape)
+
+    monkeypatch.setattr(evolution, "_batch_step_unitaries", doubled)
     with pytest.raises(ValueError, match="not unitary"):
-        Propagator(np.eye(2) * 2.0, ("0", "1"), 0.0, 1.0)
-
-
-def test_propagator_amplitude_lookup():
-    u = Propagator(np.eye(3, dtype=complex), ("a", "b", "c"), 0.0, 0.0)
-    assert u.amplitude("b", "b") == 1.0
-    assert u.amplitude("a", "b") == 0.0
+        evolve(lambda ts: np.zeros((len(ts), 2, 2)), (0.0, 1.0), 0.1)
+    with pytest.raises(ValueError, match="not unitary"):
+        evolve_affine(np.eye(2), np.eye(2), lambda ts: np.zeros_like(ts), (0.0, 1.0), 0.1)
+    monkeypatch.setattr(transfer, "_pair_window", lambda *args: 2.0 * np.eye(9))
+    with pytest.raises(ValueError, match="not unitary"):
+        evolve_transfer(TrapezoidPulse(30.0, 10.0, 2.0), 200.0, dt=0.01)

@@ -54,7 +54,7 @@ def test_pair_window_matches_dense_evolve_affine(eta, g, dt, t_ramp, cuts):
     off_sector = n_tot[:, None] != n_tot[None, :]
     for span, step in ((pulse.ramp_window, dt), ((m0 * dt_ramp, m1 * dt_ramp), dt_ramp)):
         r = _pair_window(pulse, eta, span, step)
-        dense = evolve_affine(d, w, coupling(pulse), span, step).matrix
+        dense = evolve_affine(d, w, coupling(pulse), span, step)
         assert np.abs(r - dense).max() < 1e-12
         assert unitarity_defect(r) < ROUNDOFF
         assert not r[off_sector].any()
@@ -71,7 +71,7 @@ def test_on_grid_matches_whole_window(eta, g, dt, n_ramp, n_plateau):
     d, w = pair_parts(eta)
     whole = evolve_affine(d, w, coupling(pulse), (0.0, pulse.t_total), dt)
     u = evolve_transfer(pulse, eta, dt)
-    assert np.abs(u.matrix - whole.matrix).max() < 1e-12
+    assert np.abs(u - whole).max() < 1e-12
 
 
 @PROPS
@@ -79,18 +79,18 @@ def test_on_grid_matches_whole_window(eta, g, dt, n_ramp, n_plateau):
 def test_down_ramp_is_up_ramp_transposed(eta, g, dt, t_ramp, t_plateau):
     pulse = TrapezoidPulse(g, 2 * t_ramp + t_plateau, t_ramp)
     d, w = pair_parts(eta)
-    up = evolve_affine(d, w, coupling(pulse), pulse.ramp_window, dt).matrix
+    up = evolve_affine(d, w, coupling(pulse), pulse.ramp_window, dt)
     # the down ramp on R's grid of round(t_ramp / dt) steps
     down_span = (pulse.t_total - t_ramp, pulse.t_total)
     n_ramp = max(1, round(t_ramp / dt))
-    down = evolve_affine(d, w, coupling(pulse), down_span, t_ramp / n_ramp).matrix
+    down = evolve_affine(d, w, coupling(pulse), down_span, t_ramp / n_ramp)
     assert np.abs(up.T - down).max() < 1e-12
 
 
 @PROPS
 @given(eta=etas, g=amps, dt=dts, t_ramp=st.floats(0.0, 3.0), t_plateau=st.floats(0.0, 20.0))
 def test_unitary_and_excitation_conserving(eta, g, dt, t_ramp, t_plateau):
-    u = evolve_transfer(TrapezoidPulse(g, 2 * t_ramp + t_plateau, t_ramp), eta, dt).matrix
+    u = evolve_transfer(TrapezoidPulse(g, 2 * t_ramp + t_plateau, t_ramp), eta, dt)
     assert unitarity_defect(u) < ROUNDOFF
     n_tot = np.diag(np.kron(number_op(), np.eye(3)) + np.kron(np.eye(3), number_op())).real
     off_sector = n_tot[:, None] != n_tot[None, :]
@@ -110,8 +110,8 @@ def test_off_grid_converges_to_fine_generic_evolution(eta, g, t_ramp, t_plateau)
     def h(ts):
         return d[None] + (pulse.value(ts) * MHZ_TO_RAD_NS)[:, None, None] * w[None]
 
-    ref = evolve(h, (0.0, pulse.t_total), dt / 8).matrix
-    u = evolve_transfer(pulse, eta, dt).matrix
-    u_half = evolve_transfer(pulse, eta, dt / 2).matrix
+    ref = evolve(h, (0.0, pulse.t_total), dt / 8)
+    u = evolve_transfer(pulse, eta, dt)
+    u_half = evolve_transfer(pulse, eta, dt / 2)
     shift = np.abs(u - u_half).max()
     assert np.abs(u - ref).max() <= 2.0 * shift + ROUNDOFF

@@ -98,7 +98,7 @@ def test_choi_positive_semidefinite():
 def test_completeness_guard():
     bad = (np.eye(3, dtype=complex) * 0.9,)
     with pytest.raises(ValueError, match="trace preserving"):
-        QutritChannel(bad, 1.0, 60.0, 60.0)
+        QutritChannel(bad)
 
 
 def test_semigroup_property():
