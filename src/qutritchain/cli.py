@@ -76,7 +76,14 @@ class ExperimentConfig:
         if self.n_steps < 1:
             raise ValueError("n_steps must be at least 1")
         _check_samples("n_steps", self.n_steps)
-        _check_samples("the pulse grid t_qst / dt", self.pulse_duration() / self.dt)
+        t_qst = self.pulse_duration()
+        if t_qst < 2.0 * self.t_ramp:
+            raise ValueError(
+                f"t_ramp = {self.t_ramp} ns leaves the analytic pulse no plateau: "
+                f"t_ramp must be at most 8 pi / eta_angular = 4000 / eta = "
+                f"{4000.0 / self.eta:.6g} ns"
+            )
+        _check_samples("the pulse grid t_qst / dt", t_qst / self.dt)
 
     def pulse_duration(self) -> float:
         """Analytic t_qst in ns, the length of one transfer pulse."""
@@ -367,6 +374,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg = resolve_config(args)
         if args.command == "schedule" and args.n_qutrits < 2:
             raise ValueError("schedule needs at least 2 qutrits")
+        if args.command == "errors" and cfg.n_steps < 3:
+            raise ValueError("errors needs n_steps >= 3 for its power-law fits")
         if args.command == "populations":
             _check_output_grid(cfg, args.dt_out_ns, 1, 3)  # t, p01, p02
         if args.command == "schedule":

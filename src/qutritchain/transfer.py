@@ -18,7 +18,6 @@ import numpy as np
 
 from .evolution import (
     _batch_step_unitaries,
-    _fold,
     _midpoints,
     _n_steps,
     _unitary,
@@ -35,6 +34,11 @@ from .pulse import TrapezoidPulse
 
 COMP_LABELS = ("00", "01", "10", "02", "20")
 COMP_INDICES = tuple(basis_index(s) for s in COMP_LABELS)
+_COMP_GRID = np.ix_(COMP_INDICES, COMP_INDICES)
+# basis indices of the pair states the closed forms address
+_I01, _I02, _I10, _I11, _I12, _I20, _I21, _I22 = (
+    basis_index(s) for s in ("01", "02", "10", "11", "12", "20", "21", "22")
+)
 
 # Swap target on the computational subspace, rows/cols ordered as COMP_LABELS.
 U_TARGET = np.array(
@@ -58,6 +62,23 @@ def _pair_parts(eta: float) -> tuple[np.ndarray, np.ndarray]:
     return d, coupling_operator(0, 2)
 
 
+def _su2_fold(a: np.ndarray, b: np.ndarray) -> tuple[complex, complex]:
+    """Time-ordered product of the SU(2) steps [[a_k, b_k], [-conj(b_k),
+    conj(a_k)]], later step on the left, as the first row (a, b) of the
+    product, which is again of that form.  The steps are padded with
+    identities (1, 0) to a power of two, then each level multiplies
+    neighbouring pairs, (a1, b1)(a0, b0) = (a1 a0 - b1 conj(b0),
+    a1 b0 + b1 conj(a0)), in the same tree as evolution._fold."""
+    n = 1 << (len(a) - 1).bit_length()
+    pa, pb = np.ones(n, dtype=complex), np.zeros(n, dtype=complex)
+    pa[: len(a)], pb[: len(b)] = a, b
+    a, b = pa, pb
+    while len(a) > 1:
+        a0, a1, b0, b1 = a[0::2], a[1::2], b[0::2], b[1::2]
+        a, b = a1 * a0 - b1 * b0.conj(), a1 * b0 + b1 * a0.conj()
+    return a[0], b[0]
+
+
 def _pair_window(pulse: TrapezoidPulse, eta: float, span, dt: float) -> np.ndarray:
     """9x9 propagator of the resonant pair under pulse over the window span,
     on evolve_affine's midpoint grid, in closed form by excitation sector.
@@ -68,7 +89,9 @@ def _pair_window(pulse: TrapezoidPulse, eta: float, span, dt: float) -> np.ndarr
     {s,11}: [[-e, 2g], [2g, 0]].  The sx blocks commute from step to step,
     so their product is exp(-i A sx) with A = sum g_k dt (2A for {12,21}).
     Only {s,11} is time ordered: each step is exp(i e dt/2) exp(-i K dt) with
-    K = [[-e/2, 2g], [2g, e/2]], K^2 = (e^2/4 + 4g^2) I, folded by _fold.
+    K = [[-e/2, 2g], [2g, e/2]], K^2 = (e^2/4 + 4g^2) I, so exp(-i K dt) is
+    the SU(2) element with a = cos(w dt) + i (e/2) sin(w dt)/w and
+    b = -2i g sin(w dt)/w (w^2 = e^2/4 + 4g^2), folded by _su2_fold.
     """
     mids, dt_eff = _midpoints(span, dt)
     r = np.eye(9, dtype=complex)
@@ -81,26 +104,21 @@ def _pair_window(pulse: TrapezoidPulse, eta: float, span, dt: float) -> np.ndarr
 
     omega = np.hypot(0.5 * e, b)
     c, s = np.cos(omega * dt_eff), np.sin(omega * dt_eff) / omega
-    steps = np.empty((len(mids), 2, 2), dtype=complex)
-    steps[:, 0, 0] = c + 0.5j * e * s
-    steps[:, 1, 1] = c - 0.5j * e * s
-    steps[:, 0, 1] = steps[:, 1, 0] = -1j * b * s
-    m = np.exp(0.5j * e * t) * _fold(steps)
+    p, q = _su2_fold(c + 0.5j * e * s, -1j * b * s)
+    half = np.exp(0.5j * e * t)
+    m00, m01, m10, m11 = half * p, half * q, -half * np.conj(q), half * np.conj(p)
 
-    i01, i02, i10, i11, i12, i20, i21, i22 = (
-        basis_index(x) for x in ("01", "02", "10", "11", "12", "20", "21", "22")
-    )
-    r[i01, i01] = r[i10, i10] = np.cos(a)
-    r[i01, i10] = r[i10, i01] = -1j * np.sin(a)
+    r[_I01, _I01] = r[_I10, _I10] = np.cos(a)
+    r[_I01, _I10] = r[_I10, _I01] = -1j * np.sin(a)
     ph = np.exp(1j * e * t)
-    r[i12, i12] = r[i21, i21] = ph * np.cos(2.0 * a)
-    r[i12, i21] = r[i21, i12] = -1j * ph * np.sin(2.0 * a)
-    r[i22, i22] = ph * ph
-    r[i02, i02] = r[i20, i20] = 0.5 * (m[0, 0] + ph)
-    r[i02, i20] = r[i20, i02] = 0.5 * (m[0, 0] - ph)
-    r[i02, i11] = r[i20, i11] = m[0, 1] / np.sqrt(2.0)
-    r[i11, i02] = r[i11, i20] = m[1, 0] / np.sqrt(2.0)
-    r[i11, i11] = m[1, 1]
+    r[_I12, _I12] = r[_I21, _I21] = ph * np.cos(2.0 * a)
+    r[_I12, _I21] = r[_I21, _I12] = -1j * ph * np.sin(2.0 * a)
+    r[_I22, _I22] = ph * ph
+    r[_I02, _I02] = r[_I20, _I20] = 0.5 * (m00 + ph)
+    r[_I02, _I20] = r[_I20, _I02] = 0.5 * (m00 - ph)
+    r[_I02, _I11] = r[_I20, _I11] = m01 / np.sqrt(2.0)
+    r[_I11, _I02] = r[_I11, _I20] = m10 / np.sqrt(2.0)
+    r[_I11, _I11] = m11
     return r
 
 
@@ -158,8 +176,7 @@ def population_series(
     us = np.array([*prefixes, *plateau, *(np.conj(q) @ u for q in prefixes[::-1])])
     m = np.array(edges[:-1], dtype=float)
     ts = np.concatenate([m * dt_ramp, t_ramp + offsets, g_pulse.t_total - m[::-1] * dt_ramp])
-    i01, i10, i02, i20 = (basis_index(s) for s in ("01", "10", "02", "20"))
-    return ts, np.abs(us[:, i01, i10]) ** 2, np.abs(us[:, i02, i20]) ** 2
+    return ts, np.abs(us[:, _I01, _I10]) ** 2, np.abs(us[:, _I02, _I20]) ** 2
 
 
 def count_transfer_peaks(populations: np.ndarray, height: float = 0.99) -> int:
@@ -192,7 +209,7 @@ def qst_fidelity(u) -> float:
     m = np.asarray(u)
     if m.shape != (9, 9):
         raise ValueError("expected a 9x9 two-qutrit propagator")
-    block = np.abs(m[np.ix_(COMP_INDICES, COMP_INDICES)])
+    block = np.abs(m[_COMP_GRID])
     d = len(COMP_INDICES)
     tr1 = float(np.trace(block @ block.T))
     tr2 = abs(np.trace(U_TARGET.conj().T @ block)) ** 2
@@ -225,7 +242,7 @@ class TransferReport:
 
 def measure_report(u: np.ndarray, g_max: float, t_qst: float) -> TransferReport:
     phase_1, phase_2 = measure_compensation(u)
-    leak = abs(u[basis_index("11"), basis_index("20")]) ** 2
+    leak = abs(u[_I11, _I20]) ** 2
     return TransferReport(g_max, t_qst, qst_fidelity(u), leak, phase_1, phase_2)
 
 
@@ -266,7 +283,9 @@ def optimize_pulse(
     closed-form up ramp R (_pair_window) memoized per g_max for this call:
     the ramp does not depend on t_qst, so a t_qst line search costs one
     plateau exponential (one 9x9 eigendecomposition, with no midpoint grid)
-    per point.
+    per point.  A g_max point also builds its ramp, whose only time-ordered
+    part is one SU(2) fold of two complex arrays (_su2_fold), about half of
+    the ramp's ~0.2 ms at the 500 search steps of a 2 ns ramp.
     """
     g0, t0 = seed
     search_dt = 2.0 * dt
@@ -318,8 +337,8 @@ def measure_compensation(u: np.ndarray) -> tuple[float, float]:
     |20> -> |02> amplitudes (the latter contains the eta*t_qst rotating-frame
     phase of the doubly excited level)."""
     return (
-        float(np.angle(u[basis_index("01"), basis_index("10")])),
-        float(np.angle(u[basis_index("02"), basis_index("20")])),
+        float(np.angle(u[_I01, _I10])),
+        float(np.angle(u[_I02, _I20])),
     )
 
 

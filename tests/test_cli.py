@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import _oracles
+from test_golden import GOLDEN, validate_lines
 from qutritchain.chain import ChainSchedule
 from qutritchain.cli import CSV_BLOCK_ROWS, main, write_csv
 from qutritchain.noise import decoherence_error_curve
@@ -107,6 +108,10 @@ def test_validate_ok(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert "front-vs-full n=4" in out
+    # the golden config's lines: the same 7 check names, each PASS; their
+    # values are oracle roundoff and are not compared
+    golden = (GOLDEN / "validate.txt").read_text()
+    assert validate_lines(out) == validate_lines(golden)
 
 
 def test_validate_coarse_dt_fails(tmp_path, capsys):
@@ -224,6 +229,38 @@ def test_oversized_grid_is_config_error_before_optimizing(tmp_path, monkeypatch,
     assert run([*args, "--out", tmp_path]) == 2
     assert "bound" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("n_steps", [1, 2])
+def test_errors_with_too_few_steps_is_config_error_before_optimizing(
+    tmp_path, monkeypatch, capsys, n_steps
+):
+    # the power-law fits need 3 points; refuse before the optimizer runs
+    monkeypatch.setattr("qutritchain.cli._optimize", _no_optimize)
+    assert run(["errors", "--n-steps", n_steps, "--out", tmp_path, *FAST]) == 2
+    assert "invalid config" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["table1", "--analytic-only", "--t-ramp-ns", 50],
+        ["table1", "--analytic-only", "--eta-mhz", 1e300],
+        ["validate", "--t-ramp-ns", 20.5],
+    ],
+)
+def test_ramp_longer_than_analytic_plateau_bound_is_config_error(tmp_path, capsys, args):
+    # t_qst = t_ramp + 8 pi / eta_angular >= 2 t_ramp needs t_ramp <= 4000 / eta ns
+    assert run([*args, "--out", tmp_path, *FAST]) == 2
+    err = capsys.readouterr().err
+    assert "invalid config" in err and "t_ramp" in err and "4000 / eta" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_ramp_just_inside_analytic_plateau_bound_runs(tmp_path):
+    assert run(["table1", "--analytic-only", "--t-ramp-ns", 19.9, "--out", tmp_path, *FAST]) == 0
+    assert (tmp_path / "table1.json").exists()
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

@@ -1,11 +1,13 @@
 """Property tests of the factorized trapezoid propagator U = R^T P R that
-evolve_transfer builds (up ramp R, exact plateau P, down ramp R^T), and of
-the closed-form pair window it builds R from."""
+evolve_transfer builds (up ramp R, exact plateau P, down ramp R^T), of
+the closed-form pair window it builds R from, and of that window's SU(2)
+fold."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qutritchain.evolution import _n_steps, evolve, evolve_affine, unitarity_defect
+from qutritchain.evolution import _fold, _n_steps, evolve, evolve_affine, unitarity_defect
 from qutritchain.model import (
     MHZ_TO_RAD_NS,
     chain_hamiltonian,
@@ -13,7 +15,7 @@ from qutritchain.model import (
     number_op,
 )
 from qutritchain.pulse import TrapezoidPulse
-from qutritchain.transfer import _pair_parts, _pair_window, evolve_transfer
+from qutritchain.transfer import _pair_parts, _pair_window, _su2_fold, evolve_transfer
 
 PROPS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 # roundoff of a product of ~10^3 to 10^4 unitary 9x9 steps in float64
@@ -30,6 +32,23 @@ def pair_parts(eta):
 
 def coupling(pulse):
     return lambda ts: pulse.value(ts) * MHZ_TO_RAD_NS
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1000, 1025])
+def test_su2_fold_matches_matrix_fold(n):
+    # random SU(2) steps [[a, b], [-conj(b), conj(a)]]: the pairwise product
+    # of (a, b) equals the generic fold of the 2x2 matrices, whose result
+    # keeps the same form
+    x = np.random.default_rng(n).normal(size=(n, 4))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    a, b = x[:, 0] + 1j * x[:, 1], x[:, 2] + 1j * x[:, 3]
+    steps = np.stack([np.stack([a, b], -1), np.stack([-b.conj(), a.conj()], -1)], -2)
+    p, q = _su2_fold(a, b)
+    m = np.array([[p, q], [-np.conj(q), np.conj(p)]])
+    assert np.abs(m - _fold(steps)).max() < 1e-14
+    assert abs(abs(p) ** 2 + abs(q) ** 2 - 1.0) < 1e-14
+    if n == 1:
+        assert (p, q) == (a[0], b[0])
 
 
 @PROPS
