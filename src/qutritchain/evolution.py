@@ -12,7 +12,12 @@ import numpy as np
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-9
-CHUNK_BYTES = 32_000_000  # step or run unitaries evolve/evolve_affine build at once
+# complex (d, d) matrices evolve or evolve_affine hold per batch of steps or
+# runs; 2 MB is 19 runs at d = 81 and keeps a batch's working set in cache
+CHUNK_BYTES = 2_000_000
+# runs evolve_affine multiplies out one by one before its pairwise fold; a
+# batch holds at least one lane
+LANE = 16
 
 
 def hermiticity_defect(h: np.ndarray) -> float:
@@ -69,6 +74,25 @@ def _fold(us: np.ndarray) -> np.ndarray:
     return us[0]
 
 
+def _lane_products(links: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """The factors Phi_k L_k of a run product, for a (k, d, d) stack of links
+    L_k and (k, d, 1) phases, with each full lane of LANE consecutive runs
+    multiplied out one by one, the later run on the left; the runs after
+    the last full lane stay single.  Returned in time order for _fold.  A
+    real link times a complex product is one real matmul on the product's
+    (d, 2d) float view, about half the work of a complex matmul."""
+    n = len(links) - len(links) % LANE
+    if not n:
+        return links * phases
+    real = np.isrealobj(links)
+    p = links[0:n:LANE] * phases[0:n:LANE]
+    for j in range(1, LANE):
+        lj = links[j:n:LANE]
+        p = np.matmul(lj, p.view(float)).view(complex) if real else np.matmul(lj, p)
+        p *= phases[j:n:LANE]
+    return np.concatenate((p, links[n:] * phases[n:]))
+
+
 def _runs(new_run: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Start index and length of each run, given a flag per step that is True
     where the step differs from the one before (the first step included)."""
@@ -95,8 +119,9 @@ def _midpoints(t_span: tuple[float, float], dt: float) -> tuple[np.ndarray, floa
 
 
 def _chunk(dim: int) -> int:
-    """Steps or runs per batch: CHUNK_BYTES of dim x dim unitaries, at least 16."""
-    return max(16, CHUNK_BYTES // (dim * dim * 16))
+    """Steps or runs per batch: CHUNK_BYTES of complex dim x dim matrices, at
+    least LANE."""
+    return max(LANE, CHUNK_BYTES // (dim * dim * 16))
 
 
 def _per_time(values, ts: np.ndarray, name: str) -> np.ndarray:
@@ -121,10 +146,16 @@ def evolve_affine(
     """Evolution under h(t) = d + c(t) w with Hermitian d, w and real c(t).
 
     Same midpoint integrator as evolve(), but each run of equal sampled c
-    values is one exponential exp(-i h dt * run) from one eigendecomposition;
-    a pulse plateau then costs one eigendecomposition and is exact.  Runs
-    are found, exponentiated and folded in batches of at most
-    CHUNK_BYTES of run unitaries, with no loop over steps.
+    values is one exponential exp(-i h dt * run) from one eigendecomposition
+    h = V diag(lam) V^H; a pulse plateau then costs one eigendecomposition
+    and is exact.  The run unitaries are never built: with Phi_k =
+    exp(-i lam_k dt * run_k), the product is taken in the eigenbases,
+    U = V_K Phi_K (V_K^H V_{K-1}) Phi_{K-1} ... (V_1^H V_0) Phi_0 V_0^H,
+    where each link V_k^H V_{k-1} is a real matmul for real d and w.  Runs
+    are decomposed in batches of CHUNK_BYTES of matrices, with no loop over
+    steps; a batch's factors are multiplied out in lanes of LANE runs (see
+    _lane_products) and the lanes folded pairwise.  A window of one run is
+    V_0 Phi_0 V_0^H, one product.
     scale_of_t must accept an array of times and return one value per
     time; a 0-d return, as from lambda t: 0.0, is broadcast to every time.
 
@@ -141,20 +172,29 @@ def evolve_affine(
             raise ValueError(f"{name} is not Hermitian: max asymmetry {defect:.3e}")
     mids, dt_eff = _midpoints(t_span, dt)
     dim = d.shape[0]
-    u = np.eye(dim, dtype=complex)
     if not len(mids):
-        return u
+        return np.eye(dim, dtype=complex)
     c = _per_time(scale_of_t(mids), mids, "scale_of_t")
 
     real = np.abs(d.imag).max(initial=0.0) == 0.0 and np.abs(w.imag).max(initial=0.0) == 0.0
     d, w = (d.real, w.real) if real else (d, w)
     starts, lengths = _runs(np.append(True, c[1:] != c[:-1]))
     chunk = _chunk(dim)
+    u = v_last = None  # u: the product so far, in the eigenbasis of its last run
     for lo in range(0, len(starts), chunk):
         cs = c[starts[lo : lo + chunk]]
-        hs = d[None, :, :] + cs[:, None, None] * w[None, :, :]
-        u = _fold(_batch_step_unitaries(hs, dt_eff * lengths[lo : lo + chunk])) @ u
-    return _unitary(u)
+        lam, v = np.linalg.eigh(d[None, :, :] + cs[:, None, None] * w[None, :, :])
+        vh = v.conj().transpose(0, 2, 1)
+        # link k takes run k - 1's eigenbasis to run k's, a real matmul for
+        # real d and w; the window's first link is V_0^H
+        links = np.empty_like(v)
+        links[0] = vh[0] if v_last is None else vh[0] @ v_last
+        np.matmul(vh[1:], v[:-1], out=links[1:])
+        phases = np.exp(-1j * lam * (dt_eff * lengths[lo : lo + chunk])[:, None])[:, :, None]
+        folded = _fold(_lane_products(links, phases))
+        u = folded if u is None else folded @ u
+        v_last = v[-1]
+    return _unitary(v_last @ u)
 
 
 def _sampled(h_of_t, ts: np.ndarray, dim: int | None = None) -> np.ndarray:
@@ -184,8 +224,7 @@ def evolve(h_of_t, t_span: tuple[float, float], dt: float) -> np.ndarray:
         dim = _sampled(h_of_t, np.array([t_span[0]])).shape[-1]
         return np.eye(dim, dtype=complex)
     # h's size is known only once it is sampled: the first chunk is sized
-    # for the 9-dim pair (rwa_residual's grid in one call), later ones for
-    # the size the first returned
+    # for a 9-dim h (the qutrit pair), later ones for the size it returned
     dim = 9
     u = None
     lo = 0

@@ -53,6 +53,30 @@ def write_csv(path: str, header: list[str], rows) -> None:
         f.write("\n".join(lines) + "\n")
 
 
+def rwa_residual_generic(
+    eta: float,
+    g_of_t,
+    t_span: tuple[float, float],
+    omega: float,
+    dt: float = 0.001,
+) -> float:
+    """The RWA residual in rwa_residual's frame, with the exact side on the
+    generic step-by-step evolve instead of evolve_affine."""
+    n_total = np.add.outer(np.arange(3), np.arange(3)).ravel()
+    d_lab = chain_hamiltonian(eta, [0.0]) - np.diag(omega * MHZ_TO_RAD_NS * n_total)
+    xx = np.kron(x_op(), x_op())
+
+    def g_values(ts):
+        return _per_time(g_of_t(ts), ts, "g_of_t") * MHZ_TO_RAD_NS
+
+    def h_exact(ts):
+        return d_lab[None, :, :] + g_values(ts)[:, None, None] * xx[None, :, :]
+
+    u_exact = evolve(h_exact, t_span, dt)
+    u_rwa = evolve_affine(d_lab, coupling_operator(0, 2), g_values, t_span, dt)
+    return float(np.linalg.norm(u_exact - u_rwa, ord=2))
+
+
 def rwa_residual_rotating(
     eta: float,
     g_of_t,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy import kron
@@ -9,7 +11,7 @@ from qutritchain.evolution import (
     expm_hermitian,
     unitarity_defect,
 )
-from qutritchain.model import MHZ_TO_RAD_NS, x_op
+from qutritchain.model import MHZ_TO_RAD_NS, chain_hamiltonian, coupling_operator, x_op
 from qutritchain.pulse import TrapezoidPulse
 from qutritchain.transfer import evolve_transfer, qst_fidelity
 
@@ -118,14 +120,16 @@ def test_evolve_time_dependent_unitarity():
         lambda ts: np.zeros((1, 2, 2)),  # one matrix for every time
         lambda ts: np.zeros((len(ts), 2, 3)),  # not square
         lambda ts: np.zeros(len(ts)),  # scalars
-        lambda ts: np.zeros((len(ts),) + (2 + (ts[0] > 1.0),) * 2),  # size changes along t
+        lambda ts: np.zeros((len(ts),) + (2 + (ts[0] > 1e-4),) * 2),  # size changes along t
     ],
 )
 def test_evolve_rejects_h_of_t_without_stack(h_of_t):
-    # 30000 steps: the first chunk, sized for a 9-dim pair (about 25000
-    # steps), fixes the size and the rest must match it
+    # one step more than the first chunk, which is sized for a 9-dim h: the
+    # first chunk fixes the size and the second, starting after t = 1e-4,
+    # must match it
+    n = evolution._chunk(9) + 1
     with pytest.raises(ValueError, match=r"\(k, d, d\) stack"):
-        evolve(h_of_t, (0.0, 3.0), 1e-4)
+        evolve(h_of_t, (0.0, n * 1e-4), 1e-4)
 
 
 def test_evolve_rejects_nonhermitian_h_of_t():
@@ -219,11 +223,67 @@ def test_propagator_validates_unitarity(monkeypatch):
     def doubled(hs, dt):
         return np.broadcast_to(2.0 * np.eye(hs.shape[-1], dtype=complex), hs.shape)
 
-    monkeypatch.setattr(evolution, "_batch_step_unitaries", doubled)
-    with pytest.raises(ValueError, match="not unitary"):
-        evolve(lambda ts: np.zeros((len(ts), 2, 2)), (0.0, 1.0), 0.1)
-    with pytest.raises(ValueError, match="not unitary"):
-        evolve_affine(np.eye(2), np.eye(2), lambda ts: np.zeros_like(ts), (0.0, 1.0), 0.1)
+    with monkeypatch.context() as m:
+        m.setattr(evolution, "_batch_step_unitaries", doubled)
+        with pytest.raises(ValueError, match="not unitary"):
+            evolve(lambda ts: np.zeros((len(ts), 2, 2)), (0.0, 1.0), 0.1)
+    # evolve_affine folds in the eigenbases of its runs: stretch their
+    # eigenvectors, for a window of one run and one of ten
+    eigh = np.linalg.eigh
+
+    def stretched(hs):
+        lam, v = eigh(hs)
+        return lam, 2.0 * v
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigh", stretched)
+        for scale_of_t in (lambda ts: np.zeros_like(ts), lambda ts: ts):
+            with pytest.raises(ValueError, match="not unitary"):
+                evolve_affine(np.eye(2), np.diag([1.0, -1.0]), scale_of_t, (0.0, 1.0), 0.1)
     monkeypatch.setattr(transfer, "_pair_window", lambda *args: 2.0 * np.eye(9))
     with pytest.raises(ValueError, match="not unitary"):
         evolve_transfer(TrapezoidPulse(30.0, 10.0, 2.0), 200.0, dt=0.01)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("window", ["one run", "four runs", "a lane and four runs", "three chunks"])
+def test_evolve_affine_matches_step_unitary_product(monkeypatch, kind, window):
+    # reference: one step unitary exp(-i h dt) per midpoint step, folded as a
+    # stack; evolve_affine chains runs through their eigenbases instead, and
+    # multiplies full lanes of runs out one by one before its fold
+    dim, dt = 6, 0.05
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(2, dim, dim))
+    if kind == "complex":
+        a = a + 1j * rng.normal(size=(2, dim, dim))
+    d, w = (a + a.conj().transpose(0, 2, 1)) / 2
+    if window == "one run":
+        n, c = 10, lambda ts: np.full(len(ts), 0.7)
+    elif window == "four runs":
+        n, c = 20, lambda ts: np.floor(4.0 * ts)
+    elif window == "a lane and four runs":
+        n, c = evolution.LANE + 4, lambda ts: np.sin(2.0 * ts)
+    else:
+        monkeypatch.setattr(evolution, "CHUNK_BYTES", 1)  # LANE runs per chunk
+        n, c = 3 * evolution._chunk(dim) + 5, lambda ts: np.sin(2.0 * ts)
+    mids, dt_eff = evolution._midpoints((0.0, n * dt), dt)
+    assert len(mids) == n
+    hs = d[None] + c(mids)[:, None, None] * w[None]
+    u_ref = evolution._fold(evolution._batch_step_unitaries(hs, dt_eff))
+    u = evolve_affine(d, w, c, (0.0, n * dt), dt)
+    assert np.abs(u - u_ref).max() < 1e-12
+
+
+def test_evolve_affine_memory_is_bounded_by_chunk():
+    # the n = 4 ramp of the full-chain oracle at 4 ps: 500 runs of 81x81.
+    # Folding a stack of run unitaries in 32 MB chunks peaked at 128 MB;
+    # chained through eigenbases in 2 MB chunks, at ~4.3 MB
+    pulse = TrapezoidPulse(37.5, 22.0, 2.0)
+    diag, w = chain_hamiltonian(200.0, [0.0] * 3), coupling_operator(0, 4)
+    tracemalloc.start()
+    try:
+        evolve_affine(diag, w, lambda ts: pulse.value(ts) * MHZ_TO_RAD_NS, pulse.ramp_window, 0.004)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * evolution.CHUNK_BYTES

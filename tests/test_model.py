@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from numpy import kron
 
-from _oracles import rwa_residual_rotating
-from qutritchain import evolution
+from _oracles import rwa_residual_generic, rwa_residual_rotating
 from qutritchain.evolution import evolve, hermiticity_defect
 from qutritchain.model import (
     MHZ_TO_RAD_NS,
@@ -204,16 +203,24 @@ def test_rwa_residual_dt_halving():
 def test_rwa_residual_plateau_is_one_eigendecomposition(monkeypatch):
     decomposed = []
 
-    def counted(hs, dt):
+    def counted(hs):
         decomposed.append(len(hs))
-        return batch_step_unitaries(hs, dt)
+        return eigh(hs)
 
-    batch_step_unitaries = evolution._batch_step_unitaries
-    monkeypatch.setattr(evolution, "_batch_step_unitaries", counted)
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", counted)
     pulse = TrapezoidPulse(37.5, 22.0, 2.0)
     rwa_residual(200.0, pulse.value, (0.0, 22.0), 4000.0, dt=0.002)
     # each side: 1000 steps per ramp plus at most two for the plateau
-    assert sum(decomposed) <= 2 * (2 * 1000 + 2)
+    assert 2 * 2 * 1000 <= sum(decomposed) <= 2 * (2 * 1000 + 2)
+
+
+@pytest.mark.parametrize("omega", [2000.0, 8000.0])
+def test_rwa_residual_matches_exact_side_on_evolve(omega):
+    pulse = TrapezoidPulse(37.5, 22.0, 2.0)
+    ref = rwa_residual_generic(200.0, pulse.value, (0.0, 3.0), omega, dt=0.002)
+    res = rwa_residual(200.0, pulse.value, (0.0, 3.0), omega, dt=0.002)
+    assert res == pytest.approx(ref, rel=1e-12)
 
 
 def test_rwa_residual_matches_per_sample_reference():
