@@ -5,7 +5,6 @@ decoherence modeling."""
 from .analysis import PowerLawFit, crossover, fit_power, free_exponent_fit
 from .chain import (
     ChainSchedule,
-    FrontState,
     intrinsic_error_curve,
     make_schedule,
     step_transfer,
@@ -46,7 +45,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ChainSchedule",
     "ConstraintSolution",
-    "FrontState",
     "PhaseCompensation",
     "PowerLawFit",
     "QutritChannel",

@@ -29,29 +29,6 @@ def uniform_state() -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FrontState:
-    """Unnormalized 3-amplitude state carried along the chain."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.amplitudes, dtype=complex)
-        if a.shape != (3,):
-            raise ValueError("front state needs exactly 3 amplitudes")
-        object.__setattr__(self, "amplitudes", a)
-        if self.norm_deficit < -1e-12:
-            raise ValueError("front state norm exceeds 1")
-
-    @property
-    def norm_deficit(self) -> float:
-        """1 - |amplitudes|^2: total probability left behind so far."""
-        return 1.0 - float(np.vdot(self.amplitudes, self.amplitudes).real)
-
-    def overlap(self, target: np.ndarray) -> complex:
-        return complex(np.vdot(target, self.amplitudes))
-
-
-@dataclass(frozen=True)
 class ChainSchedule:
     """One optimized step pulse repeated for every edge, abutting in time."""
 
@@ -84,15 +61,23 @@ class ChainSchedule:
         return g
 
 
-def step_transfer(front: FrontState, u_step: np.ndarray, comp: np.ndarray) -> FrontState:
-    """One adjacent-pair transfer: embed front x |0>, evolve, project the
-    sending qutrit onto |0> (unnormalized), compensate the receiver.
+def step_transfer(front: np.ndarray, u_step: np.ndarray, comp: np.ndarray) -> np.ndarray:
+    """One adjacent-pair transfer of the (3,) front: embed front x |0>,
+    evolve, project the sending qutrit onto |0> (unnormalized), compensate
+    the receiver.
 
     The embedded pair state |j0> is basis index 3j and the projection keeps
     indices 0..2, so the step is the 3x3 block u_step[:3, ::3] applied to
-    the front: one gather, no 9-dim state.
+    the front: one gather, no 9-dim state.  A front with norm above 1 (past
+    1e-12 of roundoff) is rejected; a unitary step and a projection cannot
+    raise the norm, so every front this returns passes the check again.
     """
-    return FrontState(np.asarray(comp) @ (u_step[:3, ::3] @ front.amplitudes))
+    front = np.asarray(front, dtype=complex)
+    if front.shape != (3,):
+        raise ValueError("front state needs exactly 3 amplitudes")
+    if 1.0 - np.vdot(front, front).real < -1e-12:
+        raise ValueError("front state norm exceeds 1")
+    return np.asarray(comp) @ (u_step[:3, ::3] @ front)
 
 
 def intrinsic_error_curve(
@@ -105,11 +90,11 @@ def intrinsic_error_curve(
     k = 1..n_steps identical transfer steps.  Returns an (n_steps, 2) array
     of (k, error)."""
     psi0 = uniform_state() if initial is None else np.asarray(initial, dtype=complex)
-    front = FrontState(psi0)
+    front = psi0
     out = np.empty((n_steps, 2))
     for k in range(1, n_steps + 1):
         front = step_transfer(front, u_step, comp)
-        out[k - 1] = (k, 1.0 - abs(front.overlap(psi0)) ** 2)
+        out[k - 1] = (k, 1.0 - abs(np.vdot(psi0, front)) ** 2)
     return out
 
 
@@ -186,10 +171,10 @@ def validate_front_vs_full(
     """
     schedule, u_step, comp = make_schedule(g_max, t_qst, t_ramp, eta, n - 1, dt=dt)
     psi0 = uniform_state()
-    front = FrontState(psi0)
+    front = psi0
     for _ in range(n - 1):
         front = step_transfer(front, u_step, comp)
-    front_overlap = abs(front.overlap(psi0))
+    front_overlap = abs(np.vdot(psi0, front))
 
     u_full = evolve_chain_full(schedule, n, eta, dt=dt)
     init = np.zeros(3**n, dtype=complex)

@@ -87,9 +87,7 @@ class ExperimentConfig:
 
     def pulse_duration(self) -> float:
         """Analytic t_qst in ns, the length of one transfer pulse."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # coupler cap: not a config error
-            return analytic_params(self.eta, t_ramp=self.t_ramp)[1]
+        return _analytic(self)[1]
 
 
 _FLAG_TO_FIELD = {
@@ -216,21 +214,20 @@ def _write_sidecar(path: str, cfg: ExperimentConfig) -> None:
     write_json(stem + ".config.json", {"config": asdict(cfg)})
 
 
+def _analytic(cfg: ExperimentConfig) -> tuple[float, float]:
+    """analytic_params without its coupler-cap warning, which table1 reports
+    as coupling_cap_exceeded."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return analytic_params(cfg.eta, t_ramp=cfg.t_ramp)
+
+
 def _optimize(cfg: ExperimentConfig) -> TransferReport:
-    seed = analytic_params(cfg.eta, t_ramp=cfg.t_ramp)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        report = transfer.optimize_pulse(cfg.eta, cfg.t_ramp, seed, dt=cfg.dt)
-    for w in caught:
-        if "failed to improve" in str(w.message):
-            raise RuntimeError(str(w.message))
-    return report
+    return transfer.optimize_pulse(cfg.eta, cfg.t_ramp, _analytic(cfg), dt=cfg.dt)
 
 
 def cmd_table1(cfg: ExperimentConfig, analytic_only: bool) -> int:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # coupler-cap warning is reported below
-        g_a, t_a = analytic_params(cfg.eta, t_ramp=cfg.t_ramp)
+    g_a, t_a = _analytic(cfg)
     u = transfer.evolve_transfer(TrapezoidPulse(g_a, t_a, cfg.t_ramp), cfg.eta, dt=cfg.dt)
     rep_a = transfer.measure_report(u, g_a, t_a)
     payload = {

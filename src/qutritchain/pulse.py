@@ -130,7 +130,7 @@ def analytic_params(eta: float, t_ramp: float = 2.0) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class ConstraintSolution:
-    """Exact solution of the two transfer area conditions."""
+    """Solution of the two transfer area conditions."""
 
     g_max: float        # MHz
     t_qst: float        # ns
@@ -140,7 +140,7 @@ class ConstraintSolution:
 
 
 class ConstraintError(RuntimeError):
-    """Constraint solve failed; carries the last residuals in rad."""
+    """No admissible pulse meets the conditions; carries the last residuals in rad."""
 
     def __init__(self, message: str, residuals: tuple[float, float]):
         super().__init__(f"{message}; residuals (rad): {residuals[0]:.3e}, {residuals[1]:.3e}")
@@ -148,58 +148,55 @@ class ConstraintError(RuntimeError):
 
 
 def solve_constraint(
-    eta: float,
-    t_ramp: float = 2.0,
-    m: int = 3,
-    l: int = 1,
-    tol: float = 1e-10,
-    max_iter: int = 200,
+    eta: float, t_ramp: float = 2.0, m: int = 3, l: int = 1
 ) -> ConstraintSolution:
-    """Damped Newton solve of pulse_area = m pi/2 and effective_area = l pi/2.
+    """Solve pulse_area = m pi/2 and effective_area = l pi/2 for (g_max, t_qst).
 
-    Seeded from the analytic parameters; the Jacobian is finite-difference
-    and steps are clamped to keep g_max inside (0, 55].  Both m and l must
-    be odd.  Raises ConstraintError on non-convergence (for example l = m,
-    which is infeasible since g_eff < g pointwise), naming the coupler cap
-    when the search stalls at it with its Newton step pointing above.
+    t_qst(g) = t_ramp + m pi / (2 g) (g angular) meets the first exactly.
+    Along it the effective area rises strictly with g up to g_top =
+    m pi / (2 t_ramp), so bisection finds the root (README, "Pulse
+    constraint").  ValueError for bad input; ConstraintError when no g in
+    (0, g_top] works (as for every l >= m) or the root is above the cap.
     """
-    if m % 2 == 0 or l % 2 == 0:
-        raise ValueError("m and l must be odd")
-    g, t = analytic_params(eta, t_ramp=t_ramp)
+    if not (np.isfinite(eta) and eta > 0):
+        raise ValueError(f"eta must be positive and finite, got {eta}")
+    if not (np.isfinite(t_ramp) and t_ramp >= 0):
+        raise ValueError(f"t_ramp must be nonnegative and finite, got {t_ramp}")
+    if m < 1 or l < 1 or m % 2 == 0 or l % 2 == 0:
+        raise ValueError("m and l must be positive and odd")
+    eta, t_ramp = float(eta), float(t_ramp)
+    area = m * np.pi / 2.0 / MHZ_TO_RAD_NS  # MHz ns
+    g_top = area / t_ramp if t_ramp > 0 else np.inf  # overflows to inf if subnormal
 
-    def residual(g_, t_):
-        p = TrapezoidPulse(g_, t_, t_ramp)
-        return np.array(
-            [pulse_area(p) - m * np.pi / 2.0, effective_area(p, eta) - l * np.pi / 2.0]
-        )
+    def residuals(g: float) -> tuple[float, tuple[float, float]]:
+        p = TrapezoidPulse(g, max(t_ramp + area / g, 2.0 * t_ramp), t_ramp)
+        r_eff = effective_area(p, eta) - l * np.pi / 2.0
+        return p.t_total, (abs(pulse_area(p) - m * np.pi / 2.0), r_eff)
 
-    r = residual(g, t)
-    for _ in range(max_iter):
-        if np.abs(r).max() < tol:
-            return ConstraintSolution(g, t, m, l, (abs(r[0]), abs(r[1])))
-        hg, ht = max(1e-7, 1e-7 * g), max(1e-7, 1e-7 * t)
-        jac = np.column_stack(
-            [(residual(g + hg, t) - r) / hg, (residual(g, t + ht) - r) / ht]
+    lo, hi = 0.0, min(COUPLING_CAP_MHZ, g_top)
+    t, r = residuals(hi)
+    # for l < m the effective area tends to m pi/2 > l pi/2 as g grows, so
+    # with g_top = inf the doubling still ends, at a finite root
+    while r[1] < 0 and hi < g_top and l < m:
+        lo, hi = hi, min(2.0 * hi, g_top)
+        t, r = residuals(hi)
+    if r[1] < 0:
+        reason = f"; none can for l = {l} >= m = {m}, since g_eff < g" if l >= m else ""
+        raise ConstraintError(
+            f"no g_max up to g_top = {g_top:.2f} MHz (t_qst = 2 t_ramp) reaches "
+            f"the effective area l pi/2{reason}",
+            (r[0], -r[1]),
         )
-        try:
-            step = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
-            raise ConstraintError("singular Jacobian", (abs(r[0]), abs(r[1])))
-        scale = 1.0
-        for _ in range(40):
-            g_new = min(max(g + scale * step[0], 1e-6), COUPLING_CAP_MHZ)
-            t_new = max(t + scale * step[1], 2.0 * t_ramp)
-            r_new = residual(g_new, t_new)
-            if np.abs(r_new).max() < np.abs(r).max():
-                break
-            scale /= 2.0
+    while lo < 0.5 * (lo + hi) < hi:  # each pass drops floats from (lo, hi)
+        mid = 0.5 * (lo + hi)
+        t_mid, r_mid = residuals(mid)
+        if r_mid[1] < 0:
+            lo = mid
         else:
-            if g >= COUPLING_CAP_MHZ and step[0] > 0:
-                raise ConstraintError(
-                    f"solution needs g_max above the {COUPLING_CAP_MHZ} MHz coupler cap "
-                    f"(unclamped Newton step to {g + step[0]:.2f} MHz)",
-                    (abs(r[0]), abs(r[1])),
-                )
-            raise ConstraintError("no descent step found", (abs(r[0]), abs(r[1])))
-        g, t, r = g_new, t_new, r_new
-    raise ConstraintError(f"no convergence in {max_iter} iterations", (abs(r[0]), abs(r[1])))
+            hi, t, r = mid, t_mid, r_mid
+    if hi > COUPLING_CAP_MHZ:
+        raise ConstraintError(
+            f"solution needs g_max = {hi:.2f} MHz, above the {COUPLING_CAP_MHZ} MHz coupler cap",
+            r,
+        )
+    return ConstraintSolution(hi, t, m, l, r)

@@ -290,20 +290,16 @@ def optimize_pulse(
     g0, t0 = seed
     search_dt = 2.0 * dt
     d, w = _pair_parts(eta)
-    cache: dict[tuple[float, float], float] = {}
     ramps: dict[float, np.ndarray] = {}
 
     def fid(g: float, t: float) -> float:
-        key = (round(g, 9), round(t, 9))
-        if key not in cache:
-            pulse = TrapezoidPulse(g, t, t_ramp)
-            if g not in ramps:
-                ramps[g] = _pair_window(pulse, eta, pulse.ramp_window, search_dt)
-            r = ramps[g]
-            t_plateau = t - 2.0 * t_ramp
-            p = _batch_step_unitaries((d + g * MHZ_TO_RAD_NS * w)[None], t_plateau)[0]
-            cache[key] = qst_fidelity(r.T @ p @ r)
-        return cache[key]
+        pulse = TrapezoidPulse(g, t, t_ramp)
+        if g not in ramps:
+            ramps[g] = _pair_window(pulse, eta, pulse.ramp_window, search_dt)
+        r = ramps[g]
+        t_plateau = t - 2.0 * t_ramp
+        p = _batch_step_unitaries((d + g * MHZ_TO_RAD_NS * w)[None], t_plateau)[0]
+        return qst_fidelity(r.T @ p @ r)
 
     g, t = g0, t0
     for _ in range(max_sweeps):

@@ -1,3 +1,5 @@
+import pathlib
+
 import qutritchain
 
 
@@ -7,3 +9,14 @@ def test_star_import_resolves_every_public_name():
     namespace: dict = {}
     exec("from qutritchain import *", namespace)
     assert [name for name in qutritchain.__all__ if name not in namespace] == []
+
+
+def test_readme_library_example_runs():
+    # a renamed or removed public name breaks the README's example
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(code, namespace)
+    sol = namespace["sol"]
+    assert (round(sol.g_max, 2), round(sol.t_qst, 2)) == (39.03, 21.21)

@@ -53,6 +53,16 @@ def test_table1_with_optimizer(tmp_path):
     assert data["numerical"]["t_qst_ns"] == pytest.approx(21.95, abs=0.3)
 
 
+@pytest.mark.parametrize("flags", [["--t-ramp-ns", 0], ["--eta-mhz", 10]])
+def test_table1_keeps_a_seed_the_search_cannot_beat(tmp_path, flags):
+    # the analytic seed is already at F ~ 1 here (1 - 7e-16 and 1 - 1.8e-12),
+    # so optimize_pulse warns and returns it; that report is still valid
+    with pytest.warns(UserWarning, match="failed to improve"):
+        assert run(["table1", "--out", tmp_path, *flags, *FAST]) == 0
+    data = read_json(tmp_path / "table1.json")
+    assert data["numerical"] == data["analytic"]
+
+
 def test_table1_flags_coupler_cap(tmp_path):
     assert run(["table1", "--analytic-only", "--eta-mhz", 400, "--out", tmp_path, *FAST]) == 0
     data = read_json(tmp_path / "table1.json")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,72 @@ def test_solve_constraint_l_equals_m_infeasible():
     with pytest.raises(ConstraintError) as err:
         solve_constraint(200.0, t_ramp=2.0, m=3, l=3)
     assert err.value.residuals[1] > 1e-10
+    assert "l = 3 >= m = 3" in str(err.value)
+    assert "Newton" not in str(err.value) and "coupler cap" not in str(err.value)
+    # with no ramps the bracket has no upper end, so l >= m must be caught
+    # before the search
+    with pytest.raises(ConstraintError, match="l = 5 >= m = 3"):
+        solve_constraint(200.0, t_ramp=0.0, m=3, l=5)
+
+
+def test_solve_constraint_names_g_top_when_triangle_falls_short():
+    # g_top = 3 pi / 2 / (20 ns * 2 pi 1e-3) = 37.5 MHz; even the triangle
+    # at g_top leaves the effective area 0.48 rad short of pi/2
+    with pytest.raises(ConstraintError, match="g_top = 37.50 MHz") as err:
+        solve_constraint(200.0, t_ramp=20.0)
+    p = TrapezoidPulse(37.5, 40.0, 20.0)
+    assert err.value.residuals[1] == pytest.approx(np.pi / 2 - effective_area(p, 200.0), abs=1e-12)
+
+
+def test_solve_constraint_grid():
+    caps = 0
+    for eta in np.linspace(150.0, 290.0, 8):
+        for t_ramp in (0.0, 0.5, 1.0, 2.0, 3.0):
+            for m, l in ((3, 1), (5, 1), (5, 3)):
+                try:
+                    sol = solve_constraint(eta, t_ramp=t_ramp, m=m, l=l)
+                except ConstraintError as err:
+                    # the only admissible failure on this grid: a root above
+                    # the cap, named in the message, with its residuals
+                    g = float(re.search(r"needs g_max = ([0-9.]+) MHz", str(err)).group(1))
+                    assert g > 55.0 and "55.0 MHz coupler cap" in str(err)
+                    assert max(err.residuals) <= 1e-12
+                    caps += 1
+                    continue
+                assert (sol.m, sol.l) == (m, l)
+                assert 0.0 < sol.g_max <= 55.0 and sol.t_qst >= 2.0 * t_ramp
+                p = TrapezoidPulse(sol.g_max, sol.t_qst, t_ramp)
+                assert abs(pulse_area(p) - m * np.pi / 2) <= 1e-12, (eta, t_ramp, m, l)
+                assert abs(effective_area(p, eta) - l * np.pi / 2) <= 1e-12, (eta, t_ramp, m, l)
+                assert max(sol.residuals) <= 1e-12
+    assert 0 < caps < 120  # both outcomes occur on this grid
+
+
+@pytest.mark.parametrize("eta", [150.0, 200.0, 250.0, 290.0])
+def test_solve_constraint_without_ramps_is_analytic(eta):
+    sol = solve_constraint(eta, t_ramp=0.0)
+    g_a, t_a = analytic_params(eta, t_ramp=0.0)
+    assert sol.g_max == pytest.approx(g_a, rel=1e-12)
+    assert sol.t_qst == pytest.approx(t_a, rel=1e-12)
+
+
+def test_solve_constraint_subnormal_ramp():
+    for t_ramp in (5e-324, 1e-300):
+        sol = solve_constraint(200.0, t_ramp=t_ramp)
+        assert sol.g_max == pytest.approx(37.5, rel=1e-12)
+        assert sol.t_qst == pytest.approx(20.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("eta", [np.nan, np.inf, -np.inf, 0.0, -200.0])
+def test_solve_constraint_rejects_bad_eta(eta):
+    with pytest.raises(ValueError, match="eta"):
+        solve_constraint(eta, t_ramp=2.0)
+
+
+@pytest.mark.parametrize("t_ramp", [np.nan, np.inf, -1.0, -5e-324])
+def test_solve_constraint_rejects_bad_t_ramp(t_ramp):
+    with pytest.raises(ValueError, match="t_ramp"):
+        solve_constraint(200.0, t_ramp=t_ramp)
 
 
 def test_solve_constraint_names_coupler_cap():
