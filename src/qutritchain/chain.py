@@ -121,10 +121,9 @@ def edge_permutation(k: int, n: int) -> np.ndarray:
     return np.arange(3**n).reshape((3,) * n).transpose(axes).reshape(-1)
 
 
-def evolve_chain_full(
-    schedule: ChainSchedule, n: int, eta: float, dt: float = 0.001
-) -> np.ndarray:
-    """Full 3^n-dim propagation of the schedule, compensation gates included.
+def evolve_chain_full(schedule: ChainSchedule, eta: float, dt: float = 0.001) -> np.ndarray:
+    """Full 3^n-dim propagation of the schedule, compensation gates included,
+    for the n = schedule.n_steps + 1 qutrits its steps pass the state along.
 
     Validation-only oracle; capped at 4 qutrits.  Pulses are evolved one
     segment at a time so each segment sees a single active coupling.  A
@@ -136,10 +135,9 @@ def evolve_chain_full(
     one with its qutrits relabelled; the edge-0 step is evolved once and
     relabelled per edge by edge_permutation.
     """
+    n = schedule.n_steps + 1
     if n > MAX_FULL_QUTRITS:
         raise ValueError(f"full chain simulation capped at {MAX_FULL_QUTRITS} qutrits")
-    if schedule.n_steps != n - 1:
-        raise ValueError("schedule length must be n - 1")
     diag = chain_hamiltonian(eta, [0.0] * (n - 1))
     comp = phase_gate(*schedule.compensation)
     pulse = schedule.step_pulse
@@ -176,7 +174,7 @@ def validate_front_vs_full(
         front = step_transfer(front, u_step, comp)
     front_overlap = abs(np.vdot(psi0, front))
 
-    u_full = evolve_chain_full(schedule, n, eta, dt=dt)
+    u_full = evolve_chain_full(schedule, eta, dt=dt)
     init = np.zeros(3**n, dtype=complex)
     init[[k * 3 ** (n - 1) for k in range(3)]] = psi0
     ideal = np.zeros(3**n, dtype=complex)

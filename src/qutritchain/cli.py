@@ -90,26 +90,22 @@ class ExperimentConfig:
         return _analytic(self)[1]
 
 
-_FLAG_TO_FIELD = {
-    "eta_mhz": "eta",
-    "t_ramp_ns": "t_ramp",
-    "dt_ns": "dt",
-    "t1_us": "t1",
-    "t2_us": "t2",
-    "n_steps": "n_steps",
-    "out": "output_dir",
-}
+# (flag, ExperimentConfig field, type) of each config flag
+_CONFIG_FLAGS = (
+    ("--eta-mhz", "eta", float),
+    ("--t-ramp-ns", "t_ramp", float),
+    ("--dt-ns", "dt", float),
+    ("--t1-us", "t1", float),
+    ("--t2-us", "t2", float),
+    ("--n-steps", "n_steps", int),
+    ("--out", "output_dir", str),
+)
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with ExperimentConfig keys")
-    p.add_argument("--eta-mhz", type=float, dest="eta_mhz")
-    p.add_argument("--t-ramp-ns", type=float, dest="t_ramp_ns")
-    p.add_argument("--dt-ns", type=float, dest="dt_ns")
-    p.add_argument("--t1-us", type=float, dest="t1_us")
-    p.add_argument("--t2-us", type=float, dest="t2_us")
-    p.add_argument("--n-steps", type=int, dest="n_steps")
-    p.add_argument("--out", dest="out")
+    for flag, _, kind in _CONFIG_FLAGS:
+        p.add_argument(flag, type=kind)
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -127,8 +123,8 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         if bad:
             raise ValueError(f"unknown config keys: {sorted(bad)}")
         values.update(loaded)
-    for flag, name in _FLAG_TO_FIELD.items():
-        v = getattr(args, flag, None)
+    for flag, name, _ in _CONFIG_FLAGS:
+        v = getattr(args, flag[2:].replace("-", "_"), None)  # argparse's dest
         if v is not None:
             values[name] = v
     cfg = ExperimentConfig(**values)
@@ -215,8 +211,8 @@ def _write_sidecar(path: str, cfg: ExperimentConfig) -> None:
 
 
 def _analytic(cfg: ExperimentConfig) -> tuple[float, float]:
-    """analytic_params without its coupler-cap warning, which table1 reports
-    as coupling_cap_exceeded."""
+    """analytic_params without its coupler-cap warning.  table1 reports the
+    cap as coupling_cap_exceeded, from its analytic and numerical g_max."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return analytic_params(cfg.eta, t_ramp=cfg.t_ramp)
@@ -230,14 +226,13 @@ def cmd_table1(cfg: ExperimentConfig, analytic_only: bool) -> int:
     g_a, t_a = _analytic(cfg)
     u = transfer.evolve_transfer(TrapezoidPulse(g_a, t_a, cfg.t_ramp), cfg.eta, dt=cfg.dt)
     rep_a = transfer.measure_report(u, g_a, t_a)
-    payload = {
-        "config": asdict(cfg),
-        "analytic": json.loads(rep_a.to_json()),
-        "coupling_cap_exceeded": bool(g_a > COUPLING_CAP_MHZ),
-    }
+    payload = {"config": asdict(cfg), "analytic": json.loads(rep_a.to_json())}
+    g_top = g_a
     if not analytic_only:
         rep_n = _optimize(cfg)
         payload["numerical"] = json.loads(rep_n.to_json())
+        g_top = max(g_a, rep_n.g_max)
+    payload["coupling_cap_exceeded"] = bool(g_top > COUPLING_CAP_MHZ)
     write_json(os.path.join(cfg.output_dir, "table1.json"), payload)
     return EXIT_OK
 

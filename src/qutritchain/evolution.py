@@ -55,13 +55,12 @@ def _batch_step_unitaries(hs: np.ndarray, dt) -> np.ndarray:
     """exp(-i H dt) for a stack of Hermitian matrices (k, d, d); dt is one
     duration or one per matrix."""
     dt = np.asarray(dt, dtype=float)[..., None]
-    if np.abs(hs.imag).max(initial=0.0) == 0.0:
-        w, v = np.linalg.eigh(hs.real)
-        phases = np.exp(-1j * w * dt)
-        return np.matmul(v * phases[:, None, :], v.transpose(0, 2, 1).astype(complex))
-    w, v = np.linalg.eigh(hs)
-    phases = np.exp(-1j * w * dt)
-    return np.matmul(v * phases[:, None, :], v.conj().transpose(0, 2, 1))
+    w, v = np.linalg.eigh(hs.real if np.abs(hs.imag).max(initial=0.0) == 0.0 else hs)
+    # V^H is taken before V is replaced by V Phi, so that at most three
+    # complex (k, d, d) stacks are held at once
+    vh = v.conj().transpose(0, 2, 1).astype(complex, copy=False)
+    v = v * np.exp(-1j * w * dt)[:, None, :]
+    return np.matmul(v, vh)
 
 
 def _fold(us: np.ndarray) -> np.ndarray:
@@ -163,8 +162,9 @@ def evolve_affine(
     if it is not empty), counted from the float difference t1 - t0.  Windows
     of equal length at different offsets can therefore get step counts one
     apart: at dt = 0.002, (0, 0.005) takes 2 steps and (0.1, 0.105) takes 3.
-    The package's callers evolve every window at offset 0.  Returns the
-    (d, d) propagator, checked to be unitary.
+    The package's callers evolve ramps at offset 0 and plateaus from t_ramp;
+    a plateau is one run at any step count.  Returns the (d, d) propagator,
+    checked to be unitary.
     """
     for name, m in (("d", d), ("w", w)):
         defect = hermiticity_defect(np.asarray(m))
@@ -216,25 +216,19 @@ def evolve(h_of_t, t_span: tuple[float, float], dt: float) -> np.ndarray:
     h_of_t maps an array of k times in ns to a (k, d, d) stack of
     Hamiltonians in rad/ns, as evolve_affine's scale_of_t maps times to
     values.  Steps are midpoint-sampled: U = prod_k exp(-i h(t_k + dt/2) dt),
-    earliest step applied first.  Non-Hermitian samples are rejected with
-    the max asymmetry.  Returns the (d, d) propagator, checked to be unitary.
+    earliest step applied first, and taken in chunks of _chunk(d) steps,
+    with d from one sample of h at t_span[0].  Non-Hermitian samples are
+    rejected with the max asymmetry.  Returns the (d, d) propagator, checked
+    to be unitary.
     """
     mids, dt_eff = _midpoints(t_span, dt)
-    if not len(mids):  # an empty window: h is sampled once, only for its size
-        dim = _sampled(h_of_t, np.array([t_span[0]])).shape[-1]
-        return np.eye(dim, dtype=complex)
-    # h's size is known only once it is sampled: the first chunk is sized
-    # for a 9-dim h (the qutrit pair), later ones for the size it returned
-    dim = 9
-    u = None
-    lo = 0
-    while lo < len(mids):
-        ts = mids[lo : lo + _chunk(dim)]
-        lo += len(ts)
-        hs = _sampled(h_of_t, ts, None if u is None else dim)
-        if u is None:
-            dim = hs.shape[-1]
-            u = np.eye(dim, dtype=complex)
+    # one sample at the window's start gives h's size, and so the chunk
+    dim = _sampled(h_of_t, np.array([t_span[0]])).shape[-1]
+    u = np.eye(dim, dtype=complex)
+    chunk = _chunk(dim)
+    for lo in range(0, len(mids), chunk):
+        ts = mids[lo : lo + chunk]
+        hs = _sampled(h_of_t, ts, dim)
         defects = np.abs(hs - hs.conj().transpose(0, 2, 1)).reshape(len(ts), -1).max(axis=1)
         worst = int(np.argmax(defects))
         if defects[worst] > HERMITIAN_TOL:
@@ -244,5 +238,8 @@ def evolve(h_of_t, t_span: tuple[float, float], dt: float) -> np.ndarray:
             )
         # a run of identical steps (a pulse plateau) is one exponential
         starts, lengths = _runs(np.append(True, np.any(hs[1:] != hs[:-1], axis=(1, 2))))
-        u = _fold(_batch_step_unitaries(hs[starts], dt_eff * lengths)) @ u
+        # one step per run, as floats when h is real: the sampled stack is
+        # dropped before the step unitaries are built
+        hs = (hs if hs.imag.any() else hs.real)[starts]
+        u = _fold(_batch_step_unitaries(hs, dt_eff * lengths)) @ u
     return _unitary(u)

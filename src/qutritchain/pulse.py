@@ -55,14 +55,16 @@ class TrapezoidPulse:
         out = self.amp_max * shape
         return float(out) if out.ndim == 0 else out
 
-    def area_mhz_ns(self) -> float:
-        """Geometric area in MHz*ns (two half-triangle ramp deficits)."""
-        return self.amp_max * (self.t_total - self.t_ramp)
-
 
 def pulse_area(p: TrapezoidPulse) -> float:
-    """Angular pulse area integral g(t) dt in rad (MHz*ns -> rad)."""
-    return p.area_mhz_ns() * MHZ_TO_RAD_NS
+    """Angular pulse area integral g(t) dt in rad: the geometric area
+    amp_max * (t_total - t_ramp) in MHz*ns, times MHZ_TO_RAD_NS."""
+    return p.amp_max * (p.t_total - p.t_ramp) * MHZ_TO_RAD_NS
+
+
+def _check_eta(eta: float) -> None:
+    if not (np.isfinite(eta) and eta > 0):
+        raise ValueError(f"eta must be positive and finite, got {eta}")
 
 
 def g_eff(g: float, eta: float) -> float:
@@ -71,8 +73,7 @@ def g_eff(g: float, eta: float) -> float:
     g_eff = sqrt((eta/4)^2 + g^2) - eta/4, written as g^2 / (eta/4 + sqrt(...))
     to avoid the cancellation; for g << eta this is ~ 2 g^2/eta.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    _check_eta(eta)
     q = eta / 4.0
     return g * g / (q + np.hypot(q, g))
 
@@ -116,8 +117,7 @@ def analytic_params(eta: float, t_ramp: float = 2.0) -> tuple[float, float]:
     condition, giving g_max = 3 eta / 16 and t_qst = t_ramp + 8 pi / eta_angular.
     The 3:1 area ratio (m = 3, l = 1) is baked into the derivation.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    _check_eta(eta)
     g_max = 3.0 * eta / 16.0
     t_qst = t_ramp + 8.0 * np.pi / (eta * MHZ_TO_RAD_NS)
     if g_max > COUPLING_CAP_MHZ:
@@ -158,8 +158,7 @@ def solve_constraint(
     constraint").  ValueError for bad input; ConstraintError when no g in
     (0, g_top] works (as for every l >= m) or the root is above the cap.
     """
-    if not (np.isfinite(eta) and eta > 0):
-        raise ValueError(f"eta must be positive and finite, got {eta}")
+    _check_eta(eta)
     if not (np.isfinite(t_ramp) and t_ramp >= 0):
         raise ValueError(f"t_ramp must be nonnegative and finite, got {t_ramp}")
     if m < 1 or l < 1 or m % 2 == 0 or l % 2 == 0:

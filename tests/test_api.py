@@ -1,6 +1,19 @@
+import importlib.util
+import inspect
 import pathlib
 
 import qutritchain
+
+ROOT = pathlib.Path(__file__).parents[1]
+# argument names the benchmark's span wrappers read, by span name
+TRACED_ARGUMENTS = {
+    "evolution.evolve_affine": ("t_span", "dt"),
+    "evolution.evolve": ("t_span", "dt"),
+    "transfer.population_series": ("g_pulse", "dt"),
+    "chain.validate_front_vs_full": ("n",),
+    "cli.write_csv": ("path",),
+    "cli.write_json": ("path",),
+}
 
 
 def test_star_import_resolves_every_public_name():
@@ -13,10 +26,30 @@ def test_star_import_resolves_every_public_name():
 
 def test_readme_library_example_runs():
     # a renamed or removed public name breaks the README's example
-    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     section = readme.split("## Library example", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     namespace: dict = {}
     exec(code, namespace)
     sol = namespace["sol"]
     assert (round(sol.g_max, 2), round(sol.t_qst, 2)) == (39.03, 21.21)
+
+
+def test_benchmark_tracer_targets_resolve_and_bind():
+    # bench/tracing.py replaces each (module, attribute) of TARGETS and binds
+    # the call's arguments to read some by name; a renamed function or
+    # argument would break the benchmark's traced runs
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing, unbound = [], []
+    for module, attr, name, kind in tracing.TARGETS:
+        if not hasattr(module, attr):
+            missing.append(f"{module.__name__}.{attr}")
+        elif kind == "span":
+            names = TRACED_ARGUMENTS.get(name, ())
+            try:
+                inspect.signature(getattr(module, attr)).bind_partial(**dict.fromkeys(names))
+            except TypeError:
+                unbound.append(f"{module.__name__}.{attr}{names}")
+    assert (missing, unbound) == ([], [])

@@ -198,13 +198,7 @@ def test_front_vs_full_small_chains():
 def test_full_chain_capacity():
     sched = ChainSchedule(TrapezoidPulse(G_OPT, T_OPT, 2.0), 4, (0.0, 0.0))
     with pytest.raises(ValueError, match="capped"):
-        evolve_chain_full(sched, 5, ETA)
-
-
-def test_full_chain_schedule_length_check():
-    sched = ChainSchedule(TrapezoidPulse(G_OPT, T_OPT, 2.0), 3, (0.0, 0.0))
-    with pytest.raises(ValueError, match="n - 1"):
-        evolve_chain_full(sched, 3, ETA)
+        evolve_chain_full(sched, ETA)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -232,4 +226,4 @@ def test_full_chain_equals_per_edge_product(n):
         r = evolve_affine(diag, w, g, pulse.ramp_window, dt)
         p = evolve_affine(diag, w, g, pulse.plateau_window, dt)
         expected = embed(comp, k + 1, n) @ r.T @ p @ r @ expected
-    assert np.abs(evolve_chain_full(schedule, n, ETA, dt=dt) - expected).max() < 1e-12
+    assert np.abs(evolve_chain_full(schedule, ETA, dt=dt) - expected).max() < 1e-12

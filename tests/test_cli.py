@@ -70,6 +70,17 @@ def test_table1_flags_coupler_cap(tmp_path):
     assert data["coupling_cap_exceeded"] is True
 
 
+def test_table1_flags_coupler_cap_of_the_numerical_pulse(tmp_path):
+    # the analytic 3 eta / 16 = 54.375 MHz is inside the 55 MHz cap, the
+    # optimized pulse (~55.9 MHz) is not
+    flags = ["--eta-mhz", 290, "--t-ramp-ns", 3]
+    assert run(["table1", "--out", tmp_path, *flags, *FAST]) == 0
+    data = read_json(tmp_path / "table1.json")
+    assert data["analytic"]["g_max_mhz"] == pytest.approx(54.375)
+    assert data["numerical"]["g_max_mhz"] > 55.0
+    assert data["coupling_cap_exceeded"] is True
+
+
 def test_populations(tmp_path):
     assert run(["populations", "--out", tmp_path, *FAST]) == 0
     header, rows = read_csv(tmp_path / "fig2b.csv")

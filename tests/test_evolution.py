@@ -124,10 +124,9 @@ def test_evolve_time_dependent_unitarity():
     ],
 )
 def test_evolve_rejects_h_of_t_without_stack(h_of_t):
-    # one step more than the first chunk, which is sized for a 9-dim h: the
-    # first chunk fixes the size and the second, starting after t = 1e-4,
-    # must match it
-    n = evolution._chunk(9) + 1
+    # one step more than a chunk of the 2-dim h sampled at t = 0: the
+    # second chunk, starting after t = 1e-4, must match that size
+    n = evolution._chunk(2) + 1
     with pytest.raises(ValueError, match=r"\(k, d, d\) stack"):
         evolve(h_of_t, (0.0, n * 1e-4), 1e-4)
 
@@ -283,6 +282,21 @@ def test_evolve_affine_memory_is_bounded_by_chunk():
     tracemalloc.start()
     try:
         evolve_affine(diag, w, lambda ts: pulse.value(ts) * MHZ_TO_RAD_NS, pulse.ramp_window, 0.004)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * evolution.CHUNK_BYTES
+
+
+def test_evolve_memory_is_bounded_by_chunk():
+    # a time-dependent 81-dim h over one step more than a 9-dim chunk: a
+    # first chunk sized for d = 9 (1543 steps of 81x81) peaked at 894 MB;
+    # chunks sized for d = 81 from one sample peak at ~7.1 MB
+    diag, w = chain_hamiltonian(200.0, [0.0] * 3), coupling_operator(0, 4)
+    n = evolution._chunk(9) + 1
+    tracemalloc.start()
+    try:
+        evolve(lambda ts: diag[None] + np.sin(ts)[:, None, None] * w[None], (0.0, n * 1e-3), 1e-3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -243,6 +243,14 @@ def test_solve_constraint_rejects_bad_eta(eta):
         solve_constraint(eta, t_ramp=2.0)
 
 
+@pytest.mark.parametrize("eta", [np.nan, np.inf, -np.inf])
+def test_analytic_params_and_g_eff_reject_non_finite_eta(eta):
+    with pytest.raises(ValueError, match="eta"):
+        analytic_params(eta)
+    with pytest.raises(ValueError, match="eta"):
+        g_eff(30.0, eta)
+
+
 @pytest.mark.parametrize("t_ramp", [np.nan, np.inf, -1.0, -5e-324])
 def test_solve_constraint_rejects_bad_t_ramp(t_ramp):
     with pytest.raises(ValueError, match="t_ramp"):

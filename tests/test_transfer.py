@@ -114,9 +114,10 @@ def test_fidelity_rejects_wrong_shape():
         qst_fidelity(np.eye(5, dtype=complex))
 
 
-def test_optimizer_quick_run_never_below_seed():
+def test_optimizer_quick_run_never_below_seed(monkeypatch):
+    monkeypatch.setattr(transfer, "MAX_SWEEPS", 1)
     seed = analytic_params(ETA)
-    rep = optimize_pulse(ETA, 2.0, seed, dt=0.01, max_sweeps=1)
+    rep = optimize_pulse(ETA, 2.0, seed, dt=0.01)
     u_seed = evolve_transfer(TrapezoidPulse(*seed, 2.0), ETA, dt=0.01)
     assert rep.fidelity >= qst_fidelity(u_seed) - 1e-12
     assert rep.t_qst > 0 and rep.g_max > 0 and 0 <= rep.leakage_11 < 1e-3
