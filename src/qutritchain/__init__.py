@@ -11,7 +11,6 @@ from .chain import (
     uniform_state,
     validate_front_vs_full,
 )
-from .evolution import evolve, expm_hermitian
 from .model import (
     basis_labels,
     chain_hamiltonian,
@@ -58,9 +57,7 @@ __all__ = [
     "crossover",
     "decoherence_error_curve",
     "effective_area",
-    "evolve",
     "evolve_transfer",
-    "expm_hermitian",
     "fit_power",
     "free_exponent_fit",
     "g_eff",

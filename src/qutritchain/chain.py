@@ -14,7 +14,6 @@ import numpy as np
 
 from .evolution import evolve_affine
 from .model import (
-    MAX_FULL_QUTRITS,
     MHZ_TO_RAD_NS,
     chain_hamiltonian,
     coupling_operator,
@@ -125,26 +124,25 @@ def evolve_chain_full(schedule: ChainSchedule, eta: float, dt: float = 0.001) ->
     """Full 3^n-dim propagation of the schedule, compensation gates included,
     for the n = schedule.n_steps + 1 qutrits its steps pass the state along.
 
-    Validation-only oracle; capped at 4 qutrits.  Pulses are evolved one
-    segment at a time so each segment sees a single active coupling.  A
-    segment is the step pulse started later, and the Hamiltonian depends
+    Validation-only oracle; chain_hamiltonian caps it at 4 qutrits.  Pulses
+    are evolved one segment at a time so each sees a single active coupling.
+    A segment is the step pulse started later, and the Hamiltonian depends
     on time only through the pulse, so each is evolved in the step pulse's
-    own window [0, T], as R^T P R on evolve_transfer's grid (up ramp R, exact
-    plateau P, down ramp R^T): front and full chain share one discretization.
-    Every qutrit has the same eta, so the edge-k Hamiltonian is the edge-0
-    one with its qutrits relabelled; the edge-0 step is evolved once and
-    relabelled per edge by edge_permutation.
+    own window [0, T], as R^T P R on evolve_transfer's grid (up ramp R,
+    plateau P exact at the constant amp_max, down ramp R^T): front and full
+    chain share one discretization.  Every qutrit has the same eta, so the
+    edge-k Hamiltonian is the edge-0 one with its qutrits relabelled; the
+    edge-0 step is evolved once and relabelled by edge_permutation.
     """
     n = schedule.n_steps + 1
-    if n > MAX_FULL_QUTRITS:
-        raise ValueError(f"full chain simulation capped at {MAX_FULL_QUTRITS} qutrits")
     diag = chain_hamiltonian(eta, [0.0] * (n - 1))
     comp = phase_gate(*schedule.compensation)
     pulse = schedule.step_pulse
-    g = lambda ts: pulse.value(ts) * MHZ_TO_RAD_NS
     w = coupling_operator(0, n)
+    g = lambda ts: pulse.value(ts) * MHZ_TO_RAD_NS
     r = evolve_affine(diag, w, g, pulse.ramp_window, dt)
-    p = evolve_affine(diag, w, g, pulse.plateau_window, dt)
+    g_plateau = pulse.amp_max * MHZ_TO_RAD_NS
+    p = evolve_affine(diag, w, lambda ts: g_plateau, pulse.plateau_window, dt)
     step0 = r.T @ p @ r
     u = np.eye(3**n, dtype=complex)
     for seg in range(n - 1):

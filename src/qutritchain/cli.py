@@ -1,7 +1,8 @@
 """Experiment runner: reproduces the pulse table, population traces, chain
 schedule, and error-scaling data as machine-readable files.
 
-Exit codes: 0 success, 1 numerical-convergence failure, 2 invalid config.
+Exit codes: 0 success, 1 numerical-convergence failure or failed write,
+2 invalid config (an output directory that cannot be created included).
 """
 
 from __future__ import annotations
@@ -226,11 +227,11 @@ def cmd_table1(cfg: ExperimentConfig, analytic_only: bool) -> int:
     g_a, t_a = _analytic(cfg)
     u = transfer.evolve_transfer(TrapezoidPulse(g_a, t_a, cfg.t_ramp), cfg.eta, dt=cfg.dt)
     rep_a = transfer.measure_report(u, g_a, t_a)
-    payload = {"config": asdict(cfg), "analytic": json.loads(rep_a.to_json())}
+    payload = {"config": asdict(cfg), "analytic": rep_a.to_dict()}
     g_top = g_a
     if not analytic_only:
         rep_n = _optimize(cfg)
-        payload["numerical"] = json.loads(rep_n.to_json())
+        payload["numerical"] = rep_n.to_dict()
         g_top = max(g_a, rep_n.g_max)
     payload["coupling_cap_exceeded"] = bool(g_top > COUPLING_CAP_MHZ)
     write_json(os.path.join(cfg.output_dir, "table1.json"), payload)
@@ -300,7 +301,7 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
         checks.append((name, ok, detail))
         print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
 
-    g_a, t_a = analytic_params(cfg.eta, t_ramp=cfg.t_ramp)
+    g_a, t_a = _analytic(cfg)
 
     for n in (2, 3, 4):
         gap = chain.validate_front_vs_full(n, g_a, t_a, cfg.t_ramp, cfg.eta, dt=cfg.dt)
@@ -373,6 +374,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "schedule":
             # t and one coupling per edge
             _check_output_grid(cfg, args.dt_out_ns, args.n_qutrits - 1, args.n_qutrits)
+        if args.command != "validate":  # every other command writes files
+            os.makedirs(cfg.output_dir, exist_ok=True)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -390,6 +393,9 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_validate(cfg)
     except (RuntimeError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except OSError as exc:
+        print(f"write failed: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     raise AssertionError("unreachable")
 

@@ -8,6 +8,8 @@ construction (each step is exp(-i H dt) of a Hermitian H).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
@@ -29,18 +31,6 @@ def unitarity_defect(u: np.ndarray) -> float:
     """Frobenius norm of U^dagger U - I."""
     d = u.shape[0]
     return float(np.linalg.norm(u.conj().T @ u - np.eye(d)))
-
-
-def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i h t) for Hermitian h (rad/ns) over t (ns), via eigendecomposition.
-
-    Raises ValueError for non-Hermitian input, reporting the max asymmetry.
-    """
-    h = np.asarray(h)
-    defect = hermiticity_defect(h)
-    if defect > HERMITIAN_TOL:
-        raise ValueError(f"matrix is not Hermitian: max |h - h^dagger| = {defect:.3e}")
-    return _batch_step_unitaries(h[None], t)[0]
 
 
 def _unitary(u: np.ndarray) -> np.ndarray:
@@ -108,6 +98,8 @@ def _n_steps(length: float, dt: float) -> int:
 def _midpoints(t_span: tuple[float, float], dt: float) -> tuple[np.ndarray, float]:
     """Midpoint times and step of the grid of _n_steps equal steps over t_span."""
     t0, t1 = t_span
+    if not (math.isfinite(t0) and math.isfinite(t1) and math.isfinite(dt)):
+        raise ValueError(f"t_span and dt must be finite, got {t_span} and {dt}")
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t1 < t0:
@@ -153,8 +145,7 @@ def evolve_affine(
     where each link V_k^H V_{k-1} is a real matmul for real d and w.  Runs
     are decomposed in batches of CHUNK_BYTES of matrices, with no loop over
     steps; a batch's factors are multiplied out in lanes of LANE runs (see
-    _lane_products) and the lanes folded pairwise.  A window of one run is
-    V_0 Phi_0 V_0^H, one product.
+    _lane_products) and the lanes folded pairwise.
     scale_of_t must accept an array of times and return one value per
     time; a 0-d return, as from lambda t: 0.0, is broadcast to every time.
 
@@ -180,19 +171,19 @@ def evolve_affine(
     d, w = (d.real, w.real) if real else (d, w)
     starts, lengths = _runs(np.append(True, c[1:] != c[:-1]))
     chunk = _chunk(dim)
-    u = v_last = None  # u: the product so far, in the eigenbasis of its last run
+    # u: the product so far, in the eigenbasis v_last of its last run
+    u, v_last = np.eye(dim, dtype=complex), np.eye(dim, dtype=d.dtype)
     for lo in range(0, len(starts), chunk):
         cs = c[starts[lo : lo + chunk]]
         lam, v = np.linalg.eigh(d[None, :, :] + cs[:, None, None] * w[None, :, :])
         vh = v.conj().transpose(0, 2, 1)
         # link k takes run k - 1's eigenbasis to run k's, a real matmul for
-        # real d and w; the window's first link is V_0^H
+        # real d and w
         links = np.empty_like(v)
-        links[0] = vh[0] if v_last is None else vh[0] @ v_last
+        links[0] = vh[0] @ v_last
         np.matmul(vh[1:], v[:-1], out=links[1:])
         phases = np.exp(-1j * lam * (dt_eff * lengths[lo : lo + chunk])[:, None])[:, :, None]
-        folded = _fold(_lane_products(links, phases))
-        u = folded if u is None else folded @ u
+        u = _fold(_lane_products(links, phases)) @ u
         v_last = v[-1]
     return _unitary(v_last @ u)
 
@@ -213,6 +204,8 @@ def _sampled(h_of_t, ts: np.ndarray, dim: int | None = None) -> np.ndarray:
 def evolve(h_of_t, t_span: tuple[float, float], dt: float) -> np.ndarray:
     """Time-ordered evolution under a time-dependent Hermitian h(t).
 
+    The package neither exports nor calls it: it is the tests' step-by-step
+    reference (model imports it only for bench/tracing.py's wrapper).
     h_of_t maps an array of k times in ns to a (k, d, d) stack of
     Hamiltonians in rad/ns, as evolve_affine's scale_of_t maps times to
     values.  Steps are midpoint-sampled: U = prod_k exp(-i h(t_k + dt/2) dt),

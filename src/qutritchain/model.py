@@ -24,6 +24,11 @@ MAX_FULL_QUTRITS = 4      # full Hilbert-space evolution is for validation only
 _SQRT2 = np.sqrt(2.0)
 
 
+def _check_eta(eta: float) -> None:
+    if not (np.isfinite(eta) and eta > 0):
+        raise ValueError(f"eta must be positive and finite, got {eta}")
+
+
 def x_op() -> np.ndarray:
     """Spin-1 generalization of sigma^x for the three transmon levels."""
     return np.array([[0, 1, 0], [1, 0, _SQRT2], [0, _SQRT2, 0]], dtype=complex)
@@ -78,8 +83,7 @@ def chain_hamiltonian(eta: float, couplings: Sequence[float]) -> np.ndarray:
     handled by front propagation, not by dense evolution.
     """
     n = len(couplings) + 1
-    if not eta > 0:  # NaN fails too
-        raise ValueError("anharmonicity eta must be positive")
+    _check_eta(eta)
     if n > MAX_FULL_QUTRITS:
         raise ValueError(
             f"full Hilbert space capped at {MAX_FULL_QUTRITS} qutrits (3^{n} dims requested)"

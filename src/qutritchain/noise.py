@@ -30,7 +30,7 @@ class QutritChannel:
 
     def __post_init__(self):
         defect = self.completeness_defect()
-        if defect > COMPLETENESS_TOL:
+        if not defect <= COMPLETENESS_TOL:  # a NaN defect fails too
             raise ValueError(f"Kraus set not trace preserving: defect {defect:.3e}")
 
     def completeness_defect(self) -> float:
@@ -52,8 +52,8 @@ class QutritChannel:
 def _dephasing_rate(t: float, t1: float, t2: float) -> float:
     """Pure-dephasing rate 1/T_phi = 1/T2 - 1/(2 T1) in 1/us, for a duration
     t >= 0 ns and positive t1, t2 with T2 <= 2 T1."""
-    if t < 0 or t1 <= 0 or t2 <= 0:
-        raise ValueError("need t >= 0 and positive t1, t2")
+    if not (np.isfinite(t) and t >= 0 and t1 > 0 and t2 > 0):  # NaN fails too
+        raise ValueError(f"need finite t >= 0 and positive t1, t2, got {t}, {t1}, {t2}")
     rate_phi = 1.0 / t2 - 0.5 / t1
     if rate_phi < -1e-15:
         raise ValueError(f"T2 = {t2} us exceeds 2 T1 = {2 * t1} us: invalid regime")
@@ -62,8 +62,8 @@ def _dephasing_rate(t: float, t1: float, t2: float) -> float:
 
 def amplitude_damping(t: float, t1: float) -> QutritChannel:
     """Three-level energy relaxation over t ns with lifetime t1 us."""
-    if t < 0 or t1 <= 0:
-        raise ValueError("need t >= 0 and t1 > 0")
+    if not (np.isfinite(t) and t >= 0 and t1 > 0):  # NaN fails too
+        raise ValueError(f"need finite t >= 0 and t1 > 0, got {t}, {t1}")
     gamma = 1.0 - np.exp(-(t * 1e-3) / t1)
     s = np.sqrt(1.0 - gamma)
     e0 = np.diag([1.0, s, 1.0 - gamma]).astype(complex)
@@ -118,7 +118,7 @@ def decoherence_error_curve(
         1/3 + 2/9 [sqrt(1-gamma) (2 + (sqrt 2 - 1) gamma) r + (1-gamma) r^4].
 
     It matches the channel loop to a few 1e-15.  Raises the ValueErrors of
-    phase_damping for t_qst < 0, t1 <= 0, t2 <= 0 and T2 > 2 T1.
+    phase_damping for t_qst < 0 or infinite, t1 <= 0, t2 <= 0, NaN and T2 > 2 T1.
     """
     rate_phi = _dephasing_rate(t_qst, t1, t2)
     k = np.arange(1, n_steps + 1)

@@ -8,12 +8,13 @@ pi/2.  Areas are reported in radians; amplitudes are cyclic MHz, times ns.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import COUPLING_CAP_MHZ, MHZ_TO_RAD_NS
+from .model import COUPLING_CAP_MHZ, MHZ_TO_RAD_NS, _check_eta
 
 
 @dataclass(frozen=True)
@@ -27,6 +28,9 @@ class TrapezoidPulse:
     t_ramp: float   # ns, duration of EACH ramp
 
     def __post_init__(self):
+        # math.isfinite: a pulse is built for each optimizer evaluation
+        if not all(map(math.isfinite, (self.amp_max, self.t_total, self.t_ramp))):
+            raise ValueError(f"pulse parameters must be finite, got {self}")
         if self.amp_max < 0:
             raise ValueError("amp_max must be nonnegative")
         if self.t_ramp < 0 or self.t_total < 2 * self.t_ramp:
@@ -40,7 +44,7 @@ class TrapezoidPulse:
     @property
     def plateau_window(self) -> tuple[float, float]:
         """(start, end) of the plateau, on which the amplitude is amp_max."""
-        return self.t_ramp, max(self.t_ramp, self.t_total - self.t_ramp)
+        return self.t_ramp, self.t_total - self.t_ramp
 
     def value(self, t):
         """Pulse amplitude in MHz at time t (scalar or array); 0 outside."""
@@ -60,11 +64,6 @@ def pulse_area(p: TrapezoidPulse) -> float:
     """Angular pulse area integral g(t) dt in rad: the geometric area
     amp_max * (t_total - t_ramp) in MHz*ns, times MHZ_TO_RAD_NS."""
     return p.amp_max * (p.t_total - p.t_ramp) * MHZ_TO_RAD_NS
-
-
-def _check_eta(eta: float) -> None:
-    if not (np.isfinite(eta) and eta > 0):
-        raise ValueError(f"eta must be positive and finite, got {eta}")
 
 
 def g_eff(g: float, eta: float) -> float:

@@ -10,7 +10,6 @@ taking the element-wise modulus of the projected propagator.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -132,17 +131,17 @@ def evolve_transfer(g_pulse: TrapezoidPulse, eta: float, dt: float = 0.001) -> n
 
     Built as U = R^T P R.  R is the up ramp on its own grid of
     round(t_ramp/dt) midpoint steps, in closed form by excitation sector
-    (_pair_window, no eigendecomposition).  P is the plateau: its midpoint
-    steps are all equal, so evolve_affine makes it one exact exponential
-    (and bench/tracing.py counts those steps through transfer.evolve_affine).
+    (_pair_window, no eigendecomposition).  P is the plateau at the constant
+    coupling amp_max, a 0-d scale that evolve_affine makes one exact
+    exponential (bench/tracing.py counts its steps via transfer.evolve_affine).
     The down ramp is the up ramp reversed in time, a product of the same
     step unitaries in reverse order, and each step exp(-i H dt) of the real
     symmetric H is a symmetric matrix, so the down ramp is exactly R^T.
     """
     d, w = _pair_parts(eta)
     r = _pair_window(g_pulse, eta, g_pulse.ramp_window, dt)
-    g = lambda ts: g_pulse.value(ts) * MHZ_TO_RAD_NS
-    p = evolve_affine(d, w, g, g_pulse.plateau_window, dt)
+    g_plateau = g_pulse.amp_max * MHZ_TO_RAD_NS
+    p = evolve_affine(d, w, lambda ts: g_plateau, g_pulse.plateau_window, dt)
     return _unitary(r.T @ p @ r)
 
 
@@ -231,17 +230,15 @@ class TransferReport:
     phase_1: float      # arg <01|U|10>, rad
     phase_2: float      # arg <02|U|20>, rad
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "g_max_mhz": self.g_max,
-                "t_qst_ns": self.t_qst,
-                "fidelity": self.fidelity,
-                "leakage_11": self.leakage_11,
-                "phase_1_rad": self.phase_1,
-                "phase_2_rad": self.phase_2,
-            }
-        )
+    def to_dict(self) -> dict[str, float]:
+        return {
+            "g_max_mhz": self.g_max,
+            "t_qst_ns": self.t_qst,
+            "fidelity": self.fidelity,
+            "leakage_11": self.leakage_11,
+            "phase_1_rad": self.phase_1,
+            "phase_2_rad": self.phase_2,
+        }
 
 
 def measure_report(u: np.ndarray, g_max: float, t_qst: float) -> TransferReport:

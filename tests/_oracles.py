@@ -3,13 +3,32 @@ package's closed forms and fast paths."""
 
 import numpy as np
 
-from qutritchain.evolution import _per_time, evolve, evolve_affine
+from qutritchain.evolution import (
+    HERMITIAN_TOL,
+    _batch_step_unitaries,
+    _per_time,
+    evolve,
+    evolve_affine,
+    hermiticity_defect,
+)
 from qutritchain.model import (
     MHZ_TO_RAD_NS,
     chain_hamiltonian,
     coupling_operator,
     x_op,
 )
+
+
+def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i h t) for Hermitian h (rad/ns) over t (ns), via eigendecomposition.
+
+    Raises ValueError for non-Hermitian input, reporting the max asymmetry.
+    """
+    h = np.asarray(h)
+    defect = hermiticity_defect(h)
+    if defect > HERMITIAN_TOL:
+        raise ValueError(f"matrix is not Hermitian: max |h - h^dagger| = {defect:.3e}")
+    return _batch_step_unitaries(h[None], t)[0]
 
 
 def adaptive_simpson(f, a: float, b: float, rtol: float = 1e-12) -> float:

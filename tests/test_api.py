@@ -16,6 +16,50 @@ TRACED_ARGUMENTS = {
 }
 
 
+# the public API, sorted; a re-exported test-only helper (such as
+# evolution.evolve, the step-by-step reference) fails this pin
+PUBLIC_NAMES = [
+    "ChainSchedule",
+    "ConstraintSolution",
+    "PhaseCompensation",
+    "PowerLawFit",
+    "QutritChannel",
+    "TransferReport",
+    "TrapezoidPulse",
+    "amplitude_damping",
+    "analytic_params",
+    "basis_labels",
+    "chain_hamiltonian",
+    "compensation_params",
+    "crossover",
+    "decoherence_error_curve",
+    "effective_area",
+    "evolve_transfer",
+    "fit_power",
+    "free_exponent_fit",
+    "g_eff",
+    "intrinsic_error_curve",
+    "make_schedule",
+    "optimize_pulse",
+    "phase_damping",
+    "phase_gate",
+    "population_series",
+    "pulse_area",
+    "qst_fidelity",
+    "rwa_residual",
+    "solve_constraint",
+    "step_transfer",
+    "uniform_state",
+    "validate_front_vs_full",
+    "x_op",
+    "y_op",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(qutritchain.__all__) == PUBLIC_NAMES
+
+
 def test_star_import_resolves_every_public_name():
     # a name left in __all__ after its definition is gone makes the star
     # import raise AttributeError

@@ -20,7 +20,7 @@ from qutritchain.model import (
     embed,
 )
 from qutritchain.pulse import TrapezoidPulse
-from qutritchain.transfer import measure_compensation, phase_gate
+from qutritchain.transfer import evolve_transfer, measure_compensation, phase_gate
 
 ETA = 200.0
 G_OPT, T_OPT = 37.6331, 21.9521
@@ -227,3 +227,20 @@ def test_full_chain_equals_per_edge_product(n):
         p = evolve_affine(diag, w, g, pulse.plateau_window, dt)
         expected = embed(comp, k + 1, n) @ r.T @ p @ r @ expected
     assert np.abs(evolve_chain_full(schedule, ETA, dt=dt) - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("n, dt", [(3, 0.001), (4, 0.004)])
+def test_dense_edge0_step_is_pair_step_times_idle_phases(n, dt):
+    # the oracle's dense edge-0 step against the closed-form pair step: the
+    # n - 2 idle qutrits only turn |2> by exp(i eta T) under diag(0, 0, -eta)
+    pulse = TrapezoidPulse(G_OPT, T_OPT, 2.0)
+    diag = chain_hamiltonian(ETA, [0.0] * (n - 1))
+    w = coupling_operator(0, n)
+    g = lambda ts: pulse.value(ts) * MHZ_TO_RAD_NS
+    r = evolve_affine(diag, w, g, pulse.ramp_window, dt)
+    p = evolve_affine(diag, w, g, pulse.plateau_window, dt)
+    idle = np.diag([1.0, 1.0, np.exp(1j * ETA * MHZ_TO_RAD_NS * pulse.t_total)])
+    expected = evolve_transfer(pulse, ETA, dt)
+    for _ in range(n - 2):
+        expected = np.kron(expected, idle)
+    assert np.abs(r.T @ p @ r - expected).max() < 1e-11

@@ -263,6 +263,37 @@ def test_errors_with_too_few_steps_is_config_error_before_optimizing(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["table1", "populations", "schedule", "errors"])
+def test_unusable_output_dir_is_config_error_before_optimizing(
+    tmp_path, monkeypatch, capsys, command
+):
+    monkeypatch.setattr("qutritchain.cli._optimize", _no_optimize)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run([command, "--out", blocker / "sub", *FAST]) == 2
+    assert capsys.readouterr().err.startswith("invalid config")
+    assert list(tmp_path.iterdir()) == [blocker]
+
+
+def test_failed_write_exits_1_with_one_line(tmp_path, monkeypatch, capsys):
+    def full_disk(path, chunks):
+        raise OSError(28, "No space left on device", path)
+
+    monkeypatch.setattr("qutritchain.cli._atomic_write", full_disk)
+    assert run(["table1", "--analytic-only", "--out", tmp_path, *FAST]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("write failed") and "No space left" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error::UserWarning")
+def test_validate_above_the_coupler_cap_warns_nothing(tmp_path, capsys):
+    # eta = 300 MHz puts the analytic g_max = 3 eta / 16 above 55 MHz; the
+    # other commands already silence analytic_params' warning
+    run(["validate", "--eta-mhz", 300, "--out", tmp_path, *FAST])
+    assert "front-vs-full n=4" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "args",
     [

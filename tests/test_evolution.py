@@ -5,15 +5,12 @@ import pytest
 from numpy import kron
 
 from qutritchain import evolution, transfer
-from qutritchain.evolution import (
-    evolve,
-    evolve_affine,
-    expm_hermitian,
-    unitarity_defect,
-)
+from qutritchain.evolution import evolve, evolve_affine, unitarity_defect
 from qutritchain.model import MHZ_TO_RAD_NS, chain_hamiltonian, coupling_operator, x_op
 from qutritchain.pulse import TrapezoidPulse
 from qutritchain.transfer import evolve_transfer, qst_fidelity
+
+from _oracles import expm_hermitian
 
 
 def test_kron_identity():
@@ -208,6 +205,18 @@ def test_evolve_affine_broadcasts_a_constant_scale(constant, explicit):
 def test_evolve_affine_rejects_scale_of_wrong_shape(scale_of_t):
     with pytest.raises(ValueError, match="scale_of_t must return one value per time"):
         evolve_affine(np.eye(2), np.eye(2), scale_of_t, (0.0, 1.0), 0.1)
+
+
+@pytest.mark.parametrize(
+    "t_span, dt",
+    [((0.0, np.nan), 0.1), ((np.nan, 1.0), 0.1), ((0.0, 1.0), np.nan), ((0.0, np.inf), 0.1),
+     ((-np.inf, 1.0), 0.1), ((0.0, 1.0), np.inf)],
+)
+def test_non_finite_window_or_step_is_rejected(t_span, dt):
+    with pytest.raises(ValueError, match="must be finite"):
+        evolve_affine(np.eye(2), np.eye(2), lambda ts: ts, t_span, dt)
+    with pytest.raises(ValueError, match="must be finite"):
+        evolve(lambda ts: np.zeros((len(ts), 2, 2)), t_span, dt)
 
 
 def test_evolve_dt_halving_table1_fidelity():

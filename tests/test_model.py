@@ -140,6 +140,8 @@ def test_params_validation():
         chain_hamiltonian(-200.0, [])
     with pytest.raises(ValueError, match="eta"):
         chain_hamiltonian(float("nan"), [0.0])
+    with pytest.raises(ValueError, match="eta must be positive and finite"):
+        chain_hamiltonian(float("inf"), [0.0])
     assert chain_hamiltonian(200.0, []).shape == (3, 3)  # one qutrit, no edge
 
 

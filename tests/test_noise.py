@@ -47,6 +47,12 @@ def test_amplitude_damping_validation():
         amplitude_damping(1.0, 0.0)
 
 
+@pytest.mark.parametrize("t, t1", [(np.nan, 60.0), (np.inf, 60.0), (1.0, np.nan)])
+def test_amplitude_damping_rejects_nan_and_infinite_duration(t, t1):
+    with pytest.raises(ValueError, match="need finite t"):
+        amplitude_damping(t, t1)
+
+
 def test_phase_damping_identity_cases():
     rho = uniform_rho()
     assert np.allclose(phase_damping(0.0, 60.0, 60.0).apply(rho), rho, atol=1e-15)
@@ -99,6 +105,11 @@ def test_completeness_guard():
     bad = (np.eye(3, dtype=complex) * 0.9,)
     with pytest.raises(ValueError, match="trace preserving"):
         QutritChannel(bad)
+
+
+def test_completeness_guard_fails_a_nan_defect():
+    with pytest.raises(ValueError, match="trace preserving"):
+        QutritChannel((np.eye(3, dtype=complex) * np.nan,))
 
 
 def test_semigroup_property():
@@ -176,7 +187,8 @@ def test_decoherence_curve_empty():
 @pytest.mark.parametrize(
     "t_qst, t1, t2",
     [(T_QST, 60.0, 121.0), (T_QST, 0.0, 60.0), (T_QST, 60.0, 0.0), (T_QST, 60.0, -1.0),
-     (-1.0, 60.0, 60.0)],
+     (-1.0, 60.0, 60.0), (np.nan, 60.0, 60.0), (np.inf, 60.0, 60.0), (T_QST, np.nan, 60.0),
+     (T_QST, 60.0, np.nan)],
 )
 def test_decoherence_curve_rejects_what_the_channels_reject(t_qst, t1, t2):
     with pytest.raises(ValueError) as channel_error:

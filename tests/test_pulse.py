@@ -59,6 +59,16 @@ def test_trapezoid_validation():
         TrapezoidPulse(1.0, 3.0, 2.0)
 
 
+@pytest.mark.parametrize(
+    "params",
+    [(np.nan, 22.0, 2.0), (np.inf, 22.0, 2.0), (37.5, np.nan, 2.0), (37.5, np.inf, 2.0),
+     (37.5, 22.0, np.nan), (37.5, np.inf, np.inf)],
+)
+def test_trapezoid_rejects_non_finite(params):
+    with pytest.raises(ValueError, match="finite"):
+        TrapezoidPulse(*params)
+
+
 def test_pulse_area_table1():
     # 37.5 MHz over an effective 20 ns is exactly 3 pi / 2
     assert pulse_area(ANALYTIC_PULSE) == pytest.approx(1.5 * np.pi, abs=1e-14)
