@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import analysis, chain, noise, transfer
-from .model import COUPLING_CAP_MHZ, rwa_residual
+from .model import COUPLING_CAP_MHZ, _check_eta, rwa_residual
 from .pulse import TrapezoidPulse, analytic_params
 from .transfer import TransferReport
 
@@ -64,10 +64,14 @@ class ExperimentConfig:
             raise ValueError(f"n_steps must be an integer, got {self.n_steps!r}")
         if not isinstance(self.output_dir, str):
             raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
-        if self.t_ramp < 0:
-            raise ValueError("t_ramp must be nonnegative")
+        _check_eta(self.eta)
+        # a subnormal ramp time is too small for the step arithmetic: its
+        # midpoints lose their bits (0.5 * 5e-324 rounds to 0), and
+        # 1 / t_ramp overflows
+        if not (self.t_ramp == 0.0 or self.t_ramp >= np.finfo(float).tiny):
+            raise ValueError(
+                f"t_ramp must be 0 or at least {np.finfo(float).tiny:.4g} ns, got {self.t_ramp}"
+            )
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.t1 <= 0 or self.t2 <= 0:
@@ -273,24 +277,23 @@ def cmd_errors(cfg: ExperimentConfig) -> int:
     intr = chain.intrinsic_error_curve(cfg.n_steps, u_step, comp)
     deco = noise.decoherence_error_curve(cfg.n_steps, rep.t_qst, cfg.t1, cfg.t2)
 
+    # every fit before the first file, so a failed fit leaves no output
+    fit_a = analysis.fit_power(intr, 4)
+    fit_b = analysis.fit_power(deco, 1)
+    exp_free, pre_free = analysis.free_exponent_fit(intr)
+    fits = {
+        "config": asdict(cfg),
+        "intrinsic": asdict(fit_a),
+        "decoherence": asdict(fit_b),
+        "k_star": analysis.crossover(fit_a, fit_b),
+        "intrinsic_free_fit": {"exponent": exp_free, "prefactor": pre_free},
+    }
+
     path = os.path.join(cfg.output_dir, "fig4.csv")
     rows = zip(intr[:, 0].astype(int), intr[:, 1], deco[:, 1])
     write_csv(path, ["k", "error_intrinsic", "error_decoherence"], rows)
     _write_sidecar(path, cfg)
-
-    fit_a = analysis.fit_power(intr, 4)
-    fit_b = analysis.fit_power(deco, 1)
-    exp_free, pre_free = analysis.free_exponent_fit(intr)
-    write_json(
-        os.path.join(cfg.output_dir, "fits.json"),
-        {
-            "config": asdict(cfg),
-            "intrinsic": asdict(fit_a),
-            "decoherence": asdict(fit_b),
-            "k_star": analysis.crossover(fit_a, fit_b),
-            "intrinsic_free_fit": {"exponent": exp_free, "prefactor": pre_free},
-        },
-    )
+    write_json(os.path.join(cfg.output_dir, "fits.json"), fits)
     return EXIT_OK
 
 

@@ -25,8 +25,12 @@ _SQRT2 = np.sqrt(2.0)
 
 
 def _check_eta(eta: float) -> None:
-    if not (np.isfinite(eta) and eta > 0):
-        raise ValueError(f"eta must be positive and finite, got {eta}")
+    # the angular eta must be a normal float: below ~3.5e-306 MHz it loses
+    # digits, and below ~8e-322 MHz it rounds to 0 and 1 / eta divides by 0
+    if not (np.isfinite(eta) and eta * MHZ_TO_RAD_NS >= np.finfo(float).tiny):
+        raise ValueError(
+            f"eta must be positive and finite, with a normal angular value, got {eta}"
+        )
 
 
 def x_op() -> np.ndarray:

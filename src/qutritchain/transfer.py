@@ -82,6 +82,29 @@ def _su2_fold(a: np.ndarray, b: np.ndarray) -> tuple[complex, complex]:
     return a[0], b[0]
 
 
+def _su2_steps(e, b, dt):
+    """First rows (a, b') of the SU(2) elements exp(-i K dt) with K =
+    [[-e/2, b], [b, e/2]]: K^2 = w^2 I with w = hypot(e/2, b), so
+    a = cos(w dt) + i (e/2) sin(w dt)/w and b' = -i b sin(w dt)/w.  b and dt
+    may be arrays, one element per step."""
+    omega = np.hypot(0.5 * e, b)
+    c, s = np.cos(omega * dt), np.sin(omega * dt) / omega
+    return c + 0.5j * e * s, -1j * b * s
+
+
+def _ramp_sectors(values: np.ndarray, eta: float, dt: float):
+    """Sector data of the time-ordered pair steps exp(-i H(g_k) dt), one per
+    coupling value g_k (MHz) in values, as (A, p, q, t): the {01,10} area
+    A = sum_k g_k dt in rad, the first row (p, q) of the {s,11} block's
+    SU(2) fold over its phase exp(i e t/2) (see _pair_window), and the
+    duration t = len(values) dt, which gives that phase and the {a} phase
+    exp(i e t)."""
+    e = eta * MHZ_TO_RAD_NS
+    b = 2.0 * values * MHZ_TO_RAD_NS
+    p, q = _su2_fold(*_su2_steps(e, b, dt))
+    return 0.5 * np.sum(b) * dt, complex(p), complex(q), dt * len(values)
+
+
 def _pair_window(pulse: TrapezoidPulse, eta: float, span, dt: float) -> np.ndarray:
     """9x9 propagator of the resonant pair under pulse over the window span,
     on evolve_affine's midpoint grid, in closed form by excitation sector.
@@ -92,22 +115,15 @@ def _pair_window(pulse: TrapezoidPulse, eta: float, span, dt: float) -> np.ndarr
     {s,11}: [[-e, 2g], [2g, 0]].  The sx blocks commute from step to step,
     so their product is exp(-i A sx) with A = sum g_k dt (2A for {12,21}).
     Only {s,11} is time ordered: each step is exp(i e dt/2) exp(-i K dt) with
-    K = [[-e/2, 2g], [2g, e/2]], K^2 = (e^2/4 + 4g^2) I, so exp(-i K dt) is
-    the SU(2) element with a = cos(w dt) + i (e/2) sin(w dt)/w and
-    b = -2i g sin(w dt)/w (w^2 = e^2/4 + 4g^2), folded by _su2_fold.
+    K = [[-e/2, 2g], [2g, e/2]], an SU(2) element (_su2_steps) folded by
+    _su2_fold; _ramp_sectors gives A and the fold.
     """
     mids, dt_eff = _midpoints(span, dt)
     r = np.eye(9, dtype=complex)
     if not len(mids):
         return r
     e = eta * MHZ_TO_RAD_NS
-    b = 2.0 * pulse.value(mids) * MHZ_TO_RAD_NS
-    t = dt_eff * len(mids)
-    a = 0.5 * np.sum(b) * dt_eff
-
-    omega = np.hypot(0.5 * e, b)
-    c, s = np.cos(omega * dt_eff), np.sin(omega * dt_eff) / omega
-    p, q = _su2_fold(c + 0.5j * e * s, -1j * b * s)
+    a, p, q, t = _ramp_sectors(pulse.value(mids), eta, dt_eff)
     half = np.exp(0.5j * e * t)
     m00, m01, m10, m11 = half * p, half * q, -half * np.conj(q), half * np.conj(p)
 
@@ -123,6 +139,34 @@ def _pair_window(pulse: TrapezoidPulse, eta: float, span, dt: float) -> np.ndarr
     r[_I11, _I02] = r[_I11, _I20] = m10 / np.sqrt(2.0)
     r[_I11, _I11] = m11
     return r
+
+
+def _sector_fidelity(ramp, eta: float, g: float, t_plateau: float) -> float:
+    """qst_fidelity of U = R^T P R without building U: R is the up ramp
+    given by its sector data ramp (_ramp_sectors), P the plateau at g (MHz)
+    for t_plateau ns.
+
+    U meets the computational subspace in three sectors: {00} gives 1,
+    {01,10} is exp(-i A sx) with A = 2 A_ramp + g t_plateau, and {02,20} is
+    [[m + h, m - h], [m - h, m + h]] / 2, with h = exp(i e t_total) the {a}
+    phase and m the (s, s) entry of the {s,11} block.  That block is R's
+    SU(2) pair (p, q), transposed to (p, -conj(q)), around the plateau's
+    exact SU(2) element (a, b) (_su2_steps with dt = t_plateau), all times
+    the phase sqrt(h).  So |m +- h| = |m0 +- sqrt(h)| with m0 = a p^2 +
+    (conj(b) - b) p conj(q) + conj(a) conj(q)^2, and with x, y =
+    |m0 +- sqrt(h)| / 2 qst_fidelity's trace terms are 3 + 2 (x^2 + y^2)
+    and (1 + 2 |sin A| + 2 y)^2, and F is their sum over d (d + 1) = 30.
+    """
+    area, p, q, t_ramp = ramp
+    e = eta * MHZ_TO_RAD_NS
+    two_g = 2.0 * g * MHZ_TO_RAD_NS
+    a, b = _su2_steps(e, two_g, t_plateau)
+    qc = q.conjugate()
+    m0 = a * p * p + (b.conjugate() - b) * p * qc + a.conjugate() * qc * qc
+    root_h = np.exp(0.5j * e * (2.0 * t_ramp + t_plateau))
+    x, y = 0.5 * abs(m0 + root_h), 0.5 * abs(m0 - root_h)
+    sin_a = abs(np.sin(2.0 * area + 0.5 * two_g * t_plateau))
+    return float((3.0 + 2.0 * (x * x + y * y) + (1.0 + 2.0 * sin_a + 2.0 * y) ** 2) / 30.0)
 
 
 def evolve_transfer(g_pulse: TrapezoidPulse, eta: float, dt: float = 0.001) -> np.ndarray:
@@ -163,7 +207,10 @@ def population_series(
     t_ramp, t_plateau = g_pulse.t_ramp, g_pulse.t_total - 2.0 * g_pulse.t_ramp
     n_ramp = _n_steps(t_ramp, dt)
     dt_ramp = t_ramp / n_ramp if n_ramp else dt
-    edges = [*range(0, n_ramp, max(1, int(round(dt_out / dt_ramp)))), n_ramp]
+    # a stride of n_ramp steps or more samples the ramp at its ends only;
+    # capping it first keeps a huge dt_out / dt_ramp from overflowing int
+    stride = max(1, int(round(min(dt_out / dt_ramp, n_ramp))))
+    edges = [*range(0, n_ramp, stride), n_ramp]
     prefixes = [np.eye(9, dtype=complex)]
     for m0, m1 in zip(edges, edges[1:]):
         window = _pair_window(g_pulse, eta, (m0 * dt_ramp, m1 * dt_ramp), dt_ramp)
@@ -281,27 +328,26 @@ def optimize_pulse(
     dt.  Never returns a report below the seed; on a fidelity tie the
     smaller g_max wins.
 
-    Search evaluations are evolve_transfer's R^T P R at search_dt, with the
-    closed-form up ramp R (_pair_window) memoized per g_max for this call:
-    the ramp does not depend on t_qst, so a t_qst line search costs one
-    plateau exponential (one 9x9 eigendecomposition, with no midpoint grid)
-    per point.  A g_max point also builds its ramp, whose only time-ordered
-    part is one SU(2) fold of two complex arrays (_su2_fold), about half of
-    the ramp's ~0.2 ms at the 500 search steps of a 2 ns ramp.
+    Search evaluations are qst_fidelity of evolve_transfer's R^T P R at
+    2*dt, taken by excitation sector (_sector_fidelity): no 9x9 matrix,
+    eigendecomposition or projection per point.  The up ramp R enters only
+    as its sector data (_ramp_sectors: the {01,10} area, one SU(2) fold of
+    the {s,11} steps and the ramp's duration), memoized per g_max for this
+    call from the unit ramp shape sampled once, because the ramp does not
+    depend on t_qst.  A t_qst point then costs one exact SU(2) plateau
+    element and a few complex products; a new g_max point also folds its
+    ramp, ~1000 steps for a 2 ns ramp.
     """
     g0, t0 = seed
-    search_dt = 2.0 * dt
-    d, w = _pair_parts(eta)
-    ramps: dict[float, np.ndarray] = {}
+    unit = TrapezoidPulse(1.0, 2.0 * t_ramp, t_ramp)
+    mids, dt_ramp = _midpoints(unit.ramp_window, 2.0 * dt)
+    shape = unit.value(mids)
+    ramps: dict[float, tuple] = {}
 
     def fid(g: float, t: float) -> float:
-        pulse = TrapezoidPulse(g, t, t_ramp)
         if g not in ramps:
-            ramps[g] = _pair_window(pulse, eta, pulse.ramp_window, search_dt)
-        r = ramps[g]
-        t_plateau = t - 2.0 * t_ramp
-        p = _batch_step_unitaries((d + g * MHZ_TO_RAD_NS * w)[None], t_plateau)[0]
-        return qst_fidelity(r.T @ p @ r)
+            ramps[g] = _ramp_sectors(g * shape, eta, dt_ramp)
+        return _sector_fidelity(ramps[g], eta, g, t - 2.0 * t_ramp)
 
     g, t = g0, t0
     for _ in range(MAX_SWEEPS):

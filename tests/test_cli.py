@@ -11,7 +11,7 @@ from test_golden import GOLDEN, validate_lines
 from qutritchain.chain import ChainSchedule
 from qutritchain.cli import CSV_BLOCK_ROWS, main, write_csv
 from qutritchain.noise import decoherence_error_curve
-from qutritchain.pulse import TrapezoidPulse
+from qutritchain.pulse import TrapezoidPulse, analytic_params
 
 # coarse step keeps the CLI tests quick; the physics is converged well below
 # the assertions used here
@@ -313,6 +313,51 @@ def test_ramp_longer_than_analytic_plateau_bound_is_config_error(tmp_path, capsy
 def test_ramp_just_inside_analytic_plateau_bound_runs(tmp_path):
     assert run(["table1", "--analytic-only", "--t-ramp-ns", 19.9, "--out", tmp_path, *FAST]) == 0
     assert (tmp_path / "table1.json").exists()
+
+
+@pytest.mark.parametrize("eta", [5e-324, 7e-322, 1e-310])
+def test_eta_without_normal_angular_value_is_config_error(tmp_path, capsys, eta):
+    # eta * 2 pi / 1000 rounds to 0 below ~8e-322 MHz, where analytic_params
+    # divided by it; every eta whose angular value is subnormal is refused
+    assert run(["table1", "--analytic-only", "--eta-mhz", eta, "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config") and "eta" in err
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ValueError, match="eta"):
+        analytic_params(eta)
+
+
+def test_subnormal_ramp_is_config_error_before_optimizing(tmp_path, monkeypatch, capsys):
+    # population_series overflowed on int(round(dt_out / t_ramp))
+    monkeypatch.setattr("qutritchain.cli._optimize", _no_optimize)
+    args = ["populations", "--eta-mhz", 300, "--t-ramp-ns", 5e-324, "--dt-ns", 0.05]
+    assert run([*args, "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config") and "t_ramp" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_populations_output_step_far_above_the_ramp_step(tmp_path):
+    # dt_out / dt_ramp = 1e300 / 1e-300 overflows a float; the ramp is then
+    # sampled at its ends only.  The nearly square seed is kept, as in
+    # test_table1_keeps_a_seed_the_search_cannot_beat
+    args = ["--t-ramp-ns", 1e-300, "--dt-ns", 0.05, "--dt-out-ns", 1e300]
+    with pytest.warns(UserWarning, match="failed to improve"):
+        assert run(["populations", *args, "--out", tmp_path]) == 0
+    _, rows = read_csv(tmp_path / "fig2b.csv")
+    assert rows[0, 0] == 0.0 and rows[-1, 0] == pytest.approx(20.0, abs=0.5)
+    assert rows[-1, 1] > 0.999 and rows[-1, 2] > 0.99
+
+
+def test_errors_failed_fit_leaves_no_output(tmp_path, capsys):
+    # the optimized square pulse transfers to roundoff, so the intrinsic
+    # curve has too few positive points for its log-log fit; the fits run
+    # before fig4.csv and its sidecar are written
+    args = ["--n-steps", 3, "--eta-mhz", 250, "--t-ramp-ns", 0, "--dt-ns", 0.05]
+    with pytest.warns(UserWarning, match="failed to improve"):
+        assert run(["errors", *args, "--out", tmp_path]) == 1
+    assert "not enough positive points" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

@@ -1,13 +1,21 @@
 """Property tests of the factorized trapezoid propagator U = R^T P R that
 evolve_transfer builds (up ramp R, exact plateau P, down ramp R^T), of
-the closed-form pair window it builds R from, and of that window's SU(2)
-fold."""
+the closed-form pair window it builds R from, of that window's SU(2)
+fold, and of the excitation-sector fidelity optimize_pulse searches with."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qutritchain.evolution import _fold, _n_steps, evolve, evolve_affine, unitarity_defect
+from _oracles import expm_hermitian
+from qutritchain.evolution import (
+    _fold,
+    _midpoints,
+    _n_steps,
+    evolve,
+    evolve_affine,
+    unitarity_defect,
+)
 from qutritchain.model import (
     MHZ_TO_RAD_NS,
     chain_hamiltonian,
@@ -15,7 +23,15 @@ from qutritchain.model import (
     number_op,
 )
 from qutritchain.pulse import TrapezoidPulse
-from qutritchain.transfer import _pair_parts, _pair_window, _su2_fold, evolve_transfer
+from qutritchain.transfer import (
+    _pair_parts,
+    _pair_window,
+    _ramp_sectors,
+    _sector_fidelity,
+    _su2_fold,
+    evolve_transfer,
+    qst_fidelity,
+)
 
 PROPS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 # roundoff of a product of ~10^3 to 10^4 unitary 9x9 steps in float64
@@ -134,3 +150,27 @@ def test_off_grid_converges_to_fine_generic_evolution(eta, g, t_ramp, t_plateau)
     u_half = evolve_transfer(pulse, eta, dt / 2)
     shift = np.abs(u - u_half).max()
     assert np.abs(u - ref).max() <= 2.0 * shift + ROUNDOFF
+
+
+@PROPS
+@given(
+    eta=st.floats(100.0, 300.0),
+    t_ramp=st.floats(0.0, 3.0),
+    g=st.floats(1.0, 60.0),
+    t_plateau=st.floats(0.0, 45.0),
+    dt=st.sampled_from([0.002, 0.004, 0.01]),
+)
+@example(eta=200.0, t_ramp=0.0, g=37.5, t_plateau=20.0, dt=0.002)
+@example(eta=200.0, t_ramp=2.0, g=37.6331, t_plateau=17.9521, dt=0.002)
+def test_sector_fidelity_matches_projected_propagator(eta, t_ramp, g, t_plateau, dt):
+    # optimize_pulse's search F from the ramp's sector data against
+    # qst_fidelity of R^T P R, with the 9x9 closed-form ramp R and a dense
+    # plateau exponential P; t_ramp = 0 is an empty ramp
+    pulse = TrapezoidPulse(g, 2 * t_ramp + t_plateau, t_ramp)
+    tau = pulse.t_total - 2 * t_ramp
+    mids, dt_ramp = _midpoints(pulse.ramp_window, dt)
+    ramp = _ramp_sectors(pulse.value(mids), eta, dt_ramp)
+    r = _pair_window(pulse, eta, pulse.ramp_window, dt)
+    d, w = pair_parts(eta)
+    p = expm_hermitian(d + g * MHZ_TO_RAD_NS * w, tau)
+    assert abs(_sector_fidelity(ramp, eta, g, tau) - qst_fidelity(r.T @ p @ r)) <= 1e-14

@@ -124,42 +124,50 @@ def test_optimizer_quick_run_never_below_seed(monkeypatch):
 
 
 def test_optimizer_builds_each_ramp_once(monkeypatch):
-    # every _pair_window call is the up ramp (0, t_ramp) of one trapezoid;
-    # a search plateau is one _batch_step_unitaries call and the plateau of
-    # evolve_transfer one evolve_affine call; record (kind, dt, g_max) per
-    # call, with g_max in rad/ns and dt None for the search plateaus
-    calls = []
+    # a search point is one _sector_fidelity call on the sector data of its
+    # g_max's up ramp, and a ramp fold one _ramp_sectors call: at the search
+    # step 2 dt directly, at dt inside the 9x9 _pair_window of the two
+    # evolve_transfer calls (the seed guard and the final report), whose
+    # plateaus make the only eigendecompositions
+    folds, points, windows, eighs = [], [], [], []
+    real_ramp_sectors = transfer._ramp_sectors
+    real_sector_fidelity = transfer._sector_fidelity
     real_pair_window = transfer._pair_window
-    real_step_unitaries = transfer._batch_step_unitaries
-    real_evolve_affine = transfer.evolve_affine
+    real_eigh = np.linalg.eigh
 
-    def ramp(pulse, eta, span, dt):
-        assert span == (0.0, 2.0)
-        calls.append(("ramp", dt, pulse.amp_max * MHZ_TO_RAD_NS))
+    def ramp_sectors(values, eta, dt):
+        folds.append((dt, real_ramp_sectors(values, eta, dt)))
+        return folds[-1][1]
+
+    def sector_fidelity(ramp, eta, g, t_plateau):
+        points.append((g, ramp))
+        return real_sector_fidelity(ramp, eta, g, t_plateau)
+
+    def pair_window(pulse, eta, span, dt):
+        windows.append(dt)
         return real_pair_window(pulse, eta, span, dt)
 
-    def search_plateau(hs, dt):
-        calls.append(("plateau", None, hs[0, 1, 3].real))
-        return real_step_unitaries(hs, dt)
+    def eigh(a, *args, **kwargs):
+        eighs.append(np.shape(a))
+        return real_eigh(a, *args, **kwargs)
 
-    def plateau(d, w, scale_of_t, t_span, dt):
-        # a 0-d scale is a constant over the window
-        calls.append(("plateau", dt, float(np.ravel(scale_of_t(np.array([t_span[1]])))[0])))
-        return real_evolve_affine(d, w, scale_of_t, t_span, dt)
-
-    monkeypatch.setattr(transfer, "_pair_window", ramp)
-    monkeypatch.setattr(transfer, "_batch_step_unitaries", search_plateau)
-    monkeypatch.setattr(transfer, "evolve_affine", plateau)
+    monkeypatch.setattr(transfer, "_ramp_sectors", ramp_sectors)
+    monkeypatch.setattr(transfer, "_sector_fidelity", sector_fidelity)
+    monkeypatch.setattr(transfer, "_pair_window", pair_window)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
     rep = optimize_pulse(ETA, 2.0, analytic_params(ETA), dt=0.001)
 
-    search_ramps = [g for kind, dt, g in calls if kind == "ramp" and dt == 0.002]
-    search_plateaus = [g for kind, dt, g in calls if kind == "plateau" and dt is None]
-    assert len(search_ramps) == len(set(search_ramps)) > 10
-    assert set(search_ramps) == set(search_plateaus)
-    assert len(search_plateaus) > len(search_ramps)  # t searches reuse ramps
-    # the seed guard and the final report: two evolve_transfer calls at dt
-    assert sorted(kind for kind, dt, _ in calls if dt == 0.001) == ["plateau"] * 2 + ["ramp"] * 2
-    assert len(calls) == len(search_ramps) + len(search_plateaus) + 4
+    search_ramps = [ramp for dt, ramp in folds if dt == 0.002]
+    assert sorted(dt for dt, _ in folds if dt != 0.002) == windows == [0.001] * 2
+    # one fold per distinct g_max, which every point at that g_max reuses
+    ramp_of = {}
+    for g, ramp in points:
+        assert ramp_of.setdefault(g, ramp) is ramp
+    assert len(search_ramps) == len(ramp_of) > 10
+    assert set(map(id, search_ramps)) == set(map(id, ramp_of.values()))
+    assert len(points) > len(search_ramps)  # t_qst searches reuse ramps
+    # one single-run plateau per evolve_transfer; none in the search
+    assert eighs == [(1, 9, 9)] * 2
     # reference optimum at dt = 1 ps, F as the unfactorized integrator gave it
     assert rep.g_max == pytest.approx(37.633, abs=5e-4)
     assert rep.t_qst == pytest.approx(21.952, abs=5e-4)
