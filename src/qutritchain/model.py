@@ -45,11 +45,6 @@ def y_op() -> np.ndarray:
     )
 
 
-def number_op() -> np.ndarray:
-    """Local excitation number diag(0, 1, 2)."""
-    return np.diag([0.0, 1.0, 2.0]).astype(complex)
-
-
 def basis_labels(n: int) -> tuple[str, ...]:
     """Ordered product-basis labels, e.g. ("00", "01", ..., "22") for n=2."""
     labels = [""]

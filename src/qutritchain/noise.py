@@ -40,14 +40,6 @@ class QutritChannel:
     def apply(self, rho: np.ndarray) -> np.ndarray:
         return sum(e @ rho @ e.conj().T for e in self.kraus_ops)
 
-    def choi(self) -> np.ndarray:
-        """Choi matrix sum_k vec(E_k) vec(E_k)^dag; PSD iff the map is CP."""
-        c = np.zeros((9, 9), dtype=complex)
-        for e in self.kraus_ops:
-            v = e.reshape(-1)
-            c += np.outer(v, v.conj())
-        return c
-
 
 def _dephasing_rate(t: float, t1: float, t2: float) -> float:
     """Pure-dephasing rate 1/T_phi = 1/T2 - 1/(2 T1) in 1/us, for a duration

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import (
-    _batch_step_unitaries,
-    _midpoints,
-    _n_steps,
-    _unitary,
-    evolve_affine,
-)
+from .evolution import _midpoints, _n_steps, _unitary, evolve_affine
 from .model import (
     DELTA_RANGE_MHZ,
     MHZ_TO_RAD_NS,
@@ -65,20 +59,24 @@ def _pair_parts(eta: float) -> tuple[np.ndarray, np.ndarray]:
     return d, coupling_operator(0, 2)
 
 
+def _su2_mul(a1, b1, a0, b0):
+    """First row of the SU(2) product [[a1, b1], [-conj(b1), conj(a1)]]
+    [[a0, b0], [-conj(b0), conj(a0)]], which is again of that form."""
+    return a1 * a0 - b1 * np.conj(b0), a1 * b0 + b1 * np.conj(a0)
+
+
 def _su2_fold(a: np.ndarray, b: np.ndarray) -> tuple[complex, complex]:
     """Time-ordered product of the SU(2) steps [[a_k, b_k], [-conj(b_k),
     conj(a_k)]], later step on the left, as the first row (a, b) of the
-    product, which is again of that form.  The steps are padded with
-    identities (1, 0) to a power of two, then each level multiplies
-    neighbouring pairs, (a1, b1)(a0, b0) = (a1 a0 - b1 conj(b0),
-    a1 b0 + b1 conj(a0)), in the same tree as evolution._fold."""
+    product.  The steps are padded with identities (1, 0) to a power of two,
+    then each level multiplies neighbouring pairs (_su2_mul) in the same
+    tree as evolution._fold."""
     n = 1 << (len(a) - 1).bit_length()
     pa, pb = np.ones(n, dtype=complex), np.zeros(n, dtype=complex)
     pa[: len(a)], pb[: len(b)] = a, b
     a, b = pa, pb
     while len(a) > 1:
-        a0, a1, b0, b1 = a[0::2], a[1::2], b[0::2], b[1::2]
-        a, b = a1 * a0 - b1 * b0.conj(), a1 * b0 + b1 * a0.conj()
+        a, b = _su2_mul(a[1::2], b[1::2], a[0::2], b[0::2])
     return a[0], b[0]
 
 
@@ -105,9 +103,10 @@ def _ramp_sectors(values: np.ndarray, eta: float, dt: float):
     return 0.5 * np.sum(b) * dt, complex(p), complex(q), dt * len(values)
 
 
-def _pair_window(pulse: TrapezoidPulse, eta: float, span, dt: float) -> np.ndarray:
-    """9x9 propagator of the resonant pair under pulse over the window span,
-    on evolve_affine's midpoint grid, in closed form by excitation sector.
+def _pair_window(pulse: TrapezoidPulse, eta: float, dt: float) -> np.ndarray:
+    """9x9 up-ramp propagator R of the resonant pair under pulse, on
+    evolve_affine's midpoint grid over pulse.ramp_window, in closed form by
+    excitation sector.
 
     D + g W conserves excitation, and with s, a = (|02> +- |20>)/sqrt2 every
     sector block is 1x1 or 2x2 (angular e = eta, g = g(t)):
@@ -118,7 +117,7 @@ def _pair_window(pulse: TrapezoidPulse, eta: float, span, dt: float) -> np.ndarr
     K = [[-e/2, 2g], [2g, e/2]], an SU(2) element (_su2_steps) folded by
     _su2_fold; _ramp_sectors gives A and the fold.
     """
-    mids, dt_eff = _midpoints(span, dt)
+    mids, dt_eff = _midpoints(pulse.ramp_window, dt)
     r = np.eye(9, dtype=complex)
     if not len(mids):
         return r
@@ -183,7 +182,7 @@ def evolve_transfer(g_pulse: TrapezoidPulse, eta: float, dt: float = 0.001) -> n
     symmetric H is a symmetric matrix, so the down ramp is exactly R^T.
     """
     d, w = _pair_parts(eta)
-    r = _pair_window(g_pulse, eta, g_pulse.ramp_window, dt)
+    r = _pair_window(g_pulse, eta, dt)
     g_plateau = g_pulse.amp_max * MHZ_TO_RAD_NS
     p = evolve_affine(d, w, lambda ts: g_plateau, g_pulse.plateau_window, dt)
     return _unitary(r.T @ p @ r)
@@ -194,58 +193,53 @@ def population_series(
 ):
     """Transfer populations p01(t) = |<01|U(t)|10>|^2 and p02(t) = |<02|U(t)|20>|^2
     from |10> and |20>, sampled about every dt_out on evolve_transfer's grid.
-    Returns (t, p01, p02) with t increasing from 0 to t_total; the last
-    sample is evolve_transfer's U = R^T P R.
+    Returns (t, p01, p02) with t strictly increasing from 0 to t_total; the
+    last sample is evolve_transfer's U = R^T P R.
 
-    Up ramp: the prefixes Q_m (first m steps) of R, built window by window
-    in closed form (_pair_window).  Plateau: P(s) R at even offsets s, from
-    one eigendecomposition.  Down ramp: its last m steps are Q_m^T, by the
-    step symmetry that makes it R^T, so m steps before the end
-    U(t) = conj(Q_m) U, with no integration.
+    Each sample U(t) is carried as two sectors (see _pair_window): the
+    {01,10} area A, which gives p01 = sin^2 A, and the first row (p, q) of
+    the {s,11} block's SU(2) element, which with the {a} phase exp(i e t)
+    gives <02|U(t)|20> = (exp(i e t/2) p - exp(i e t)) / 2, so
+    p02 = |p - exp(i e t/2)|^2 / 4.  Up ramp: the prefixes Q_m (first m
+    steps) of R, chained window by window from one _ramp_sectors fold each.
+    Plateau: P(s) R at even offsets s, with P(s) the exact SU(2) element
+    _su2_steps(e, 2g, s).  Down ramp: its last m steps are Q_m^T, by the step
+    symmetry that makes it R^T, so m steps before the end U(t) = conj(Q_m) U,
+    with area A_U - A_m.  No 9x9 matrix and no eigendecomposition.
     """
-    d, w = _pair_parts(eta)
+    e, g = eta * MHZ_TO_RAD_NS, g_pulse.amp_max * MHZ_TO_RAD_NS
     t_ramp, t_plateau = g_pulse.t_ramp, g_pulse.t_total - 2.0 * g_pulse.t_ramp
-    n_ramp = _n_steps(t_ramp, dt)
-    dt_ramp = t_ramp / n_ramp if n_ramp else dt
+    mids, dt_ramp = _midpoints(g_pulse.ramp_window, dt)
+    values, n_ramp = g_pulse.value(mids), len(mids)
     # a stride of n_ramp steps or more samples the ramp at its ends only;
     # capping it first keeps a huge dt_out / dt_ramp from overflowing int
-    stride = max(1, int(round(min(dt_out / dt_ramp, n_ramp))))
+    stride = max(1, int(round(min(dt_out / dt_ramp, n_ramp)))) if n_ramp else 1
     edges = [*range(0, n_ramp, stride), n_ramp]
-    prefixes = [np.eye(9, dtype=complex)]
-    for m0, m1 in zip(edges, edges[1:]):
-        window = _pair_window(g_pulse, eta, (m0 * dt_ramp, m1 * dt_ramp), dt_ramp)
-        prefixes.append(window @ prefixes[-1])
-    r = prefixes.pop()  # the plateau's first sample, P(0) R
+    # (area, SU(2) pair) of Q_m for m in edges; the last is R
+    area = np.zeros(len(edges))
+    p, q = np.ones(len(edges), dtype=complex), np.zeros(len(edges), dtype=complex)
+    for k, (m0, m1) in enumerate(zip(edges, edges[1:])):
+        a_w, p_w, q_w, _ = _ramp_sectors(values[m0:m1], eta, dt_ramp)
+        area[k + 1] = area[k] + a_w
+        p[k + 1], q[k + 1] = _su2_mul(p_w, q_w, p[k], q[k])
 
     n_plateau = _n_steps(t_plateau, max(dt_out, dt))
     offsets = t_plateau * np.arange(n_plateau + 1) / max(n_plateau, 1)
-    h = d + g_pulse.amp_max * MHZ_TO_RAD_NS * w
-    plateau = _batch_step_unitaries(h[None], offsets) @ r
-    u = r.T @ plateau[-1]
+    pa, pb = _su2_mul(*_su2_steps(e, 2.0 * g, offsets), p[-1], q[-1])
+    # U = R^T P R; R^T's {s,11} pair is (p, -conj(q))
+    ua, ub = _su2_mul(p[-1], -np.conj(q[-1]), pa[-1], pb[-1])
+    down, _ = _su2_mul(np.conj(p[-2::-1]), np.conj(q[-2::-1]), ua, ub)
+    u_area = 2.0 * area[-1] + g * t_plateau
 
-    us = np.array([*prefixes, *plateau, *(np.conj(q) @ u for q in prefixes[::-1])])
     m = np.array(edges[:-1], dtype=float)
     ts = np.concatenate([m * dt_ramp, t_ramp + offsets, g_pulse.t_total - m[::-1] * dt_ramp])
-    return ts, np.abs(us[:, _I01, _I10]) ** 2, np.abs(us[:, _I02, _I20]) ** 2
-
-
-def count_transfer_peaks(populations: np.ndarray, height: float = 0.99) -> int:
-    """Completed-transfer peaks in a population trace: local maxima found by
-    sign changes of the discrete derivative (a rising endpoint counts), kept
-    only if the population reaches `height` there.  The height filter drops
-    the small ripples the doubly excited level imprints on the trace."""
-    y = np.asarray(populations, dtype=float)
-    d = np.diff(y)
-    moving = np.abs(d) > 1e-12
-    sgn = np.sign(d[moving])
-    idx = np.nonzero(moving)[0]
-    peaks = 0
-    for i in range(len(sgn) - 1):
-        if sgn[i] > 0 and sgn[i + 1] < 0 and y[idx[i] + 1] >= height:
-            peaks += 1
-    if len(sgn) and sgn[-1] > 0 and y[-1] >= height:
-        peaks += 1
-    return peaks
+    areas = np.concatenate([area[:-1], area[-1] + g * offsets, u_area - area[-2::-1]])
+    ps = np.concatenate([p[:-1], pa, down])
+    # a ramp below the resolution of t_total puts the plateau's last sample
+    # at the time of U; keep each sample only before the next one
+    keep = np.append(ts[1:] > ts[:-1], True)
+    p01, p02 = np.sin(areas) ** 2, 0.25 * np.abs(ps - np.exp(0.5j * e * ts)) ** 2
+    return ts[keep], p01[keep], p02[keep]
 
 
 def qst_fidelity(u) -> float:

@@ -1,5 +1,6 @@
 """Reference implementations shared by the tests, independent of the
-package's closed forms and fast paths."""
+package's closed forms and fast paths, and the helpers only tests use
+(number_op, count_transfer_peaks, choi)."""
 
 import numpy as np
 
@@ -29,6 +30,40 @@ def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
     if defect > HERMITIAN_TOL:
         raise ValueError(f"matrix is not Hermitian: max |h - h^dagger| = {defect:.3e}")
     return _batch_step_unitaries(h[None], t)[0]
+
+
+def number_op() -> np.ndarray:
+    """Local excitation number diag(0, 1, 2)."""
+    return np.diag([0.0, 1.0, 2.0]).astype(complex)
+
+
+def count_transfer_peaks(populations: np.ndarray, height: float = 0.99) -> int:
+    """Completed-transfer peaks in a population trace: local maxima found by
+    sign changes of the discrete derivative (a rising endpoint counts), kept
+    only if the population reaches `height` there.  The height filter drops
+    the small ripples the doubly excited level imprints on the trace."""
+    y = np.asarray(populations, dtype=float)
+    d = np.diff(y)
+    moving = np.abs(d) > 1e-12
+    sgn = np.sign(d[moving])
+    idx = np.nonzero(moving)[0]
+    peaks = 0
+    for i in range(len(sgn) - 1):
+        if sgn[i] > 0 and sgn[i + 1] < 0 and y[idx[i] + 1] >= height:
+            peaks += 1
+    if len(sgn) and sgn[-1] > 0 and y[-1] >= height:
+        peaks += 1
+    return peaks
+
+
+def choi(channel) -> np.ndarray:
+    """Choi matrix sum_k vec(E_k) vec(E_k)^dag of a QutritChannel; PSD iff
+    the map is CP."""
+    c = np.zeros((9, 9), dtype=complex)
+    for e in channel.kraus_ops:
+        v = e.reshape(-1)
+        c += np.outer(v, v.conj())
+    return c
 
 
 def adaptive_simpson(f, a: float, b: float, rtol: float = 1e-12) -> float:

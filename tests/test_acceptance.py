@@ -14,11 +14,10 @@ from qutritchain.chain import intrinsic_error_curve, make_schedule, validate_fro
 from qutritchain.evolution import unitarity_defect
 from qutritchain.model import MHZ_TO_RAD_NS
 from qutritchain.noise import amplitude_damping, decoherence_error_curve, phase_damping
-from _oracles import adaptive_simpson
+from _oracles import adaptive_simpson, count_transfer_peaks
 from qutritchain.pulse import TrapezoidPulse, analytic_params
 from qutritchain.transfer import (
     compensation_params,
-    count_transfer_peaks,
     evolve_transfer,
     optimize_pulse,
     population_series,

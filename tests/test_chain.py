@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _reference import G_OPT, T_OPT
 from qutritchain.chain import (
     ChainSchedule,
     edge_permutation,
@@ -23,7 +24,6 @@ from qutritchain.pulse import TrapezoidPulse
 from qutritchain.transfer import evolve_transfer, measure_compensation, phase_gate
 
 ETA = 200.0
-G_OPT, T_OPT = 37.6331, 21.9521
 
 
 def norm_deficit(front):

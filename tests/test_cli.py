@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import _oracles
+from _reference import T_OPT
 from test_golden import GOLDEN, validate_lines
 from qutritchain.chain import ChainSchedule
 from qutritchain.cli import CSV_BLOCK_ROWS, main, write_csv
@@ -360,6 +366,73 @@ def test_errors_failed_fit_leaves_no_output(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+# values no config check may let through as a traceback: zero, a negative,
+# the smallest subnormal, a tiny and a huge normal, nan and +-inf
+ODD_VALUES = [0.0, -1.0, 5e-324, 1e-300, 1e300, float("nan"), float("inf"), float("-inf")]
+CONTRACT = settings(deadline=None, derandomize=True, database=None)
+
+
+def exit_contract(args):
+    """Run the CLI in process on args and check the exit contract: exit 0,
+    1 or 2, no traceback on stderr, and exit 1 only with a "numerical
+    failure" or "write failed" line.  A kept seed's "failed to improve"
+    warning is part of a successful run."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "optimizer failed to improve", UserWarning)
+            code = main([*map(str, args), f"--out={out}"])
+    text = err.getvalue()
+    assert code in (0, 1, 2), (args, code, text)
+    assert "Traceback" not in text, (args, text)
+    if code == 1:
+        assert any(
+            line.startswith(("numerical failure", "write failed")) for line in text.splitlines()
+        ), (args, text)
+    return code
+
+
+@settings(CONTRACT, max_examples=60)
+@given(
+    eta=st.sampled_from([*ODD_VALUES, 200.0, 290.0]),
+    t_ramp=st.sampled_from([*ODD_VALUES, 2.0]),
+    dt=st.sampled_from([*ODD_VALUES, 0.002]),
+)
+def test_exit_contract_config_and_analytic_table(eta, t_ramp, dt):
+    # every draw resolves the config and, if it is valid, evolves the
+    # analytic pulse; "=" keeps argparse from reading "-1" as a flag
+    code = exit_contract(["table1", "--analytic-only", f"--eta-mhz={eta}",
+                          f"--t-ramp-ns={t_ramp}", f"--dt-ns={dt}"])
+    if not (np.isfinite([eta, t_ramp, dt]).all() and eta > 0 and t_ramp >= 0 and dt > 0):
+        assert code == 2
+
+
+@settings(CONTRACT, max_examples=12)
+@given(
+    command=st.sampled_from(["table1", "populations", "schedule", "errors"]),
+    eta=st.sampled_from([200.0, 250.0, 1e5, 1e300, -1.0, float("nan")]),
+    t_ramp=st.sampled_from([0.0, 1e-300, 0.01, 2.0, 5e-324, float("inf")]),
+    dt=st.sampled_from([0.01, 0.05, 1e300, float("inf")]),
+    dt_out=st.sampled_from([0.05, 5e-324, 1e300, float("nan")]),
+)
+# an intrinsic error at roundoff (exit 1), a ramp far below the output step,
+# one step over the whole pulse, and a huge eta with no ramp
+@example(command="errors", eta=1e5, t_ramp=0.0, dt=0.05, dt_out=0.05)
+@example(command="populations", eta=200.0, t_ramp=1e-300, dt=0.05, dt_out=1e300)
+@example(command="schedule", eta=250.0, t_ramp=2.0, dt=1e300, dt_out=0.05)
+@example(command="table1", eta=1e300, t_ramp=0.0, dt=0.01, dt_out=0.05)
+def test_exit_contract_optimizer_commands(command, eta, t_ramp, dt, dt_out):
+    # the optimizer runs only on a coarse grid, dt >= 10 ps
+    args = [command, f"--eta-mhz={eta}", f"--t-ramp-ns={t_ramp}", f"--dt-ns={dt}"]
+    if command in ("populations", "schedule"):
+        args.append(f"--dt-out-ns={dt_out}")
+    if command == "errors":
+        args.append("--n-steps=20")
+    code = exit_contract(args)
+    if not (np.isfinite([eta, t_ramp, dt]).all() and eta > 0):
+        assert code == 2
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     import qutritchain
 
@@ -385,7 +458,7 @@ def _fig3_rows():
 
 
 def _fig4_rows(n=CSV_BLOCK_ROWS + 7):
-    deco = decoherence_error_curve(n, 21.9521)
+    deco = decoherence_error_curve(n, T_OPT)
     return zip(deco[:, 0].astype(int), 1e-5 * deco[:, 0], deco[:, 1])
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy import kron
 
-from _oracles import rwa_residual_generic, rwa_residual_rotating
+from _oracles import number_op, rwa_residual_generic, rwa_residual_rotating
 from qutritchain.evolution import evolve, hermiticity_defect
 from qutritchain.model import (
     MHZ_TO_RAD_NS,
@@ -11,7 +11,6 @@ from qutritchain.model import (
     chain_hamiltonian,
     coupling_operator,
     embed,
-    number_op,
     rwa_residual,
     x_op,
     y_op,
