@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+MIN_FIT_POINTS = 3  # fewest (k, error) points fit_power fits
+
 
 @dataclass(frozen=True)
 class PowerLawFit:
@@ -27,8 +29,8 @@ def fit_power(data, exponent: int) -> PowerLawFit:
     """Least squares on the single regressor k^exponent (no intercept):
     prefactor = sum(err * k^p) / sum(k^(2p))."""
     k, err = _split(data)
-    if len(k) < 3:
-        raise ValueError("need at least 3 points")
+    if len(k) < MIN_FIT_POINTS:
+        raise ValueError(f"need at least {MIN_FIT_POINTS} points")
     reg = k**float(exponent)
     prefactor = float(np.sum(err * reg) / np.sum(reg * reg))
     rms = float(np.sqrt(np.mean((err - prefactor * reg) ** 2)))

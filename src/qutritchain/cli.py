@@ -74,10 +74,6 @@ class ExperimentConfig:
             )
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.t1 <= 0 or self.t2 <= 0:
-            raise ValueError("t1 and t2 must be positive")
-        if self.t2 > 2.0 * self.t1 + 1e-12:
-            raise ValueError(f"T2 = {self.t2} us exceeds 2 T1 = {2 * self.t1} us")
         if self.n_steps < 1:
             raise ValueError("n_steps must be at least 1")
         _check_samples("n_steps", self.n_steps)
@@ -89,6 +85,9 @@ class ExperimentConfig:
                 f"{4000.0 / self.eta:.6g} ns"
             )
         _check_samples("the pulse grid t_qst / dt", t_qst / self.dt)
+        # the lifetimes over the longest idle time: validate's channels and
+        # the decoherence curve's last step
+        noise.check_lifetimes(self.n_steps * t_qst, self.t1, self.t2)
 
     def pulse_duration(self) -> float:
         """Analytic t_qst in ns, the length of one transfer pulse."""
@@ -326,7 +325,7 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
         ("phase", noise.phase_damping(cfg.n_steps * t_a, cfg.t1, cfg.t2)),
     ):
         d = ch.completeness_defect()
-        record(f"kraus completeness ({name})", d < 1e-12, f"defect {d:.2e}")
+        record(f"kraus completeness ({name})", d <= noise.COMPLETENESS_TOL, f"defect {d:.2e}")
 
     f1 = transfer.qst_fidelity(transfer.evolve_transfer(pulse, cfg.eta, dt=cfg.dt))
     f2 = transfer.qst_fidelity(transfer.evolve_transfer(pulse, cfg.eta, dt=cfg.dt / 2))
@@ -370,8 +369,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg = resolve_config(args)
         if args.command == "schedule" and args.n_qutrits < 2:
             raise ValueError("schedule needs at least 2 qutrits")
-        if args.command == "errors" and cfg.n_steps < 3:
-            raise ValueError("errors needs n_steps >= 3 for its power-law fits")
+        if args.command == "errors" and cfg.n_steps < analysis.MIN_FIT_POINTS:
+            raise ValueError(f"errors needs n_steps >= {analysis.MIN_FIT_POINTS} for its fits")
         if args.command == "populations":
             _check_output_grid(cfg, args.dt_out_ns, 1, 3)  # t, p01, p02
         if args.command == "schedule":

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 COMPLETENESS_TOL = 1e-12
+# T2 may pass 2 T1 by this relative amount, the roundoff of a T2 given as 2 T1
+T2_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -41,29 +43,36 @@ class QutritChannel:
         return sum(e @ rho @ e.conj().T for e in self.kraus_ops)
 
 
-def _dephasing_rate(t: float, t1: float, t2: float) -> float:
-    """Pure-dephasing rate 1/T_phi = 1/T2 - 1/(2 T1) in 1/us, for a duration
-    t >= 0 ns and positive t1, t2 with T2 <= 2 T1."""
-    if not (np.isfinite(t) and t >= 0 and t1 > 0 and t2 > 0):  # NaN fails too
-        raise ValueError(f"need finite t >= 0 and positive t1, t2, got {t}, {t1}, {t2}")
-    rate_phi = 1.0 / t2 - 0.5 / t1
-    if rate_phi < -1e-15:
+def check_lifetimes(t: float, t1: float, t2: float | None = None) -> None:
+    """The one rule on a duration t (ns) and lifetimes t1, t2 (us), called
+    by every channel and curve here and by the CLI's config check: t finite
+    and >= 0, t1 (and t2 unless None) a positive normal float (finite and
+    at least 2.2e-308), and T2 <= 2 T1 up to the relative T2_RTOL.
+    ValueError otherwise, NaN included.  What it accepts gives finite
+    channels, and finite curves while n_steps * t_qst is finite."""
+    tiny, lifetimes = np.finfo(float).tiny, (t1,) if t2 is None else (t1, t2)
+    if not (np.isfinite(t) and t >= 0 and all(tiny <= x < np.inf for x in lifetimes)):
+        raise ValueError(f"need finite t >= 0 ns and positive normal T1, T2, got {t}, {lifetimes}")
+    if t2 is not None and 0.5 * t2 - t1 > T2_RTOL * t1:  # halves: 2 T1 may overflow
         raise ValueError(f"T2 = {t2} us exceeds 2 T1 = {2 * t1} us: invalid regime")
-    return max(rate_phi, 0.0)
+
+
+def _dephasing_rate(t: float, t1: float, t2: float) -> float:
+    """Pure-dephasing rate 1/T_phi = 1/T2 - 1/(2 T1) in 1/us, after
+    check_lifetimes(t, t1, t2); a T2 within T2_RTOL above 2 T1 gives 0."""
+    check_lifetimes(t, t1, t2)
+    return max(1.0 / t2 - 0.5 / t1, 0.0)
 
 
 def amplitude_damping(t: float, t1: float) -> QutritChannel:
     """Three-level energy relaxation over t ns with lifetime t1 us."""
-    if not (np.isfinite(t) and t >= 0 and t1 > 0):  # NaN fails too
-        raise ValueError(f"need finite t >= 0 and t1 > 0, got {t}, {t1}")
-    gamma = 1.0 - np.exp(-(t * 1e-3) / t1)
+    check_lifetimes(t, t1)
+    with np.errstate(over="ignore"):  # t / T1 past the float range: gamma = 1
+        gamma = 1.0 - np.exp(-(t * 1e-3) / t1)
     s = np.sqrt(1.0 - gamma)
     e0 = np.diag([1.0, s, 1.0 - gamma]).astype(complex)
-    e1 = np.zeros((3, 3), dtype=complex)
-    e1[0, 1] = np.sqrt(gamma)
-    e1[1, 2] = np.sqrt(2.0 * gamma * (1.0 - gamma))
-    e2 = np.zeros((3, 3), dtype=complex)
-    e2[0, 2] = gamma
+    e1 = np.diag([np.sqrt(gamma), np.sqrt(2.0 * gamma * (1.0 - gamma))], k=1).astype(complex)
+    e2 = np.diag([gamma], k=2).astype(complex)
     return QutritChannel((e0, e1, e2))
 
 
@@ -76,14 +85,13 @@ def phase_damping(t: float, t1: float, t2: float) -> QutritChannel:
     positive semidefinite coherence-decay kernel exp(-(m-n)^2 t / T_phi).
     """
     rate_phi = _dephasing_rate(t, t1, t2)
-    m = np.arange(3)
-    kernel = np.exp(-((m[:, None] - m[None, :]) ** 2) * rate_phi * t * 1e-3)
+    with np.errstate(over="ignore"):  # t / T_phi past the float range: r = 0
+        x = rate_phi * t * 1e-3
+        r1, r4 = np.exp(-x), np.exp(-4.0 * x)  # exp(-(m-n)^2 x) at |m-n| = 1, 2
+    kernel = np.array([[1.0, r1, r4], [r1, 1.0, r1], [r4, r1, 1.0]])
     w, v = np.linalg.eigh(kernel)
-    ops = tuple(
-        np.diag(np.sqrt(max(wi, 0.0)) * v[:, i]).astype(complex)
-        for i, wi in enumerate(w)
-    )
-    return QutritChannel(ops)
+    cols = v * np.sqrt(np.maximum(w, 0.0))  # column i: sqrt(w_i) v_i
+    return QutritChannel(tuple(np.diag(c).astype(complex) for c in cols.T))
 
 
 def decohered_state(rho: np.ndarray, t: float, t1: float, t2: float) -> np.ndarray:
@@ -109,15 +117,18 @@ def decoherence_error_curve(
 
         1/3 + 2/9 [sqrt(1-gamma) (2 + (sqrt 2 - 1) gamma) r + (1-gamma) r^4].
 
-    It matches the channel loop to a few 1e-15.  Raises the ValueErrors of
-    phase_damping for t_qst < 0 or infinite, t1 <= 0, t2 <= 0, NaN and T2 > 2 T1.
+    It matches the channel loop to a few 1e-15.  Raises check_lifetimes'
+    ValueError, the one phase_damping raises, unless t_qst is finite and
+    >= 0, t1 and t2 are positive normal floats and T2 <= 2 T1.
     """
     rate_phi = _dephasing_rate(t_qst, t1, t2)
     k = np.arange(1, n_steps + 1)
     t = k * t_qst * 1e-3  # us
-    keep = np.exp(-t / t1)  # 1 - gamma
-    overlap = 1.0 / 3.0 + 2.0 / 9.0 * (
-        np.sqrt(keep) * (2.0 + (np.sqrt(2.0) - 1.0) * (1.0 - keep)) * np.exp(-rate_phi * t)
-        + keep * np.exp(-4.0 * rate_phi * t)
-    )
+    with np.errstate(over="ignore"):  # t / T past the float range: full decay
+        keep = np.exp(-t / t1)  # 1 - gamma
+        x = rate_phi * t  # t / T_phi
+        overlap = 1.0 / 3.0 + 2.0 / 9.0 * (
+            np.sqrt(keep) * (2.0 + (np.sqrt(2.0) - 1.0) * (1.0 - keep)) * np.exp(-x)
+            + keep * np.exp(-4.0 * x)
+        )
     return np.column_stack((k, 1.0 - overlap))

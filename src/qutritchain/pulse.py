@@ -28,7 +28,9 @@ class TrapezoidPulse:
     t_ramp: float   # ns, duration of EACH ramp
 
     def __post_init__(self):
-        # math.isfinite: a pulse is built for each optimizer evaluation
+        # math.isfinite: solve_constraint's bisection builds a pulse per step,
+        # ~54 per solve (optimize_pulse builds three per call: its unit ramp
+        # and the two pulses it reports on)
         if not all(map(math.isfinite, (self.amp_max, self.t_total, self.t_ramp))):
             raise ValueError(f"pulse parameters must be finite, got {self}")
         if self.amp_max < 0:

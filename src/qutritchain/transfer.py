@@ -151,17 +151,16 @@ def _sector_fidelity(ramp, eta: float, g: float, t_plateau: float) -> float:
     phase and m the (s, s) entry of the {s,11} block.  That block is R's
     SU(2) pair (p, q), transposed to (p, -conj(q)), around the plateau's
     exact SU(2) element (a, b) (_su2_steps with dt = t_plateau), all times
-    the phase sqrt(h).  So |m +- h| = |m0 +- sqrt(h)| with m0 = a p^2 +
-    (conj(b) - b) p conj(q) + conj(a) conj(q)^2, and with x, y =
+    the phase sqrt(h).  So |m +- h| = |m0 +- sqrt(h)| with m0 the first
+    entry of the SU(2) product R^T (P R), which population_series builds
+    the same way for its U, and with x, y =
     |m0 +- sqrt(h)| / 2 qst_fidelity's trace terms are 3 + 2 (x^2 + y^2)
     and (1 + 2 |sin A| + 2 y)^2, and F is their sum over d (d + 1) = 30.
     """
     area, p, q, t_ramp = ramp
     e = eta * MHZ_TO_RAD_NS
     two_g = 2.0 * g * MHZ_TO_RAD_NS
-    a, b = _su2_steps(e, two_g, t_plateau)
-    qc = q.conjugate()
-    m0 = a * p * p + (b.conjugate() - b) * p * qc + a.conjugate() * qc * qc
+    m0, _ = _su2_mul(p, -q.conjugate(), *_su2_mul(*_su2_steps(e, two_g, t_plateau), p, q))
     root_h = np.exp(0.5j * e * (2.0 * t_ramp + t_plateau))
     x, y = 0.5 * abs(m0 + root_h), 0.5 * abs(m0 - root_h)
     sin_a = abs(np.sin(2.0 * area + 0.5 * two_g * t_plateau))
@@ -414,6 +413,11 @@ def compensation_params(
     and delta_max = theta / (t_phase - t_ramp) in angular units.  The target
     pair is taken modulo 2 pi on a branch giving t_phase >= 2 t_ramp and an
     in-range delta_max; both phase integrals are re-checked from the pulse.
+    With k idle 2 pi turns of the |2> level, t_phase = (2 th - ph + 2 pi k)
+    / eta_angular (th, ph in [0, 2 pi)) grows with k and delta_max falls, so
+    the branch is the smallest k with t_phase >= t_min = max(2 t_ramp,
+    t_ramp + th / DELTA_RANGE_MHZ), in closed form; the k below it is tried
+    first, as rounding may put the root on either side of an integer.
     """
     eta_ang = eta * MHZ_TO_RAD_NS
     th = theta % (2.0 * np.pi)
@@ -421,13 +425,15 @@ def compensation_params(
     if th == 0.0 and ph == 0.0:
         return PhaseCompensation(theta, phi, 0.0, 0.0)
 
-    for _ in range(64):
-        t_phase = (2.0 * th - ph) / eta_ang
-        if t_phase >= 2.0 * t_ramp:
+    t_min = max(2.0 * t_ramp, t_ramp + th / (DELTA_RANGE_MHZ * MHZ_TO_RAD_NS))
+    k0 = max(np.ceil((t_min * eta_ang - 2.0 * th + ph) / (2.0 * np.pi)) - 1.0, 0.0)
+    for k in (k0, k0 + 1.0, k0 + 2.0):
+        t_phase = (2.0 * th - (ph - 2.0 * np.pi * k)) / eta_ang
+        # > t_ramp: at t_ramp = 0, t_phase = 0 has no finite delta_max
+        if t_phase >= 2.0 * t_ramp and t_phase > t_ramp:
             delta_max = th / ((t_phase - t_ramp) * MHZ_TO_RAD_NS)
             if abs(delta_max) <= DELTA_RANGE_MHZ:
                 break
-        ph -= 2.0 * np.pi  # one more idle 2 pi turn of the |2> level
     else:
         raise CompensationError(
             f"no feasible 2 pi branch for theta={theta}, phi={phi}, t_ramp={t_ramp}"

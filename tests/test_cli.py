@@ -16,6 +16,7 @@ from _reference import T_OPT
 from test_golden import GOLDEN, validate_lines
 from qutritchain.chain import ChainSchedule
 from qutritchain.cli import CSV_BLOCK_ROWS, main, write_csv
+from qutritchain import noise
 from qutritchain.noise import decoherence_error_curve
 from qutritchain.pulse import TrapezoidPulse, analytic_params
 
@@ -369,23 +370,46 @@ def test_errors_failed_fit_leaves_no_output(tmp_path, capsys):
 # values no config check may let through as a traceback: zero, a negative,
 # the smallest subnormal, a tiny and a huge normal, nan and +-inf
 ODD_VALUES = [0.0, -1.0, 5e-324, 1e-300, 1e300, float("nan"), float("inf"), float("-inf")]
+# (t1, t2) pairs at the edges of the lifetime rule: T2 just above 2 T1 by
+# 2.5e-7 (relative) and by 8e-14, just below, and tiny normal lifetimes
+LIFETIME_EDGES = [(1e-6, 2.0000005e-6), (60.0, 120.0 + 1e-11), (60.0, 120.0 - 1e-11),
+                  (3e-308, 3e-308)]
+LIFETIMES = st.one_of(
+    st.sampled_from(LIFETIME_EDGES),
+    st.tuples(st.sampled_from([*ODD_VALUES, 60.0]), st.sampled_from([*ODD_VALUES, 60.0])),
+)
 CONTRACT = settings(deadline=None, derandomize=True, database=None)
+
+
+def raises_value_error(f, *args):
+    try:
+        f(*args)
+    except ValueError:
+        return True
+    return False
+
+
+def lifetimes_rejected(t1, t2):
+    return raises_value_error(noise.check_lifetimes, 0.0, t1, t2)
 
 
 def exit_contract(args):
     """Run the CLI in process on args and check the exit contract: exit 0,
     1 or 2, no traceback on stderr, and exit 1 only with a "numerical
-    failure" or "write failed" line.  A kept seed's "failed to improve"
-    warning is part of a successful run."""
-    err = io.StringIO()
-    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
-        with warnings.catch_warnings():
+    failure" or "write failed" line, or for validate only with a FAIL line
+    on stdout.  A kept seed's "failed to improve" warning is part of a
+    successful run."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out):
             warnings.filterwarnings("ignore", "optimizer failed to improve", UserWarning)
-            code = main([*map(str, args), f"--out={out}"])
+            code = main([*map(str, args), f"--out={tmp}"])
     text = err.getvalue()
     assert code in (0, 1, 2), (args, code, text)
     assert "Traceback" not in text, (args, text)
-    if code == 1:
+    if code == 1 and args[0] == "validate":
+        assert "FAIL" in out.getvalue() and not text, (args, out.getvalue(), text)
+    elif code == 1:
         assert any(
             line.startswith(("numerical failure", "write failed")) for line in text.splitlines()
         ), (args, text)
@@ -397,40 +421,76 @@ def exit_contract(args):
     eta=st.sampled_from([*ODD_VALUES, 200.0, 290.0]),
     t_ramp=st.sampled_from([*ODD_VALUES, 2.0]),
     dt=st.sampled_from([*ODD_VALUES, 0.002]),
+    lifetimes=LIFETIMES,
 )
-def test_exit_contract_config_and_analytic_table(eta, t_ramp, dt):
+def test_exit_contract_config_and_analytic_table(eta, t_ramp, dt, lifetimes):
     # every draw resolves the config and, if it is valid, evolves the
     # analytic pulse; "=" keeps argparse from reading "-1" as a flag
+    t1, t2 = lifetimes
     code = exit_contract(["table1", "--analytic-only", f"--eta-mhz={eta}",
-                          f"--t-ramp-ns={t_ramp}", f"--dt-ns={dt}"])
+                          f"--t-ramp-ns={t_ramp}", f"--dt-ns={dt}",
+                          f"--t1-us={t1}", f"--t2-us={t2}"])
     if not (np.isfinite([eta, t_ramp, dt]).all() and eta > 0 and t_ramp >= 0 and dt > 0):
+        assert code == 2
+    if lifetimes_rejected(t1, t2):
         assert code == 2
 
 
-@settings(CONTRACT, max_examples=12)
+@settings(CONTRACT, max_examples=24)
 @given(
-    command=st.sampled_from(["table1", "populations", "schedule", "errors"]),
+    command=st.sampled_from(["table1", "populations", "schedule", "errors", "validate"]),
     eta=st.sampled_from([200.0, 250.0, 1e5, 1e300, -1.0, float("nan")]),
     t_ramp=st.sampled_from([0.0, 1e-300, 0.01, 2.0, 5e-324, float("inf")]),
     dt=st.sampled_from([0.01, 0.05, 1e300, float("inf")]),
     dt_out=st.sampled_from([0.05, 5e-324, 1e300, float("nan")]),
+    lifetimes=LIFETIMES,
 )
 # an intrinsic error at roundoff (exit 1), a ramp far below the output step,
-# one step over the whole pulse, and a huge eta with no ramp
-@example(command="errors", eta=1e5, t_ramp=0.0, dt=0.05, dt_out=0.05)
-@example(command="populations", eta=200.0, t_ramp=1e-300, dt=0.05, dt_out=1e300)
-@example(command="schedule", eta=250.0, t_ramp=2.0, dt=1e300, dt_out=0.05)
-@example(command="table1", eta=1e300, t_ramp=0.0, dt=0.01, dt_out=0.05)
-def test_exit_contract_optimizer_commands(command, eta, t_ramp, dt, dt_out):
-    # the optimizer runs only on a coarse grid, dt >= 10 ps
-    args = [command, f"--eta-mhz={eta}", f"--t-ramp-ns={t_ramp}", f"--dt-ns={dt}"]
+# one step over the whole pulse, a huge eta with no ramp, and tiny normal
+# lifetimes through the decoherence curve and the Kraus channels
+@example(command="errors", eta=1e5, t_ramp=0.0, dt=0.05, dt_out=0.05, lifetimes=(60.0, 60.0))
+@example(command="populations", eta=200.0, t_ramp=1e-300, dt=0.05, dt_out=1e300,
+         lifetimes=(60.0, 60.0))
+@example(command="schedule", eta=250.0, t_ramp=2.0, dt=1e300, dt_out=0.05, lifetimes=(60.0, 60.0))
+@example(command="table1", eta=1e300, t_ramp=0.0, dt=0.01, dt_out=0.05, lifetimes=(60.0, 60.0))
+@example(command="errors", eta=200.0, t_ramp=2.0, dt=0.01, dt_out=0.05, lifetimes=(3e-308, 3e-308))
+@example(command="validate", eta=200.0, t_ramp=2.0, dt=0.05, dt_out=0.05,
+         lifetimes=(3e-308, 3e-308))
+def test_exit_contract_optimizer_commands(command, eta, t_ramp, dt, dt_out, lifetimes):
+    # the optimizer runs only on a coarse grid, dt >= 10 ps, and validate's
+    # 81-dim oracle at dt >= 0.02 ns
+    if command == "validate":
+        dt = max(dt, 0.02)
+    t1, t2 = lifetimes
+    args = [command, f"--eta-mhz={eta}", f"--t-ramp-ns={t_ramp}", f"--dt-ns={dt}",
+            f"--t1-us={t1}", f"--t2-us={t2}"]
     if command in ("populations", "schedule"):
         args.append(f"--dt-out-ns={dt_out}")
     if command == "errors":
         args.append("--n-steps=20")
     code = exit_contract(args)
-    if not (np.isfinite([eta, t_ramp, dt]).all() and eta > 0):
+    if not (np.isfinite([eta, t_ramp, dt]).all() and eta > 0) or lifetimes_rejected(t1, t2):
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "t1, t2",
+    [*LIFETIME_EDGES, (60.0, 120.0), (60.0, 120.0 * (1 + 0.5 * noise.T2_RTOL)),
+     (60.0, 120.0 * (1 + 2 * noise.T2_RTOL)), (np.finfo(float).tiny, np.finfo(float).tiny),
+     (np.finfo(float).tiny / 2, 60.0), (60.0, 5e-324), (1e300, 1e300),
+     (np.finfo(float).max, np.finfo(float).max), (60.0, float("inf")), (0.0, 60.0),
+     (60.0, -1.0)],
+)
+def test_cli_refuses_exactly_the_lifetimes_the_library_refuses(t1, t2, tmp_path, capsys):
+    # exit 2 <=> ValueError from the curve and the channels that errors and
+    # validate call; no other config value is at fault here
+    refused = [raises_value_error(noise.decoherence_error_curve, 200, 22.0, t1, t2),
+               raises_value_error(noise.phase_damping, 4400.0, t1, t2),
+               raises_value_error(noise.amplitude_damping, 4400.0, t1)]
+    code = run(["table1", "--analytic-only", "--dt-ns=0.05", f"--t1-us={t1}", f"--t2-us={t2}",
+                "--out", tmp_path])
+    assert code in (0, 2)
+    assert (code == 2) == any(refused), (refused, capsys.readouterr().err)
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

@@ -188,7 +188,11 @@ def test_decoherence_curve_empty():
     "t_qst, t1, t2",
     [(T_QST, 60.0, 121.0), (T_QST, 0.0, 60.0), (T_QST, 60.0, 0.0), (T_QST, 60.0, -1.0),
      (-1.0, 60.0, 60.0), (np.nan, 60.0, 60.0), (np.inf, 60.0, 60.0), (T_QST, np.nan, 60.0),
-     (T_QST, 60.0, np.nan)],
+     (T_QST, 60.0, np.nan),
+     # subnormal lifetimes, an infinite one, and T2 above 2 T1 at tiny and
+     # ordinary normal scale
+     (T_QST, 5e-324, 5e-324), (T_QST, 60.0, 5e-324), (T_QST, np.inf, 60.0),
+     (T_QST, 3e-308, 7e-308), (T_QST, 1e-6, 2.0000005e-6)],
 )
 def test_decoherence_curve_rejects_what_the_channels_reject(t_qst, t1, t2):
     with pytest.raises(ValueError) as channel_error:
@@ -196,3 +200,23 @@ def test_decoherence_curve_rejects_what_the_channels_reject(t_qst, t1, t2):
     with pytest.raises(ValueError) as curve_error:
         decoherence_error_curve(5, t_qst, t1, t2)
     assert str(curve_error.value) == str(channel_error.value)
+
+
+TINY, HUGE = np.finfo(float).tiny, np.finfo(float).max
+
+
+@pytest.mark.parametrize(
+    "t1, t2", [(3e-308, 3e-308), (TINY, TINY), (HUGE, TINY), (TINY, 2.0 * TINY), (HUGE, HUGE)]
+)
+def test_tiny_and_huge_normal_lifetimes_give_finite_channels_and_curves(t1, t2):
+    # a decay exponent t / T past the float range is full decay, with no
+    # overflow warning (a RuntimeWarning fails the test) and no NaN
+    for t in (0.0, 4390.0, 1e300):
+        ops = amplitude_damping(t, t1).kraus_ops + phase_damping(t, t1, t2).kraus_ops
+        assert all(np.isfinite(e).all() for e in ops)
+    for t_qst in (0.0, T_QST):
+        assert np.isfinite(decoherence_error_curve(10**5, t_qst, t1, t2)).all()
+    # at T = 3e-308 us every coherence and excited population is gone
+    if t1 == t2 == 3e-308:
+        rho = decohered_state(uniform_rho(), 4390.0, t1, t2)
+        assert np.abs(rho - np.diag([1.0, 0.0, 0.0])).max() < 1e-15

@@ -6,6 +6,7 @@ import pytest
 from qutritchain import transfer
 from qutritchain.evolution import evolve, evolve_affine
 from qutritchain.model import (
+    DELTA_RANGE_MHZ,
     MHZ_TO_RAD_NS,
     basis_index,
     chain_hamiltonian,
@@ -242,6 +243,31 @@ def test_compensation_pulse_realizes_phase_gate():
     target = phase_gate(theta, phi)
     phase_diff = np.angle(np.diag(u) / np.diag(target))
     assert np.abs(phase_diff).max() < 1e-6
+
+
+@pytest.mark.parametrize("eta", [ETA, 120.0])
+def test_compensation_params_takes_the_first_feasible_branch(eta):
+    # one idle 2 pi turn less of the |2> level shortens t_phase by 2 pi /
+    # eta_angular, and that branch must not exist (k = 0) or be infeasible:
+    # below 2 t_ramp, or with delta_max out of range; t_ramp also sits on a
+    # branch boundary and far past 64 turns (~320 ns at 200 MHz)
+    turn = 2.0 * np.pi / (eta * MHZ_TO_RAD_NS)
+    rng = np.random.default_rng(3)
+    cases = [(*rng.uniform(-10.0, 10.0, size=2), rng.uniform(0.0, 5.0)) for _ in range(200)]
+    for theta, phi in [(1.0, 2.0), (0.3, 4.0), (2.0, 0.1)]:
+        t_phase = compensation_params(theta, phi, eta, t_ramp=2.0).t_phase
+        cases += [(theta, phi, t_phase / 2.0), (theta, phi, t_phase / 2.0 + 1e-9)]
+    cases += [(1.0, 2.0, 0.0), (1.0, 2.0, 400.0)]
+    for theta, phi, t_ramp in cases:
+        c = compensation_params(theta, phi, eta, t_ramp=t_ramp)
+        th, ph = theta % (2 * np.pi), phi % (2 * np.pi)
+        # branch k has t_phase = (2 th - ph) / eta_angular + k turns, k >= 0
+        k = round((c.t_phase - (2.0 * th - ph) / (eta * MHZ_TO_RAD_NS)) / turn)
+        shorter = c.t_phase - turn
+        feasible = k >= 1 and shorter >= 2.0 * t_ramp and shorter > t_ramp and (
+            th / ((shorter - t_ramp) * MHZ_TO_RAD_NS) <= DELTA_RANGE_MHZ
+        )
+        assert c.t_phase >= 2.0 * t_ramp and not feasible, (theta, phi, t_ramp, c)
 
 
 def test_count_transfer_peaks_synthetic():
