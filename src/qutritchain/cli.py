@@ -15,12 +15,13 @@ import os
 import sys
 import tempfile
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import analysis, chain, noise, transfer
+from .evolution import _finite
 from .model import COUPLING_CAP_MHZ, _check_eta, rwa_residual
 from .pulse import TrapezoidPulse, analytic_params
 from .transfer import TransferReport
@@ -54,16 +55,8 @@ class ExperimentConfig:
     output_dir: str = "."
 
     def validate(self) -> None:
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(f.default, float) and (
-                isinstance(v, bool) or not isinstance(v, (int, float)) or not np.isfinite(v)
-            ):
-                raise ValueError(f"{f.name} must be a finite number, got {v!r}")
-        if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, (int, np.integer)):
-            raise ValueError(f"n_steps must be an integer, got {self.n_steps!r}")
-        if not isinstance(self.output_dir, str):
-            raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
+        for _, name, kind in _CONFIG_FLAGS:
+            _checked(name, getattr(self, name), kind)
         _check_eta(self.eta)
         # a subnormal ramp time is too small for the step arithmetic: its
         # midpoints lose their bits (0.5 * 5e-324 rounds to 0), and
@@ -94,7 +87,8 @@ class ExperimentConfig:
         return _analytic(self)[1]
 
 
-# (flag, ExperimentConfig field, type) of each config flag
+# (flag, ExperimentConfig field, kind) of each config flag; the kind is
+# argparse's type for the flag and the type _checked holds any value to
 _CONFIG_FLAGS = (
     ("--eta-mhz", "eta", float),
     ("--t-ramp-ns", "t_ramp", float),
@@ -106,10 +100,20 @@ _CONFIG_FLAGS = (
 )
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file with ExperimentConfig keys")
-    for flag, _, kind in _CONFIG_FLAGS:
-        p.add_argument(flag, type=kind)
+def _checked(name: str, value, kind: type):
+    """value, if it is of the kind its flag declares: a str for str; an int
+    for int, or an int or a float for float, never a bool, and at most the
+    largest float in size (evolution._finite), which refuses NaN, +-inf
+    and an int past the float range without converting it.  ValueError
+    otherwise."""
+    if kind is str:
+        ok = isinstance(value, str)
+    else:
+        ok = isinstance(value, (int, kind)) and not isinstance(value, bool) and _finite(value)
+    if not ok:
+        what = "a string" if kind is str else f"a finite {kind.__name__} within the float range"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return value
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -122,8 +126,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             loaded = json.load(f)
         if not isinstance(loaded, dict):
             raise ValueError(f"config file must hold a JSON object, got {type(loaded).__name__}")
-        known = {f.name for f in fields(ExperimentConfig)}
-        bad = set(loaded) - known
+        bad = loaded.keys() - values  # values holds every config key
         if bad:
             raise ValueError(f"unknown config keys: {sorted(bad)}")
         values.update(loaded)
@@ -139,7 +142,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 def _check_output_grid(cfg: ExperimentConfig, dt_out: float, n_pulses: int, n_columns: int) -> None:
     """dt_out must be finite and positive, and n_pulses pulses sampled every
     dt_out into rows of n_columns values must fit in MAX_SAMPLES cells."""
-    if not (np.isfinite(dt_out) and dt_out > 0):
+    if _checked("dt_out_ns", dt_out, float) <= 0:
         raise ValueError(f"dt_out_ns must be a finite positive number, got {dt_out!r}")
     rows = n_pulses * cfg.pulse_duration() / dt_out
     _check_samples("the output grid (duration / dt_out rows x columns)", rows * n_columns)
@@ -226,49 +229,44 @@ def _optimize(cfg: ExperimentConfig) -> TransferReport:
     return transfer.optimize_pulse(cfg.eta, cfg.t_ramp, _analytic(cfg), dt=cfg.dt)
 
 
-def cmd_table1(cfg: ExperimentConfig, analytic_only: bool) -> int:
+def cmd_table1(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     g_a, t_a = _analytic(cfg)
     u = transfer.evolve_transfer(TrapezoidPulse(g_a, t_a, cfg.t_ramp), cfg.eta, dt=cfg.dt)
-    rep_a = transfer.measure_report(u, g_a, t_a)
-    payload = {"config": asdict(cfg), "analytic": rep_a.to_dict()}
-    g_top = g_a
-    if not analytic_only:
-        rep_n = _optimize(cfg)
-        payload["numerical"] = rep_n.to_dict()
-        g_top = max(g_a, rep_n.g_max)
-    payload["coupling_cap_exceeded"] = bool(g_top > COUPLING_CAP_MHZ)
+    reports = {"analytic": transfer.measure_report(u, g_a, t_a)}
+    if not args.analytic_only:
+        reports["numerical"] = _optimize(cfg)
+    payload = {name: rep.to_dict() for name, rep in reports.items()}
+    payload["config"] = asdict(cfg)
+    payload["coupling_cap_exceeded"] = any(r.g_max > COUPLING_CAP_MHZ for r in reports.values())
     write_json(os.path.join(cfg.output_dir, "table1.json"), payload)
     return EXIT_OK
 
 
-def cmd_populations(cfg: ExperimentConfig, dt_out: float) -> int:
+def cmd_populations(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     rep = _optimize(cfg)
     pulse = TrapezoidPulse(rep.g_max, rep.t_qst, cfg.t_ramp)
-    ts, p01, p02 = transfer.population_series(pulse, cfg.eta, dt=cfg.dt, dt_out=dt_out)
+    ts, p01, p02 = transfer.population_series(pulse, cfg.eta, dt=cfg.dt, dt_out=args.dt_out_ns)
     path = os.path.join(cfg.output_dir, "fig2b.csv")
     write_csv(path, ["t_ns", "p01", "p02"], zip(ts, p01, p02))
     _write_sidecar(path, cfg)
     return EXIT_OK
 
 
-def cmd_schedule(cfg: ExperimentConfig, n_qutrits: int, dt_out: float) -> int:
+def cmd_schedule(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     rep = _optimize(cfg)
-    sched = chain.ChainSchedule(
-        TrapezoidPulse(rep.g_max, rep.t_qst, cfg.t_ramp),
-        n_qutrits - 1,
-        (rep.phase_1, rep.phase_2),
+    sched, _, _ = chain.make_schedule(
+        rep.g_max, rep.t_qst, cfg.t_ramp, cfg.eta, args.n_qutrits - 1, dt=cfg.dt
     )
-    n_out = int(round(sched.total_duration / dt_out))
+    n_out = int(round(sched.total_duration / args.dt_out_ns))
     ts = np.linspace(0.0, sched.total_duration, n_out + 1)
-    g = sched.coupling_values(ts)
     path = os.path.join(cfg.output_dir, "fig3.csv")
-    header = ["t_ns"] + [f"g{k + 1}" for k in range(n_qutrits - 1)]
-    write_csv(path, header, zip(ts, *g))
+    header = ["t_ns"] + [f"g{k + 1}" for k in range(sched.n_steps)]
+    write_csv(path, header, zip(ts, *sched.coupling_values(ts)))
     _write_sidecar(path, cfg)
     return EXIT_OK
 
 
-def cmd_errors(cfg: ExperimentConfig) -> int:
+def cmd_errors(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     rep = _optimize(cfg)
     _, u_step, comp = chain.make_schedule(
         rep.g_max, rep.t_qst, cfg.t_ramp, cfg.eta, cfg.n_steps, dt=cfg.dt
@@ -296,7 +294,7 @@ def cmd_errors(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def cmd_validate(cfg: ExperimentConfig) -> int:
+def cmd_validate(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     checks: list[tuple[str, bool, str]] = []
 
     def record(name: str, ok: bool, detail: str) -> None:
@@ -334,32 +332,58 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
     return EXIT_OK if all(ok for _, ok, _ in checks) else EXIT_NUMERICAL
 
 
+def _check_populations(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
+    _check_output_grid(cfg, args.dt_out_ns, 1, 3)  # t, p01, p02
+
+
+def _check_schedule(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
+    if _checked("n_qutrits", args.n_qutrits, int) < 2:
+        raise ValueError("schedule needs at least 2 qutrits")
+    # t and one coupling per edge
+    _check_output_grid(cfg, args.dt_out_ns, args.n_qutrits - 1, args.n_qutrits)
+
+
+def _check_errors(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
+    if cfg.n_steps < analysis.MIN_FIT_POINTS:
+        raise ValueError(f"errors needs n_steps >= {analysis.MIN_FIT_POINTS} for its fits")
+
+
+def _make_output_dir(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
+    os.makedirs(cfg.output_dir, exist_ok=True)
+
+
+_DT_OUT = ("--dt-out-ns", {"type": float, "default": 0.05})
+# Each subcommand once: (name, help, runner, the checks main runs on the
+# config and flags before any work, its flags beyond the config flags).
+# Every command but validate writes files, so it checks the output dir.
+_COMMANDS = (
+    ("table1", "analytic and optimized pulse parameters", cmd_table1,
+     (_make_output_dir,), [("--analytic-only", {"action": "store_true"})]),
+    ("populations", "transfer population traces (fig2b.csv)", cmd_populations,
+     (_check_populations, _make_output_dir), [_DT_OUT]),
+    ("schedule", "concatenated coupling schedule (fig3.csv)", cmd_schedule,
+     (_check_schedule, _make_output_dir),
+     [("--n-qutrits", {"type": int, "default": 4}), _DT_OUT]),
+    ("errors", "error-scaling curves and fits (fig4.csv, fits.json)", cmd_errors,
+     (_check_errors, _make_output_dir), []),
+    ("validate", "run the numerical oracle suite", cmd_validate, (), []),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qutritchain",
         description="Qutrit state-transfer simulator for tunably coupled transmon chains",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("table1", help="analytic and optimized pulse parameters")
-    _add_config_flags(p)
-    p.add_argument("--analytic-only", action="store_true")
-
-    p = sub.add_parser("populations", help="transfer population traces (fig2b.csv)")
-    _add_config_flags(p)
-    p.add_argument("--dt-out-ns", type=float, default=0.05, dest="dt_out_ns")
-
-    p = sub.add_parser("schedule", help="concatenated coupling schedule (fig3.csv)")
-    _add_config_flags(p)
-    p.add_argument("--n-qutrits", type=int, default=4, dest="n_qutrits")
-    p.add_argument("--dt-out-ns", type=float, default=0.05, dest="dt_out_ns")
-
-    p = sub.add_parser("errors", help="error-scaling curves and fits (fig4.csv, fits.json)")
-    _add_config_flags(p)
-
-    p = sub.add_parser("validate", help="run the numerical oracle suite")
-    _add_config_flags(p)
-
+    for name, help_text, run, checks, flags in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="JSON file with ExperimentConfig keys")
+        for flag, _, kind in _CONFIG_FLAGS:
+            p.add_argument(flag, type=kind)
+        for flag, options in flags:
+            p.add_argument(flag, **options)
+        p.set_defaults(run=run, checks=checks)
     return parser
 
 
@@ -367,39 +391,20 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        if args.command == "schedule" and args.n_qutrits < 2:
-            raise ValueError("schedule needs at least 2 qutrits")
-        if args.command == "errors" and cfg.n_steps < analysis.MIN_FIT_POINTS:
-            raise ValueError(f"errors needs n_steps >= {analysis.MIN_FIT_POINTS} for its fits")
-        if args.command == "populations":
-            _check_output_grid(cfg, args.dt_out_ns, 1, 3)  # t, p01, p02
-        if args.command == "schedule":
-            # t and one coupling per edge
-            _check_output_grid(cfg, args.dt_out_ns, args.n_qutrits - 1, args.n_qutrits)
-        if args.command != "validate":  # every other command writes files
-            os.makedirs(cfg.output_dir, exist_ok=True)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        for check in args.checks:
+            check(cfg, args)
+    except (ValueError, OSError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:
-        if args.command == "table1":
-            return cmd_table1(cfg, args.analytic_only)
-        if args.command == "populations":
-            return cmd_populations(cfg, args.dt_out_ns)
-        if args.command == "schedule":
-            return cmd_schedule(cfg, args.n_qutrits, args.dt_out_ns)
-        if args.command == "errors":
-            return cmd_errors(cfg)
-        if args.command == "validate":
-            return cmd_validate(cfg)
+        return args.run(cfg, args)
     except (RuntimeError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"write failed: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

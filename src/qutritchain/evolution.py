@@ -8,7 +8,7 @@ construction (each step is exp(-i H dt) of a Hermitian H).
 
 from __future__ import annotations
 
-import math
+import sys
 
 import numpy as np
 
@@ -20,6 +20,12 @@ CHUNK_BYTES = 2_000_000
 # runs evolve_affine multiplies out one by one before its pairwise fold; a
 # batch holds at least one lane
 LANE = 16
+
+
+def _finite(x) -> bool:
+    """abs(x) within the float range: False for NaN, +-inf and an int past
+    the float range, which it compares without converting."""
+    return abs(x) <= sys.float_info.max
 
 
 def hermiticity_defect(h: np.ndarray) -> float:
@@ -98,7 +104,7 @@ def _n_steps(length: float, dt: float) -> int:
 def _midpoints(t_span: tuple[float, float], dt: float) -> tuple[np.ndarray, float]:
     """Midpoint times and step of the grid of _n_steps equal steps over t_span."""
     t0, t1 = t_span
-    if not (math.isfinite(t0) and math.isfinite(t1) and math.isfinite(dt)):
+    if not all(map(_finite, (t0, t1, dt))):
         raise ValueError(f"t_span and dt must be finite, got {t_span} and {dt}")
     if dt <= 0:
         raise ValueError("dt must be positive")

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 # evolve is not called here; it stays imported because bench/tracing.py wraps model.evolve
-from .evolution import _per_time, evolve, evolve_affine  # noqa: F401
+from .evolution import _finite, _per_time, evolve, evolve_affine  # noqa: F401
 
 MHZ_TO_RAD_NS = 2.0 * np.pi * 1e-3
 
@@ -27,7 +27,7 @@ _SQRT2 = np.sqrt(2.0)
 def _check_eta(eta: float) -> None:
     # the angular eta must be a normal float: below ~3.5e-306 MHz it loses
     # digits, and below ~8e-322 MHz it rounds to 0 and 1 / eta divides by 0
-    if not (np.isfinite(eta) and eta * MHZ_TO_RAD_NS >= np.finfo(float).tiny):
+    if not (_finite(eta) and eta * MHZ_TO_RAD_NS >= np.finfo(float).tiny):
         raise ValueError(
             f"eta must be positive and finite, with a normal angular value, got {eta}"
         )

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .evolution import _finite
+
 COMPLETENESS_TOL = 1e-12
 # T2 may pass 2 T1 by this relative amount, the roundoff of a T2 given as 2 T1
 T2_RTOL = 1e-12
@@ -48,10 +50,10 @@ def check_lifetimes(t: float, t1: float, t2: float | None = None) -> None:
     by every channel and curve here and by the CLI's config check: t finite
     and >= 0, t1 (and t2 unless None) a positive normal float (finite and
     at least 2.2e-308), and T2 <= 2 T1 up to the relative T2_RTOL.
-    ValueError otherwise, NaN included.  What it accepts gives finite
-    channels, and finite curves while n_steps * t_qst is finite."""
+    ValueError otherwise, NaN and a number past the float range included.
+    What it accepts gives finite channels and curves."""
     tiny, lifetimes = np.finfo(float).tiny, (t1,) if t2 is None else (t1, t2)
-    if not (np.isfinite(t) and t >= 0 and all(tiny <= x < np.inf for x in lifetimes)):
+    if not (_finite(t) and t >= 0 and all(_finite(x) and x >= tiny for x in lifetimes)):
         raise ValueError(f"need finite t >= 0 ns and positive normal T1, T2, got {t}, {lifetimes}")
     if t2 is not None and 0.5 * t2 - t1 > T2_RTOL * t1:  # halves: 2 T1 may overflow
         raise ValueError(f"T2 = {t2} us exceeds 2 T1 = {2 * t1} us: invalid regime")
@@ -123,10 +125,10 @@ def decoherence_error_curve(
     """
     rate_phi = _dephasing_rate(t_qst, t1, t2)
     k = np.arange(1, n_steps + 1)
-    t = k * t_qst * 1e-3  # us
-    with np.errstate(over="ignore"):  # t / T past the float range: full decay
+    with np.errstate(over="ignore"):  # t or t / T past the float range: full decay
+        t = k * t_qst * 1e-3  # us
         keep = np.exp(-t / t1)  # 1 - gamma
-        x = rate_phi * t  # t / T_phi
+        x = rate_phi * t if rate_phi > 0 else np.zeros(n_steps)  # t / T_phi; 0 * inf is NaN
         overlap = 1.0 / 3.0 + 2.0 / 9.0 * (
             np.sqrt(keep) * (2.0 + (np.sqrt(2.0) - 1.0) * (1.0 - keep)) * np.exp(-x)
             + keep * np.exp(-4.0 * x)

@@ -8,12 +8,12 @@ pi/2.  Areas are reported in radians; amplitudes are cyclic MHz, times ns.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from .evolution import _finite
 from .model import COUPLING_CAP_MHZ, MHZ_TO_RAD_NS, _check_eta
 
 
@@ -28,10 +28,7 @@ class TrapezoidPulse:
     t_ramp: float   # ns, duration of EACH ramp
 
     def __post_init__(self):
-        # math.isfinite: solve_constraint's bisection builds a pulse per step,
-        # ~54 per solve (optimize_pulse builds three per call: its unit ramp
-        # and the two pulses it reports on)
-        if not all(map(math.isfinite, (self.amp_max, self.t_total, self.t_ramp))):
+        if not all(map(_finite, (self.amp_max, self.t_total, self.t_ramp))):
             raise ValueError(f"pulse parameters must be finite, got {self}")
         if self.amp_max < 0:
             raise ValueError("amp_max must be nonnegative")
@@ -160,7 +157,7 @@ def solve_constraint(
     (0, g_top] works (as for every l >= m) or the root is above the cap.
     """
     _check_eta(eta)
-    if not (np.isfinite(t_ramp) and t_ramp >= 0):
+    if not (_finite(t_ramp) and t_ramp >= 0):
         raise ValueError(f"t_ramp must be nonnegative and finite, got {t_ramp}")
     if m < 1 or l < 1 or m % 2 == 0 or l % 2 == 0:
         raise ValueError("m and l must be positive and odd")

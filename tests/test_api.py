@@ -2,7 +2,13 @@ import importlib.util
 import inspect
 import pathlib
 
+import pytest
+
 import qutritchain
+from qutritchain import noise
+from qutritchain.evolution import _midpoints
+from qutritchain.model import chain_hamiltonian
+from qutritchain.pulse import TrapezoidPulse, analytic_params, solve_constraint
 
 ROOT = pathlib.Path(__file__).parents[1]
 # argument names the benchmark's span wrappers read, by span name
@@ -97,3 +103,26 @@ def test_benchmark_tracer_targets_resolve_and_bind():
             except TypeError:
                 unbound.append(f"{module.__name__}.{attr}{names}")
     assert (missing, unbound) == ([], [])
+
+
+HUGE_INT = 10**400  # past the float range: float(HUGE_INT) is an OverflowError
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: TrapezoidPulse(HUGE_INT, 1.0, 0.0),
+        lambda: analytic_params(HUGE_INT),
+        lambda: chain_hamiltonian(HUGE_INT, [0.0]),
+        lambda: solve_constraint(200.0, t_ramp=HUGE_INT),
+        lambda: noise.check_lifetimes(0.0, HUGE_INT, HUGE_INT),
+        lambda: _midpoints((0.0, HUGE_INT), 0.001),
+    ],
+    ids=["pulse", "analytic_params", "chain_hamiltonian", "solve_constraint",
+         "check_lifetimes", "midpoints"],
+)
+def test_library_checks_refuse_an_int_past_the_float_range(call):
+    # the documented ValueError, not an OverflowError or TypeError from a
+    # float conversion inside the check
+    with pytest.raises(ValueError):
+        call()

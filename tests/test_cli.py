@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -15,7 +17,7 @@ import _oracles
 from _reference import T_OPT
 from test_golden import GOLDEN, validate_lines
 from qutritchain.chain import ChainSchedule
-from qutritchain.cli import CSV_BLOCK_ROWS, main, write_csv
+from qutritchain.cli import _COMMANDS, _CONFIG_FLAGS, CSV_BLOCK_ROWS, main, write_csv
 from qutritchain import noise
 from qutritchain.noise import decoherence_error_curve
 from qutritchain.pulse import TrapezoidPulse, analytic_params
@@ -175,6 +177,10 @@ def test_non_finite_value_is_config_error(tmp_path, capsys, flag):
         [],
         {"output_dir": 5},
         {"output_dir": None},
+        # integers past the float range, which no float conversion survives
+        {"t1": 10**330},
+        {"n_steps": 10**330},
+        {"eta": -10**400},
     ],
 )
 def test_config_file_bad_type_is_config_error(tmp_path, monkeypatch, capsys, values):
@@ -184,8 +190,21 @@ def test_config_file_bad_type_is_config_error(tmp_path, monkeypatch, capsys, val
     # --out would override a bad output_dir, so those cases run without it
     out = [] if isinstance(values, dict) and "output_dir" in values else ["--out", tmp_path]
     assert run(["errors", "--config", cfg, *out]) == 2
-    assert "invalid config" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config") and err.count("\n") == 1
     assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
+def test_readme_cli_section_names_every_command_and_config_flag():
+    # the README's CLI block and its "Common flags" sentence follow the
+    # command table and the config-flag table
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1]
+    block = section.split("```\n", 2)[1]
+    assert sorted(set(re.findall(r"qutritchain (\w+)", block))) == sorted(c[0] for c in _COMMANDS)
+    common = re.search(r"Common flags:(.*?)\.\s", section, re.S).group(1)
+    flags = [flag for flag, _, _ in _CONFIG_FLAGS] + ["--config"]
+    assert sorted(re.findall(r"`(--[\w-]+)", common)) == sorted(flags)
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -229,6 +248,19 @@ def test_byte_identical_reruns(tmp_path):
 
 def _no_optimize(cfg):
     raise AssertionError("optimized before the config was checked")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["table1", "--analytic-only", "--n-steps", 10**330], ["schedule", "--n-qutrits", 10**330]],
+    ids=["n-steps", "n-qutrits"],
+)
+def test_integer_flag_past_the_float_range_is_config_error(tmp_path, monkeypatch, capsys, args):
+    monkeypatch.setattr("qutritchain.cli._optimize", _no_optimize)
+    assert run([*args, "--out", tmp_path, *FAST]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["populations", "schedule"])

@@ -220,3 +220,12 @@ def test_tiny_and_huge_normal_lifetimes_give_finite_channels_and_curves(t1, t2):
     if t1 == t2 == 3e-308:
         rho = decohered_state(uniform_rho(), 4390.0, t1, t2)
         assert np.abs(rho - np.diag([1.0, 0.0, 0.0])).max() < 1e-15
+
+
+@pytest.mark.parametrize("t1, t2", [(60.0, 120.0), (60.0, 60.0)])
+def test_decoherence_curve_past_the_float_range_in_time_is_full_decay(t1, t2):
+    # k * t_qst overflows to inf for k >= 2; with T2 = 2 T1 the dephasing
+    # rate is 0, and 0 * inf must not turn into NaN.  Full decay leaves
+    # the ground state, overlap 1/3 with the uniform state
+    curve = decoherence_error_curve(3, 1e308, t1, t2)
+    assert curve[:, 1] == pytest.approx([2.0 / 3.0] * 3, abs=1e-15)
