@@ -20,7 +20,7 @@ from .model import (
     embed,
 )
 from .pulse import TrapezoidPulse
-from .transfer import evolve_transfer, measure_compensation, phase_gate
+from .transfer import _trapezoid_propagator, evolve_transfer, measure_compensation, phase_gate
 
 def uniform_state() -> np.ndarray:
     """(|0> + |1> + |2>) / sqrt(3)."""
@@ -40,23 +40,15 @@ class ChainSchedule:
         return self.n_steps * self.step_pulse.t_total
 
     def coupling_values(self, ts) -> np.ndarray:
-        """g_k(t) array of shape (n_steps, len(ts)) for ascending times ts.
+        """g_k(t) array of shape (n_steps, len(ts)) for times ts in any order.
 
-        Edge k (0-based) carries the step pulse started at k T, active during
-        [k T, (k+1) T].  It is evaluated only on the samples of that window,
-        padded by one sample on each side; its pulse is exactly 0 outside
-        the window, so the rest of the row stays 0.
+        Edge k (0-based) carries the step pulse started at k T, so row k is
+        step_pulse.value(ts - k T): active during [k T, (k+1) T], 0 outside.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        if np.any(ts[1:] < ts[:-1]):
-            raise ValueError("coupling_values needs ascending times")
-        g = np.zeros((self.n_steps, len(ts)))
+        g = np.empty((self.n_steps, len(ts)))
         for k in range(self.n_steps):
-            start = k * self.step_pulse.t_total
-            end = start + self.step_pulse.t_total
-            lo = max(int(np.searchsorted(ts, start)) - 1, 0)
-            hi = int(np.searchsorted(ts, end, side="right")) + 1
-            g[k, lo:hi] = self.step_pulse.value(ts[lo:hi] - start)
+            g[k] = self.step_pulse.value(ts - k * self.step_pulse.t_total)
         return g
 
 
@@ -128,11 +120,13 @@ def evolve_chain_full(schedule: ChainSchedule, eta: float, dt: float = 0.001) ->
     are evolved one segment at a time so each sees a single active coupling.
     A segment is the step pulse started later, and the Hamiltonian depends
     on time only through the pulse, so each is evolved in the step pulse's
-    own window [0, T], as R^T P R on evolve_transfer's grid (up ramp R,
-    plateau P exact at the constant amp_max, down ramp R^T): front and full
-    chain share one discretization.  Every qutrit has the same eta, so the
-    edge-k Hamiltonian is the edge-0 one with its qutrits relabelled; the
-    edge-0 step is evolved once and relabelled by edge_permutation.
+    own window [0, T], as evolve_transfer's R^T P R
+    (transfer._trapezoid_propagator) on the same grid, with the up ramp R
+    from the dense evolve_affine instead of the pair's closed form: front
+    and full chain share one discretization but not one ramp code.  Every
+    qutrit has the same eta, so the edge-k Hamiltonian is the edge-0 one
+    with its qutrits relabelled; the edge-0 step is evolved once, checked
+    to be unitary, and relabelled by edge_permutation.
     """
     n = schedule.n_steps + 1
     diag = chain_hamiltonian(eta, [0.0] * (n - 1))
@@ -141,9 +135,7 @@ def evolve_chain_full(schedule: ChainSchedule, eta: float, dt: float = 0.001) ->
     w = coupling_operator(0, n)
     g = lambda ts: pulse.value(ts) * MHZ_TO_RAD_NS
     r = evolve_affine(diag, w, g, pulse.ramp_window, dt)
-    g_plateau = pulse.amp_max * MHZ_TO_RAD_NS
-    p = evolve_affine(diag, w, lambda ts: g_plateau, pulse.plateau_window, dt)
-    step0 = r.T @ p @ r
+    step0 = _trapezoid_propagator(diag, w, pulse, r, dt)
     u = np.eye(3**n, dtype=complex)
     for seg in range(n - 1):
         perm = edge_permutation(seg, n)
@@ -163,19 +155,17 @@ def validate_front_vs_full(
 
     The front method must reproduce <ideal|psi_full> exactly, where ideal is
     |0...0> with psi_unif on the last qutrit; the returned gap is floating
-    point accumulation only.
+    point accumulation only.  n must be at least 2 (ValueError).
     """
+    if n < 2:
+        raise ValueError(f"front vs full needs at least 2 qutrits, got n = {n}")
     schedule, u_step, comp = make_schedule(g_max, t_qst, t_ramp, eta, n - 1, dt=dt)
     psi0 = uniform_state()
-    front = psi0
-    for _ in range(n - 1):
-        front = step_transfer(front, u_step, comp)
-    front_overlap = abs(np.vdot(psi0, front))
+    # the front overlap |<psi0|psi_k>| of Fig. 4's error curve at k = n - 1
+    front_overlap = np.sqrt(1.0 - intrinsic_error_curve(n - 1, u_step, comp)[-1, 1])
 
+    # psi0 enters on the first qutrit (columns j 3^(n-1)) and is read out on
+    # the last (rows 0..2), every other qutrit in |0>
     u_full = evolve_chain_full(schedule, eta, dt=dt)
-    init = np.zeros(3**n, dtype=complex)
-    init[[k * 3 ** (n - 1) for k in range(3)]] = psi0
-    ideal = np.zeros(3**n, dtype=complex)
-    ideal[:3] = psi0
-    full_overlap = abs(np.vdot(ideal, u_full @ init))
+    full_overlap = abs(np.vdot(psi0, u_full[:3, :: 3 ** (n - 1)] @ psi0))
     return abs(front_overlap - full_overlap)

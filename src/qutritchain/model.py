@@ -118,8 +118,11 @@ def rwa_residual(
     unchanged, and every plateau step is equal, so a plateau costs one
     eigendecomposition on either side.  g_of_t (MHz) is called on arrays of
     times and follows evolve_affine's rule for scale_of_t: one value per
-    time, or a 0-d constant broadcast to every time.
+    time, or a 0-d constant broadcast to every time.  A non-finite omega is
+    a ValueError.
     """
+    if not _finite(omega):
+        raise ValueError(f"omega must be finite, got {omega}")
     n_total = np.add.outer(np.arange(3), np.arange(3)).ravel()
     d_lab = chain_hamiltonian(eta, [0.0]) - np.diag(omega * MHZ_TO_RAD_NS * n_total)
     xx = np.kron(x_op(), x_op())

@@ -69,9 +69,12 @@ def g_eff(g: float, eta: float) -> float:
     """Effective |02><20| coupling from level repulsion via |11>, in MHz.
 
     g_eff = sqrt((eta/4)^2 + g^2) - eta/4, written as g^2 / (eta/4 + sqrt(...))
-    to avoid the cancellation; for g << eta this is ~ 2 g^2/eta.
+    to avoid the cancellation; for g << eta this is ~ 2 g^2/eta.  g may be
+    an array; a non-finite g is a ValueError.
     """
     _check_eta(eta)
+    if not np.all(_finite(g)):
+        raise ValueError(f"g must be finite, got {g}")
     q = eta / 4.0
     return g * g / (q + np.hypot(q, g))
 

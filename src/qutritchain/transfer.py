@@ -15,15 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import _midpoints, _n_steps, _unitary, evolve_affine
+from .evolution import _finite, _midpoints, _n_steps, _unitary, evolve_affine
 from .model import (
     DELTA_RANGE_MHZ,
     MHZ_TO_RAD_NS,
+    _check_eta,
     basis_index,
     coupling_operator,
     chain_hamiltonian,
 )
-from .pulse import TrapezoidPulse
+from .pulse import TrapezoidPulse, pulse_area
 
 COMP_LABELS = ("00", "01", "10", "02", "20")
 COMP_INDICES = tuple(basis_index(s) for s in COMP_LABELS)
@@ -167,24 +168,32 @@ def _sector_fidelity(ramp, eta: float, g: float, t_plateau: float) -> float:
     return float((3.0 + 2.0 * (x * x + y * y) + (1.0 + 2.0 * sin_a + 2.0 * y) ** 2) / 30.0)
 
 
+def _trapezoid_propagator(d, w, pulse: TrapezoidPulse, r, dt: float) -> np.ndarray:
+    """U = R^T P R of pulse under D + g(t) W (real symmetric d, w), checked
+    to be unitary, for the caller's up ramp r on its own grid of
+    round(t_ramp/dt) midpoint steps.
+
+    P is the plateau at the constant coupling amp_max, a 0-d scale that
+    evolve_affine makes one exact exponential (bench/tracing.py counts its
+    steps via transfer.evolve_affine).  The down ramp is the up ramp
+    reversed in time, a product of the same step unitaries in reverse
+    order, and each step exp(-i H dt) of the real symmetric H is a
+    symmetric matrix, so the down ramp is exactly R^T.
+    """
+    g_plateau = pulse.amp_max * MHZ_TO_RAD_NS
+    p = evolve_affine(d, w, lambda ts: g_plateau, pulse.plateau_window, dt)
+    return _unitary(r.T @ p @ r)
+
+
 def evolve_transfer(g_pulse: TrapezoidPulse, eta: float, dt: float = 0.001) -> np.ndarray:
     """9x9 propagator for the resonant pair (Delta1 = Delta2 = 0) driven by
     the coupling pulse over [0, t_total], checked to be unitary.
 
-    Built as U = R^T P R.  R is the up ramp on its own grid of
-    round(t_ramp/dt) midpoint steps, in closed form by excitation sector
-    (_pair_window, no eigendecomposition).  P is the plateau at the constant
-    coupling amp_max, a 0-d scale that evolve_affine makes one exact
-    exponential (bench/tracing.py counts its steps via transfer.evolve_affine).
-    The down ramp is the up ramp reversed in time, a product of the same
-    step unitaries in reverse order, and each step exp(-i H dt) of the real
-    symmetric H is a symmetric matrix, so the down ramp is exactly R^T.
+    Built as U = R^T P R (_trapezoid_propagator), with the up ramp R in
+    closed form by excitation sector (_pair_window, no eigendecomposition).
     """
     d, w = _pair_parts(eta)
-    r = _pair_window(g_pulse, eta, dt)
-    g_plateau = g_pulse.amp_max * MHZ_TO_RAD_NS
-    p = evolve_affine(d, w, lambda ts: g_plateau, g_pulse.plateau_window, dt)
-    return _unitary(r.T @ p @ r)
+    return _trapezoid_propagator(d, w, g_pulse, _pair_window(g_pulse, eta, dt), dt)
 
 
 def population_series(
@@ -205,7 +214,10 @@ def population_series(
     _su2_steps(e, 2g, s).  Down ramp: its last m steps are Q_m^T, by the step
     symmetry that makes it R^T, so m steps before the end U(t) = conj(Q_m) U,
     with area A_U - A_m.  No 9x9 matrix and no eigendecomposition.
+    ValueError unless dt_out is finite and positive.
     """
+    if not (_finite(dt_out) and dt_out > 0):
+        raise ValueError(f"dt_out must be finite and positive, got {dt_out}")
     e, g = eta * MHZ_TO_RAD_NS, g_pulse.amp_max * MHZ_TO_RAD_NS
     t_ramp, t_plateau = g_pulse.t_ramp, g_pulse.t_total - 2.0 * g_pulse.t_ramp
     mids, dt_ramp = _midpoints(g_pulse.ramp_window, dt)
@@ -329,9 +341,12 @@ def optimize_pulse(
     call from the unit ramp shape sampled once, because the ramp does not
     depend on t_qst.  A t_qst point then costs one exact SU(2) plateau
     element and a few complex products; a new g_max point also folds its
-    ramp, ~1000 steps for a 2 ns ramp.
+    ramp, ~1000 steps for a 2 ns ramp.  A non-finite seed is a ValueError
+    before the search starts.
     """
     g0, t0 = seed
+    if not (_finite(g0) and _finite(t0)):
+        raise ValueError(f"seed must be finite, got {seed}")
     unit = TrapezoidPulse(1.0, 2.0 * t_ramp, t_ramp)
     mids, dt_ramp = _midpoints(unit.ramp_window, 2.0 * dt)
     shape = unit.value(mids)
@@ -350,12 +365,10 @@ def optimize_pulse(
         if abs(g - g_prev) < PARAM_TOL and abs(t - t_prev) < PARAM_TOL:
             break
 
-    report_seed = measure_report(
-        evolve_transfer(TrapezoidPulse(g0, t0, t_ramp), eta, dt=dt), g0, t0
-    )
-    report_opt = measure_report(
-        evolve_transfer(TrapezoidPulse(g, t, t_ramp), eta, dt=dt), g, t
-    )
+    def report(g: float, t: float) -> TransferReport:
+        return measure_report(evolve_transfer(TrapezoidPulse(g, t, t_ramp), eta, dt=dt), g, t)
+
+    report_seed, report_opt = report(g0, t0), report(g, t)
     if report_opt.fidelity < report_seed.fidelity - 1e-12:
         warnings.warn("optimizer failed to improve on the seed; returning the seed")
         return report_seed
@@ -365,7 +378,10 @@ def optimize_pulse(
 
 
 def phase_gate(theta: float, phi: float) -> np.ndarray:
-    """Single-qutrit phase rotation diag(1, e^{-i theta}, e^{-i phi})."""
+    """Single-qutrit phase rotation diag(1, e^{-i theta}, e^{-i phi}) for
+    finite angles theta and phi in rad."""
+    if not (_finite(theta) and _finite(phi)):
+        raise ValueError(f"theta and phi must be finite, got {theta} and {phi}")
     return np.diag([1.0, np.exp(-1j * theta), np.exp(-1j * phi)])
 
 
@@ -412,13 +428,21 @@ def compensation_params(
     2*theta - eta_angular*t_phase on |2>, so t_phase = (2 theta - phi)/eta
     and delta_max = theta / (t_phase - t_ramp) in angular units.  The target
     pair is taken modulo 2 pi on a branch giving t_phase >= 2 t_ramp and an
-    in-range delta_max; both phase integrals are re-checked from the pulse.
-    With k idle 2 pi turns of the |2> level, t_phase = (2 th - ph + 2 pi k)
-    / eta_angular (th, ph in [0, 2 pi)) grows with k and delta_max falls, so
-    the branch is the smallest k with t_phase >= t_min = max(2 t_ramp,
-    t_ramp + th / DELTA_RANGE_MHZ), in closed form; the k below it is tried
-    first, as rounding may put the root on either side of an integer.
+    in-range delta_max; both phase integrals are re-checked from the pulse's
+    area (pulse_area).  With k idle 2 pi turns of the |2> level, t_phase =
+    (2 th - ph + 2 pi k) / eta_angular (th, ph in [0, 2 pi)) grows with k
+    and delta_max falls, so the branch is the smallest k with t_phase >=
+    t_min = max(2 t_ramp, t_ramp + th / DELTA_RANGE_MHZ), in closed form;
+    the k below it is tried first, as rounding may put the root on either
+    side of an integer.
+    ValueError for a non-finite theta or phi, a bad eta, or a t_ramp that
+    is not finite and nonnegative.
     """
+    if not (_finite(theta) and _finite(phi)):
+        raise ValueError(f"theta and phi must be finite, got {theta} and {phi}")
+    _check_eta(eta)
+    if not (_finite(t_ramp) and t_ramp >= 0):
+        raise ValueError(f"t_ramp must be nonnegative and finite, got {t_ramp}")
     eta_ang = eta * MHZ_TO_RAD_NS
     th = theta % (2.0 * np.pi)
     ph = phi % (2.0 * np.pi)
@@ -439,11 +463,7 @@ def compensation_params(
             f"no feasible 2 pi branch for theta={theta}, phi={phi}, t_ramp={t_ramp}"
         )
 
-    # the unit shape is linear between its breakpoints: the trapezoid rule
-    # over them is its exact integral
-    knots = np.array([0.0, t_ramp, t_phase - t_ramp, t_phase])
-    v = TrapezoidPulse(1.0, t_phase, t_ramp).value(knots)
-    theta_int = delta_max * np.diff(knots) @ (v[1:] + v[:-1]) / 2.0 * MHZ_TO_RAD_NS
+    theta_int = pulse_area(TrapezoidPulse(delta_max, t_phase, t_ramp))
     phi_int = 2.0 * theta_int - eta_ang * t_phase
     if _angle_gap(theta_int, theta) > 1e-10 or _angle_gap(phi_int, phi) > 1e-10:
         raise CompensationError(

@@ -1,5 +1,6 @@
 import importlib.util
 import inspect
+import itertools
 import pathlib
 
 import pytest
@@ -7,8 +8,9 @@ import pytest
 import qutritchain
 from qutritchain import noise
 from qutritchain.evolution import _midpoints
-from qutritchain.model import chain_hamiltonian
-from qutritchain.pulse import TrapezoidPulse, analytic_params, solve_constraint
+from qutritchain.model import chain_hamiltonian, rwa_residual
+from qutritchain.pulse import TrapezoidPulse, analytic_params, g_eff, solve_constraint
+from qutritchain.transfer import compensation_params, optimize_pulse, phase_gate
 
 ROOT = pathlib.Path(__file__).parents[1]
 # argument names the benchmark's span wrappers read, by span name
@@ -126,3 +128,40 @@ def test_library_checks_refuse_an_int_past_the_float_range(call):
     # float conversion inside the check
     with pytest.raises(ValueError):
         call()
+
+
+# (id, start of the ValueError's message, call with a bad number x), one per
+# library argument
+ENTRY_POINTS = [
+    ("g_eff-g", "g must", lambda x: g_eff(x, 200.0)),
+    ("phase_gate-theta", "theta and phi", lambda x: phase_gate(x, 0.0)),
+    ("phase_gate-phi", "theta and phi", lambda x: phase_gate(0.0, x)),
+    ("compensation_params-theta", "theta and phi", lambda x: compensation_params(x, 0.5, 200.0)),
+    ("compensation_params-phi", "theta and phi", lambda x: compensation_params(1.0, x, 200.0)),
+    ("compensation_params-eta", "eta", lambda x: compensation_params(1.0, 0.5, x)),
+    ("compensation_params-t_ramp", "t_ramp",
+     lambda x: compensation_params(1.0, 0.5, 200.0, t_ramp=x)),
+    ("rwa_residual-omega", "omega", lambda x: rwa_residual(200.0, lambda ts: 30.0, (0.0, 1.0), x)),
+    ("optimize_pulse-seed-g", "seed", lambda x: optimize_pulse(200.0, 2.0, (x, 22.0))),
+    ("optimize_pulse-seed-t", "seed", lambda x: optimize_pulse(200.0, 2.0, (37.5, x))),
+]
+BAD_NUMBERS = {"inf": float("inf"), "nan": float("nan"), "huge-int": HUGE_INT}
+BAD_INPUTS = {
+    f"{name}-{bad}": (message, call, x)
+    for (name, message, call), (bad, x) in itertools.product(ENTRY_POINTS, BAD_NUMBERS.items())
+}
+BAD_INPUTS["compensation_params-eta-zero"] = (
+    "eta", lambda x: compensation_params(1.0, 0.5, x), 0.0
+)
+BAD_INPUTS["compensation_params-t_ramp-negative"] = (
+    "t_ramp", lambda x: compensation_params(0.0, 0.0, 200.0, t_ramp=x), -1.0
+)
+
+
+@pytest.mark.parametrize("message, call, x", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_library_entry_points_refuse_bad_numbers(message, call, x):
+    # the entry point's own check, which names the argument: not a
+    # RuntimeWarning, an OverflowError, a ZeroDivisionError or a later
+    # check's error from the arithmetic after it
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call(x)

@@ -184,15 +184,24 @@ def test_coupling_values_match_full_grid(n_qutrits, dt_out):
     assert np.array_equal(sched.coupling_values(ts), ref)
 
 
-def test_coupling_values_need_ascending_times():
-    sched = ChainSchedule(TrapezoidPulse(G_OPT, T_OPT, 2.0), 2, (0.0, 0.0))
-    with pytest.raises(ValueError, match="ascending"):
-        sched.coupling_values(np.array([1.0, 0.5]))
+def test_coupling_values_take_times_in_any_order():
+    # unsorted times, repeats, the edges k T and times outside the schedule
+    sched = ChainSchedule(TrapezoidPulse(G_OPT, T_OPT, 2.0), 3, (0.0, 0.0))
+    ts = np.random.default_rng(0).uniform(-1.0, sched.total_duration + 1.0, 200)
+    ts = np.concatenate([ts, ts[:20], np.arange(4)[::-1] * T_OPT, [1.0, 0.5, 1.0]])
+    ref = np.stack([sched.step_pulse.value(ts - k * T_OPT) for k in range(sched.n_steps)])
+    assert np.array_equal(sched.coupling_values(ts), ref)
 
 
 def test_front_vs_full_small_chains():
     assert validate_front_vs_full(2, G_OPT, T_OPT, 2.0, ETA, dt=0.002) < 1e-12
     assert validate_front_vs_full(3, G_OPT, T_OPT, 2.0, ETA, dt=0.002) < 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 0])
+def test_front_vs_full_needs_two_qutrits(n):
+    with pytest.raises(ValueError, match="at least 2 qutrits"):
+        validate_front_vs_full(n, G_OPT, T_OPT, 2.0, ETA, dt=0.01)
 
 
 def test_full_chain_capacity():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy import kron
 
-from qutritchain import evolution, transfer
+from qutritchain import chain, evolution, transfer
+from qutritchain.chain import ChainSchedule, evolve_chain_full
 from qutritchain.evolution import evolve, evolve_affine, unitarity_defect
 from qutritchain.model import MHZ_TO_RAD_NS, chain_hamiltonian, coupling_operator, x_op
 from qutritchain.pulse import TrapezoidPulse
@@ -248,6 +249,12 @@ def test_propagator_validates_unitarity(monkeypatch):
         for scale_of_t in (lambda ts: np.zeros_like(ts), lambda ts: ts):
             with pytest.raises(ValueError, match="not unitary"):
                 evolve_affine(np.eye(2), np.diag([1.0, -1.0]), scale_of_t, (0.0, 1.0), 0.1)
+    # the full-chain oracle checks its step R^T P R: a non-unitary dense ramp
+    with monkeypatch.context() as m:
+        m.setattr(chain, "evolve_affine", lambda d, *args: 2.0 * np.eye(len(d)))
+        schedule = ChainSchedule(TrapezoidPulse(30.0, 10.0, 2.0), 1, (0.0, 0.0))
+        with pytest.raises(ValueError, match="not unitary"):
+            evolve_chain_full(schedule, 200.0, dt=0.01)
     monkeypatch.setattr(transfer, "_pair_window", lambda *args: 2.0 * np.eye(9))
     with pytest.raises(ValueError, match="not unitary"):
         evolve_transfer(TrapezoidPulse(30.0, 10.0, 2.0), 200.0, dt=0.01)

@@ -346,3 +346,13 @@ def test_population_series_without_ramp_or_plateau(t_total, t_ramp):
     assert len(ts) == len(p01) == len(p02)
     want = transfer_populations(evolve_transfer(pulse, ETA, dt=0.002))
     assert abs(p01[-1] - want[0]) < 1e-12 and abs(p02[-1] - want[1]) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "dt_out", [10**400, float("nan"), float("inf"), 0.0, -1.0],
+    ids=["huge-int", "nan", "inf", "zero", "negative"],
+)
+def test_population_series_refuses_a_bad_dt_out(dt_out):
+    # the CLI's --dt-out-ns rule: finite and positive
+    with pytest.raises(ValueError, match="dt_out"):
+        population_series(TrapezoidPulse(37.5, 22.0, 2.0), 200.0, dt=0.01, dt_out=dt_out)
