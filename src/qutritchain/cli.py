@@ -36,7 +36,7 @@ EXIT_CONFIG = 2
 # which the optimizer moves by a few percent at most.  The paper's settings
 # need a few 10^4 (22 ns at 1 ps).
 MAX_SAMPLES = 1_000_000
-CSV_BLOCK_ROWS = 2048  # rows write_csv formats and writes at a time
+CSV_BLOCK_ROWS = 128  # rows write_csv formats and writes at a time
 
 
 def _check_samples(what: str, count: float) -> None:
@@ -170,26 +170,34 @@ def _int_cells(column) -> list[str]:
     return list(map(str, map(operator.index, column)))
 
 
-def _float_cells(column) -> np.ndarray:
-    """Cells "%.11e" (12 significant digits), each distinct float bit
-    pattern formatted once; -0.0, NaN and +-inf keep Python's text."""
-    bits, inverse = np.unique(np.asarray(column, dtype=float).view(np.int64), return_inverse=True)
+def _float_cells(values: np.ndarray) -> np.ndarray:
+    """Cells "%.11e" (12 significant digits) of a float array, in its shape,
+    each distinct float bit pattern formatted once; -0.0, NaN and +-inf keep
+    Python's text."""
+    bits, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
     text = np.array([f"{x:.11e}" for x in bits.view(float).tolist()], dtype=object)
-    return text[inverse]
+    return text[inverse].reshape(values.shape)
 
 
 def _csv_chunks(header: list[str], rows) -> Iterator[str]:
     yield ",".join(header) + "\n"
     rows = iter(rows)
-    columns = None
-    while block := list(itertools.islice(rows, CSV_BLOCK_ROWS)):
-        if columns is None:
-            columns = [_int_cells if isinstance(v, (int, np.integer)) else _float_cells
-                       for v in block[0]]
-        if set(map(len, block)) != {len(columns)}:
-            raise ValueError(f"every CSV row needs the first row's {len(columns)} cells")
-        cells = [cells_of(col) for cells_of, col in zip(columns, zip(*block))]
-        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+    block = list(itertools.islice(rows, CSV_BLOCK_ROWS))
+    first = block[0] if block else ()
+    ints = [j for j, v in enumerate(first) if isinstance(v, (int, np.integer))]
+    floats = [j for j in range(len(first)) if j not in ints]
+    while block:
+        if set(map(len, block)) != {len(first)}:
+            raise ValueError(f"every CSV row needs the first row's {len(first)} cells")
+        if ints:  # int cells go through operator.index, never through float
+            cells = np.array(block, dtype=object)
+            for j in ints:
+                cells[:, j] = _int_cells(cells[:, j])
+            cells[:, floats] = _float_cells(cells[:, floats].astype(float))
+        else:
+            cells = _float_cells(np.array(block, dtype=float))
+        yield "\n".join(map(",".join, cells.tolist())) + "\n"
+        block = list(itertools.islice(rows, CSV_BLOCK_ROWS))
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
@@ -199,11 +207,12 @@ def write_csv(path: str, header: list[str], rows) -> None:
     Each column takes its type from its first row: integers (int or
     np.integer) are written as "%d", anything else as a float "%.11e"
     (12 significant digits).  Rows are formatted and written CSV_BLOCK_ROWS
-    at a time, so the whole text is never held, and within a block each
-    distinct float value is formatted once.  The bytes are those of
-    formatting cell by cell.  Rows of unequal length are a ValueError.  If
-    rows raises, so does write_csv, and a file already at path is left as
-    it was.
+    at a time, so only one block is held: its float columns as one 2-D
+    float array, formatted in one pass with each distinct value formatted
+    once, and its integer columns through operator.index, never through
+    float.  The bytes are those of formatting cell by cell.  Rows of
+    unequal length are a ValueError.  If rows raises, so does write_csv,
+    and a file already at path is left as it was.
     """
     _atomic_write(path, _csv_chunks(header, rows))
 
@@ -274,17 +283,31 @@ def cmd_errors(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     intr = chain.intrinsic_error_curve(cfg.n_steps, u_step, comp)
     deco = noise.decoherence_error_curve(cfg.n_steps, rep.t_qst, cfg.t1, cfg.t2)
 
-    # every fit before the first file, so a failed fit leaves no output
+    # every fit before the first file, so a failed fit leaves no output.  A
+    # curve that is 0 to roundoff (an exact transfer, or lifetimes too long
+    # for any decoherence to show) has no log-log fit or no crossover: that
+    # value is null, and "note" gives the reason
     fit_a = analysis.fit_power(intr, 4)
     fit_b = analysis.fit_power(deco, 1)
-    exp_free, pre_free = analysis.free_exponent_fit(intr)
+    notes = []
+
+    def unless_degenerate(key, fit, *args):
+        try:
+            return fit(*args)
+        except ValueError as exc:
+            notes.append(f"{key} is null: {exc}")
+            return None
+
+    free = unless_degenerate("intrinsic_free_fit", analysis.free_exponent_fit, intr)
     fits = {
         "config": asdict(cfg),
         "intrinsic": asdict(fit_a),
         "decoherence": asdict(fit_b),
-        "k_star": analysis.crossover(fit_a, fit_b),
-        "intrinsic_free_fit": {"exponent": exp_free, "prefactor": pre_free},
+        "k_star": unless_degenerate("k_star", analysis.crossover, fit_a, fit_b),
+        "intrinsic_free_fit": free and {"exponent": free[0], "prefactor": free[1]},
     }
+    if notes:
+        fits["note"] = "; ".join(notes)
 
     path = os.path.join(cfg.output_dir, "fig4.csv")
     rows = zip(intr[:, 0].astype(int), intr[:, 1], deco[:, 1])

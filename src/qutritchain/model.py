@@ -95,7 +95,8 @@ def chain_hamiltonian(eta: float, couplings: Sequence[float]) -> np.ndarray:
     for k, g in enumerate(couplings):
         if not -1e-12 <= g <= COUPLING_CAP_MHZ + 1e-9:
             raise ValueError(f"g_{k} = {g} MHz outside 0..{COUPLING_CAP_MHZ} MHz")
-        h += g * MHZ_TO_RAD_NS * coupling_operator(k, n)
+        if g:  # a zero coupling adds 0.0 to every entry, which changes none
+            h += g * MHZ_TO_RAD_NS * coupling_operator(k, n)
     return h
 
 

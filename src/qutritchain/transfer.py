@@ -53,11 +53,14 @@ PARAM_TOL = 1e-3
 MAX_SWEEPS = 8
 
 
+_PAIR_W = coupling_operator(0, 2)  # W of _pair_parts, which no eta changes
+_PAIR_W.flags.writeable = False
+
+
 def _pair_parts(eta: float) -> tuple[np.ndarray, np.ndarray]:
     """Resonant two-qutrit Hamiltonian split H(g) = D + g_angular * W, with D
     and W real symmetric."""
-    d = chain_hamiltonian(eta, [0.0])
-    return d, coupling_operator(0, 2)
+    return chain_hamiltonian(eta, [0.0]), _PAIR_W
 
 
 def _su2_mul(a1, b1, a0, b0):

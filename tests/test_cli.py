@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from _reference import T_OPT
 from test_golden import GOLDEN, validate_lines
 from qutritchain.chain import ChainSchedule
 from qutritchain.cli import _COMMANDS, _CONFIG_FLAGS, CSV_BLOCK_ROWS, main, write_csv
+from qutritchain.evolution import _finite
 from qutritchain import noise
 from qutritchain.noise import decoherence_error_curve
 from qutritchain.pulse import TrapezoidPulse, analytic_params
@@ -388,20 +390,44 @@ def test_populations_output_step_far_above_the_ramp_step(tmp_path):
     assert rows[-1, 1] > 0.999 and rows[-1, 2] > 0.99
 
 
-def test_errors_failed_fit_leaves_no_output(tmp_path, capsys):
-    # the optimized square pulse transfers to roundoff, so the intrinsic
-    # curve has too few positive points for its log-log fit; the fits run
-    # before fig4.csv and its sidecar are written
-    args = ["--n-steps", 3, "--eta-mhz", 250, "--t-ramp-ns", 0, "--dt-ns", 0.05]
-    with pytest.warns(UserWarning, match="failed to improve"):
-        assert run(["errors", *args, "--out", tmp_path]) == 1
-    assert "not enough positive points" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+@pytest.mark.parametrize(
+    "args",
+    [["--n-steps", 3, "--eta-mhz", 250, "--t-ramp-ns", 0, "--dt-ns", 0.05],
+     ["--n-steps", 3, "--eta-mhz", 200, "--t-ramp-ns", 0.01, "--dt-ns", 0.002]],
+    ids=["square-pulse", "short-ramp"],
+)
+def test_errors_with_a_transfer_exact_to_roundoff_writes_a_null_free_fit(tmp_path, args):
+    # the optimized pulse transfers to roundoff, so the intrinsic curve has
+    # too few positive points for its log-log fit: that fit is null, with
+    # the reason in "note", and every file is written
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "optimizer failed to improve", UserWarning)
+        assert run(["errors", *args, "--out", tmp_path]) == 0
+    fits = read_json(tmp_path / "fits.json")
+    assert fits["intrinsic_free_fit"] is None
+    assert "intrinsic_free_fit is null: not enough positive points" in fits["note"]
+    assert sorted(os.listdir(tmp_path)) == ["fig4.config.json", "fig4.csv", "fits.json"]
+
+
+def test_errors_with_no_decoherence_writes_a_null_crossover(tmp_path):
+    # lifetimes of 1e300 us leave the decoherence curve at 0, so its linear
+    # prefactor is 0 and there is no crossover k*
+    assert run(["errors", "--t1-us", 1e300, "--t2-us", 1e300, "--out", tmp_path]) == 0
+    fits = read_json(tmp_path / "fits.json")
+    assert fits["decoherence"]["prefactor"] == 0.0
+    assert fits["k_star"] is None
+    assert fits["note"] == "k_star is null: crossover needs strictly positive prefactors"
+    assert fits["intrinsic_free_fit"]["exponent"] > 0
+    _, rows = read_csv(tmp_path / "fig4.csv")
+    assert rows.shape == (200, 3) and not rows[:, 2].any()
 
 
 # values no config check may let through as a traceback: zero, a negative,
-# the smallest subnormal, a tiny and a huge normal, nan and +-inf
-ODD_VALUES = [0.0, -1.0, 5e-324, 1e-300, 1e300, float("nan"), float("inf"), float("-inf")]
+# the smallest subnormal, a tiny and a huge normal, nan, +-inf and an int
+# past the float range
+HUGE_INT = 10**400
+ODD_VALUES = [0.0, -1.0, 5e-324, 1e-300, 1e300, float("nan"), float("inf"), float("-inf"),
+              HUGE_INT]
 # (t1, t2) pairs at the edges of the lifetime rule: T2 just above 2 T1 by
 # 2.5e-7 (relative) and by 8e-14, just below, and tiny normal lifetimes
 LIFETIME_EDGES = [(1e-6, 2.0000005e-6), (60.0, 120.0 + 1e-11), (60.0, 120.0 - 1e-11),
@@ -462,7 +488,7 @@ def test_exit_contract_config_and_analytic_table(eta, t_ramp, dt, lifetimes):
     code = exit_contract(["table1", "--analytic-only", f"--eta-mhz={eta}",
                           f"--t-ramp-ns={t_ramp}", f"--dt-ns={dt}",
                           f"--t1-us={t1}", f"--t2-us={t2}"])
-    if not (np.isfinite([eta, t_ramp, dt]).all() and eta > 0 and t_ramp >= 0 and dt > 0):
+    if not (all(map(_finite, (eta, t_ramp, dt))) and eta > 0 and t_ramp >= 0 and dt > 0):
         assert code == 2
     if lifetimes_rejected(t1, t2):
         assert code == 2
@@ -471,15 +497,16 @@ def test_exit_contract_config_and_analytic_table(eta, t_ramp, dt, lifetimes):
 @settings(CONTRACT, max_examples=24)
 @given(
     command=st.sampled_from(["table1", "populations", "schedule", "errors", "validate"]),
-    eta=st.sampled_from([200.0, 250.0, 1e5, 1e300, -1.0, float("nan")]),
+    eta=st.sampled_from([200.0, 250.0, 1e5, 1e300, -1.0, float("nan"), HUGE_INT]),
     t_ramp=st.sampled_from([0.0, 1e-300, 0.01, 2.0, 5e-324, float("inf")]),
     dt=st.sampled_from([0.01, 0.05, 1e300, float("inf")]),
-    dt_out=st.sampled_from([0.05, 5e-324, 1e300, float("nan")]),
+    dt_out=st.sampled_from([0.05, 5e-324, 1e300, float("nan"), HUGE_INT]),
     lifetimes=LIFETIMES,
 )
-# an intrinsic error at roundoff (exit 1), a ramp far below the output step,
-# one step over the whole pulse, a huge eta with no ramp, and tiny normal
-# lifetimes through the decoherence curve and the Kraus channels
+# an intrinsic error at roundoff (exit 0 with a null free fit), a ramp far
+# below the output step, one step over the whole pulse, a huge eta with no
+# ramp, and tiny normal lifetimes through the decoherence curve and the
+# Kraus channels
 @example(command="errors", eta=1e5, t_ramp=0.0, dt=0.05, dt_out=0.05, lifetimes=(60.0, 60.0))
 @example(command="populations", eta=200.0, t_ramp=1e-300, dt=0.05, dt_out=1e300,
          lifetimes=(60.0, 60.0))
@@ -501,7 +528,7 @@ def test_exit_contract_optimizer_commands(command, eta, t_ramp, dt, dt_out, life
     if command == "errors":
         args.append("--n-steps=20")
     code = exit_contract(args)
-    if not (np.isfinite([eta, t_ramp, dt]).all() and eta > 0) or lifetimes_rejected(t1, t2):
+    if not (all(map(_finite, (eta, t_ramp, dt))) and eta > 0) or lifetimes_rejected(t1, t2):
         assert code == 2
 
 
@@ -543,10 +570,15 @@ def _fig2b_rows(n=300):
     return zip(ts, np.sin(0.07 * ts) ** 2, np.sin(0.05 * ts) ** 2 * np.exp(-ts))
 
 
-def _fig3_rows():
-    sched = ChainSchedule(TrapezoidPulse(37.5, 22.0, 2.0), 5, (0.0, 0.0))
-    ts = np.linspace(0.0, sched.total_duration, 2201)
-    return zip(ts, *sched.coupling_values(ts))
+def _fig3_columns(n_rows, n_edges=5):
+    sched = ChainSchedule(TrapezoidPulse(37.5, 22.0, 2.0), n_edges, (0.0, 0.0))
+    ts = np.linspace(0.0, sched.total_duration, n_rows)
+    return ts, sched.coupling_values(ts)
+
+
+def _fig3_rows(n=2201):
+    ts, g = _fig3_columns(n)
+    return zip(ts, *g)
 
 
 def _fig4_rows(n=CSV_BLOCK_ROWS + 7):
@@ -559,6 +591,12 @@ def _special_rows():
     return [(k, v, np.float64(v), -v) for k, v in enumerate(values)]
 
 
+def _huge_int_rows():
+    # an int column never passes through float: 10**400 would overflow it
+    return [(10**400, 0.5), (np.int64(-3), np.float64(1.5)), (7, 2.0 / 3.0),
+            (np.int64(2**62), -0.0), (-(10**30), np.float64(1e-300))]
+
+
 def _sized_rows(n):
     return lambda: ((np.int64(k), 0.25 * (k % 7), np.sqrt(k)) for k in range(n))
 
@@ -568,16 +606,18 @@ def _sized_rows(n):
     [
         _fig2b_rows,
         _fig3_rows,
+        lambda: _fig3_rows(4 * CSV_BLOCK_ROWS + 5),
         _fig4_rows,
         _special_rows,
+        _huge_int_rows,
         _sized_rows(0),
         _sized_rows(1),
         _sized_rows(CSV_BLOCK_ROWS),
         _sized_rows(CSV_BLOCK_ROWS + 1),
         _sized_rows(2 * CSV_BLOCK_ROWS),
     ],
-    ids=["fig2b", "fig3", "fig4", "special-values", "rows0", "rows1", "one-block",
-         "one-block-plus-1", "two-blocks"],
+    ids=["fig2b", "fig3", "fig3-past-four-blocks", "fig4", "special-values", "huge-int",
+         "rows0", "rows1", "one-block", "one-block-plus-1", "two-blocks"],
 )
 def test_write_csv_bytes_match_cell_by_cell_writer(tmp_path, make_rows):
     rows = list(make_rows())
@@ -607,3 +647,24 @@ def test_write_csv_rejects_rows_of_unequal_length(tmp_path):
     with pytest.raises(ValueError, match="first row's 2 cells"):
         write_csv(str(tmp_path / "fig.csv"), ["k", "x"], rows)
     assert os.listdir(tmp_path) == []
+
+
+def _write_csv_peak_bytes(path, n_rows, n_edges):
+    ts, g = _fig3_columns(n_rows, n_edges)  # the columns, made before tracing
+    tracemalloc.start()
+    try:
+        write_csv(str(path), ["t_ns"] + [f"g{k + 1}" for k in range(n_edges)], zip(ts, *g))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_csv_memory_is_bounded_by_block(tmp_path):
+    # a fig3-shaped generator of numpy scalars: the writer holds one block
+    # of rows, its float array and its text, ~105 B a cell (measured), and
+    # nothing that grows with the row count
+    n, n_edges = 4 * CSV_BLOCK_ROWS, 20
+    block_cells = CSV_BLOCK_ROWS * (n_edges + 1)
+    peaks = [_write_csv_peak_bytes(tmp_path / f"fig3-{m}.csv", m, n_edges) for m in (n, 4 * n)]
+    assert peaks[1] < 1.2 * peaks[0], peaks
+    assert max(peaks) < 256 * block_cells, peaks
