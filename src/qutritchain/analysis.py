@@ -7,6 +7,10 @@ from dataclasses import dataclass
 import numpy as np
 
 MIN_FIT_POINTS = 3  # fewest (k, error) points fit_power fits
+# roundoff floor of an error curve, per transfer step: the intrinsic curve
+# of an exact transfer stays within 2.6 k eps of 0, and a 50 ps ramp at
+# 2 ps steps already gives 130 k eps, so |error_k| <= 16 k eps is noise
+ROUNDOFF_PER_STEP = 16 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -38,10 +42,11 @@ def fit_power(data, exponent: int) -> PowerLawFit:
 
 
 def free_exponent_fit(data) -> tuple[float, float]:
-    """Diagnostic log-log fit; returns (exponent, prefactor).  Points with
-    nonpositive error are dropped."""
+    """Diagnostic log-log fit; returns (exponent, prefactor).  Nonpositive
+    points and points at roundoff, |error| <= ROUNDOFF_PER_STEP * k, are
+    dropped."""
     k, err = _split(data)
-    keep = err > 0
+    keep = err > ROUNDOFF_PER_STEP * k
     if keep.sum() < 2:
         raise ValueError("not enough positive points for a log-log fit")
     p, logc = np.polyfit(np.log(k[keep]), np.log(err[keep]), 1)

@@ -52,6 +52,21 @@ class ChainSchedule:
         return g
 
 
+def _check_norms(fronts: np.ndarray) -> None:
+    """Reject a front, or a (3, m) stack of fronts as columns, whose norm
+    exceeds 1 by more than 1e-12 of roundoff."""
+    if np.any(1.0 - np.sum(np.abs(fronts) ** 2, axis=0) < -1e-12):
+        raise ValueError("front state norm exceeds 1")
+
+
+def _checked_front(front) -> np.ndarray:
+    front = np.asarray(front, dtype=complex)
+    if front.shape != (3,):
+        raise ValueError("front state needs exactly 3 amplitudes")
+    _check_norms(front)
+    return front
+
+
 def step_transfer(front: np.ndarray, u_step: np.ndarray, comp: np.ndarray) -> np.ndarray:
     """One adjacent-pair transfer of the (3,) front: embed front x |0>,
     evolve, project the sending qutrit onto |0> (unnormalized), compensate
@@ -63,11 +78,7 @@ def step_transfer(front: np.ndarray, u_step: np.ndarray, comp: np.ndarray) -> np
     1e-12 of roundoff) is rejected; a unitary step and a projection cannot
     raise the norm, so every front this returns passes the check again.
     """
-    front = np.asarray(front, dtype=complex)
-    if front.shape != (3,):
-        raise ValueError("front state needs exactly 3 amplitudes")
-    if 1.0 - np.vdot(front, front).real < -1e-12:
-        raise ValueError("front state norm exceeds 1")
+    front = _checked_front(front)
     return np.asarray(comp) @ (u_step[:3, ::3] @ front)
 
 
@@ -77,16 +88,43 @@ def intrinsic_error_curve(
     comp: np.ndarray,
     initial: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Error 1 - |<psi_unif|psi_k>|^2 of the unnormalized front after each of
-    k = 1..n_steps identical transfer steps.  Returns an (n_steps, 2) array
-    of (k, error)."""
-    psi0 = uniform_state() if initial is None else np.asarray(initial, dtype=complex)
-    front = psi0
-    out = np.empty((n_steps, 2))
-    for k in range(1, n_steps + 1):
-        front = step_transfer(front, u_step, comp)
-        out[k - 1] = (k, 1.0 - abs(np.vdot(psi0, front)) ** 2)
-    return out
+    """Error 1 - |<psi0|psi_k>|^2 of the unnormalized front after each of
+    k = 1..n_steps identical transfer steps, psi0 = initial (the uniform
+    state by default).  Returns an (n_steps, 2) array of (k, error).
+
+    A step is linear in the front, so it is the 3x3 front map M whose
+    columns are step_transfer of the three basis fronts, and psi_k =
+    M^k psi0.  The fronts are built by doubling: with F the fronts for
+    k = 1..m and P = M^m, [F, P F] holds those for k = 1..2m and P P is
+    M^2m, so the curve takes ceil(log2 n_steps) doublings of small matmuls
+    and three step_transfer calls, whatever n_steps is.  M is not assumed
+    diagonal.  The products group the factors of M^k differently from
+    stepping the front k times, so the error differs from the step loop's
+    by roundoff only, within 16 k eps (at most 2 k eps measured, k <=
+    2000).  The initial front is checked as step_transfer checks it, and
+    every front's norm is checked at once per doubling, so a non-unitary
+    step still raises ValueError.  So does a power of M with an entry
+    above 1 in modulus (no power of a contraction has one) or a NaN, even
+    where psi0's own fronts stay bounded: the next powers could overflow.
+    """
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
+    psi0 = _checked_front(uniform_state() if initial is None else initial)
+    if n_steps == 0:
+        return np.empty((0, 2))
+    m = np.stack([step_transfer(e, u_step, comp) for e in np.eye(3, dtype=complex)], axis=1)
+    fronts, power = m @ psi0[:, None], m
+    _check_norms(fronts)
+    while fronts.shape[1] < n_steps:
+        if not np.abs(power).max() <= 1.0 + 1e-12:
+            raise ValueError("front map is not a finite contraction: "
+                             "the step or the compensation is not unitary")
+        block = power @ fronts[:, : n_steps - fronts.shape[1]]
+        _check_norms(block)
+        fronts = np.concatenate([fronts, block], axis=1)
+        power = power @ power
+    ks = np.arange(1, n_steps + 1)
+    return np.column_stack([ks, 1.0 - np.abs(psi0.conj() @ fronts) ** 2])
 
 
 def make_schedule(

@@ -299,11 +299,15 @@ def cmd_errors(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
             return None
 
     free = unless_degenerate("intrinsic_free_fit", analysis.free_exponent_fit, intr)
+    if free is None:
+        # the quartic prefactor of a curve at roundoff is noise, and so is
+        # any k* from it
+        notes.append("k_star is null: the intrinsic error is at roundoff")
     fits = {
         "config": asdict(cfg),
         "intrinsic": asdict(fit_a),
         "decoherence": asdict(fit_b),
-        "k_star": unless_degenerate("k_star", analysis.crossover, fit_a, fit_b),
+        "k_star": free and unless_degenerate("k_star", analysis.crossover, fit_a, fit_b),
         "intrinsic_free_fit": free and {"exponent": free[0], "prefactor": free[1]},
     }
     if notes:

@@ -34,6 +34,22 @@ def test_free_exponent_fit():
     assert pre == pytest.approx(5e-7, rel=1e-9)
 
 
+def test_free_exponent_fit_drops_points_at_roundoff():
+    k = np.arange(1.0, 51.0)
+    eps = np.finfo(float).eps
+    with pytest.raises(ValueError, match="not enough positive points"):
+        free_exponent_fit(np.column_stack([k, 16 * k * eps * np.cos(k)]))
+    # 16 k eps on the first 10 points and a negative error past it are
+    # dropped; 17 k eps is kept
+    err = np.where(k <= 10, 16 * k * eps, 5e-7 * k**3)
+    err[10] = -1.0
+    exp, pre = free_exponent_fit(np.column_stack([k, err]))
+    assert exp == pytest.approx(3.0, abs=1e-12)
+    assert pre == pytest.approx(5e-7, rel=1e-9)
+    exp, _ = free_exponent_fit(np.column_stack([k[:3], 17 * k[:3] * eps]))
+    assert exp == pytest.approx(1.0, abs=1e-9)
+
+
 def test_crossover_reference_values():
     a = PowerLawFit(4, 2.1e-10, 0.0)
     b = PowerLawFit(1, 3.6e-4, 0.0)

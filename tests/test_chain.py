@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from _reference import G_OPT, T_OPT
+from qutritchain import chain
 from qutritchain.chain import (
     ChainSchedule,
     edge_permutation,
@@ -75,15 +76,95 @@ def test_step_transfer_equals_kron_reference(step):
         assert np.array_equal(step_transfer(a, u_step, comp), _kron_step(a, u_step, comp))
 
 
+def _kron_curve(n_steps, u_step, comp, psi0):
+    """intrinsic_error_curve as a loop of _kron_step, one step per k."""
+    front = psi0
+    ref = np.empty((n_steps, 2))
+    for k in range(1, n_steps + 1):
+        front = _kron_step(front, u_step, comp)
+        ref[k - 1] = (k, 1.0 - abs(np.vdot(psi0, front)) ** 2)
+    return ref
+
+
+def _assert_within_roundoff(curve, ref):
+    # the closed form groups the factors of M^k differently from the step
+    # loop: the errors agree to 16 k eps, not bit for bit
+    assert np.array_equal(curve[:, 0], ref[:, 0])
+    assert np.all(np.abs(curve[:, 1] - ref[:, 1]) <= 16 * ref[:, 0] * np.finfo(float).eps)
+
+
 def test_intrinsic_error_curve_equals_kron_loop(step):
     _, u_step, comp = step
     for psi0 in (uniform_state(), *_random_fronts(12, 2)):
-        front = psi0
-        ref = np.empty((500, 2))
-        for k in range(1, 501):
-            front = _kron_step(front, u_step, comp)
-            ref[k - 1] = (k, 1.0 - abs(np.vdot(psi0, front)) ** 2)
-        assert np.array_equal(intrinsic_error_curve(500, u_step, comp, psi0), ref)
+        ref = _kron_curve(500, u_step, comp, psi0)
+        _assert_within_roundoff(intrinsic_error_curve(500, u_step, comp, psi0), ref)
+
+
+def test_intrinsic_error_curve_with_a_non_diagonal_map_equals_kron_loop(step):
+    # a random unitary in place of the compensation gate mixes the front's
+    # amplitudes, so the front map M is far from diagonal
+    _, u_step, _ = step
+    rng = np.random.default_rng(13)
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    mix = q * (np.diag(r) / np.abs(np.diag(r)))
+    m = mix @ u_step[:3, ::3]
+    assert np.abs(m - np.diag(np.diag(m))).max() > 0.1
+    for psi0 in (uniform_state(), *_random_fronts(14, 2)):
+        ref = _kron_curve(2000, u_step, mix, psi0)
+        _assert_within_roundoff(intrinsic_error_curve(2000, u_step, mix, psi0), ref)
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 2, 3, 1023, 1024, 1025])
+def test_intrinsic_error_curve_lengths_around_the_doublings(step, n_steps):
+    _, u_step, comp = step
+    curve = intrinsic_error_curve(n_steps, u_step, comp)
+    assert curve.shape == (n_steps, 2)
+    assert np.array_equal(curve[:, 0], np.arange(1, n_steps + 1))
+    _assert_within_roundoff(curve, _kron_curve(n_steps, u_step, comp, uniform_state()))
+
+
+@pytest.mark.parametrize("n_steps", [0, 5])
+def test_intrinsic_error_curve_checks_the_initial_front(step, n_steps):
+    _, u_step, comp = step
+    with pytest.raises(ValueError, match="3 amplitudes"):
+        intrinsic_error_curve(n_steps, u_step, comp, np.ones(4))
+    with pytest.raises(ValueError, match="norm exceeds 1"):
+        intrinsic_error_curve(n_steps, u_step, comp, np.array([2.0, 0.0, 0.0]))
+    intrinsic_error_curve(n_steps, u_step, comp, np.array([1.0 + 4e-13, 0.0, 0.0]))
+
+
+def test_intrinsic_error_curve_rejects_a_non_unitary_step(step):
+    _, u_step, comp = step
+    with pytest.raises(ValueError, match="norm exceeds 1"):
+        intrinsic_error_curve(50, 1.01 * u_step, comp)
+    # a gain the vacuum front never sees would overflow in M^1024
+    with pytest.raises(ValueError, match="front map is not a finite contraction"):
+        intrinsic_error_curve(2000, u_step, comp @ np.diag([1.0, 1e10, 1.0]), [1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="front map is not a finite contraction"):
+        intrinsic_error_curve(5, np.full_like(u_step, np.nan), comp)
+
+
+def test_intrinsic_error_curve_rejects_negative_n_steps(step):
+    _, u_step, comp = step
+    with pytest.raises(ValueError, match="nonnegative"):
+        intrinsic_error_curve(-1, u_step, comp)
+
+
+def test_intrinsic_error_curve_steps_three_basis_fronts(step, monkeypatch):
+    # the work per curve does not grow with n_steps: one step_transfer call
+    # per column of the front map
+    _, u_step, comp = step
+    calls = []
+
+    def counting(front, u, c):
+        calls.append(1)
+        return step_transfer(front, u, c)
+
+    monkeypatch.setattr(chain, "step_transfer", counting)
+    for n_steps in (1, 2, 1024, 2000):
+        calls.clear()
+        intrinsic_error_curve(n_steps, u_step, comp)
+        assert len(calls) == 3
 
 
 def test_norm_deficit_equals_pair_leakage(step):

@@ -409,6 +409,23 @@ def test_errors_with_a_transfer_exact_to_roundoff_writes_a_null_free_fit(tmp_pat
     assert sorted(os.listdir(tmp_path)) == ["fig4.config.json", "fig4.csv", "fits.json"]
 
 
+@pytest.mark.parametrize("n_steps", [5, 50])
+def test_errors_at_roundoff_writes_no_fit_and_no_crossover(tmp_path, n_steps):
+    # |error_k| <= 2.6 k eps here: a fit to it, and a k* from its quartic
+    # prefactor, would be fits to roundoff, so both are null with a note
+    args = ["--n-steps", n_steps, "--eta-mhz", 200, "--t-ramp-ns", 0.01, "--dt-ns", 0.002]
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "optimizer failed to improve", UserWarning)
+        assert run(["errors", *args, "--out", tmp_path]) == 0
+    fits = read_json(tmp_path / "fits.json")
+    assert fits["intrinsic_free_fit"] is None and fits["k_star"] is None
+    assert fits["note"] == ("intrinsic_free_fit is null: not enough positive points for a "
+                            "log-log fit; k_star is null: the intrinsic error is at roundoff")
+    _, rows = read_csv(tmp_path / "fig4.csv")
+    assert rows.shape == (n_steps, 3)
+    assert np.all(np.abs(rows[:, 1]) <= 16 * rows[:, 0] * np.finfo(float).eps)
+
+
 def test_errors_with_no_decoherence_writes_a_null_crossover(tmp_path):
     # lifetimes of 1e300 us leave the decoherence curve at 0, so its linear
     # prefactor is 0 and there is no crossover k*
