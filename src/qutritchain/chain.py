@@ -159,20 +159,32 @@ def evolve_chain_full(schedule: ChainSchedule, eta: float, dt: float = 0.001) ->
     A segment is the step pulse started later, and the Hamiltonian depends
     on time only through the pulse, so each is evolved in the step pulse's
     own window [0, T], as evolve_transfer's R^T P R
-    (transfer._trapezoid_propagator) on the same grid, with the up ramp R
-    from the dense evolve_affine instead of the pair's closed form: front
-    and full chain share one discretization but not one ramp code.  Every
-    qutrit has the same eta, so the edge-k Hamiltonian is the edge-0 one
-    with its qutrits relabelled; the edge-0 step is evolved once, checked
-    to be unitary, and relabelled by edge_permutation.
+    (transfer._trapezoid_propagator) on the same grid.  The up ramp R comes
+    from the generic evolve_affine instead of the pair's closed form: front
+    and full chain share one discretization but not one ramp code.  At edge
+    0 the coupling is W_pair x I and the diagonal is D_pair x I + I x
+    D_idle, whose idle part commutes with both, so R = R_pair x
+    exp(-i D_idle t_ramp) with R_pair evolved on the 9-dim pair (both
+    factors sliced from the 3^n operators); the plateau P is one dense
+    3^n-dim exponential.  Every qutrit has the same eta, so the edge-k
+    Hamiltonian is the edge-0 one with its qutrits relabelled; the edge-0
+    step is evolved once, checked to be unitary, and relabelled by
+    edge_permutation.  A schedule of no steps is a ValueError.
     """
     n = schedule.n_steps + 1
+    if n < 2:
+        raise ValueError(f"the full chain needs at least 2 qutrits, got n = {n}")
     diag = chain_hamiltonian(eta, [0.0] * (n - 1))
     comp = phase_gate(*schedule.compensation)
     pulse = schedule.step_pulse
     w = coupling_operator(0, n)
     g = lambda ts: pulse.value(ts) * MHZ_TO_RAD_NS
-    r = evolve_affine(diag, w, g, pulse.ramp_window, dt)
+    # basis index = pair * m + idle; |00> of the pair and |0..0> of the idle
+    # qutrits add 0 to the diagonal, so diag[::m, ::m] is D_pair and
+    # diag.diagonal()[:m] is D_idle
+    m = 3 ** (n - 2)
+    r_pair = evolve_affine(diag[::m, ::m], w[::m, ::m], g, pulse.ramp_window, dt)
+    r = np.kron(r_pair, np.diag(np.exp(-1j * pulse.t_ramp * diag.diagonal()[:m])))
     step0 = _trapezoid_propagator(diag, w, pulse, r, dt)
     u = np.eye(3**n, dtype=complex)
     for seg in range(n - 1):

@@ -277,12 +277,20 @@ def test_coupling_values_take_times_in_any_order():
 def test_front_vs_full_small_chains():
     assert validate_front_vs_full(2, G_OPT, T_OPT, 2.0, ETA, dt=0.002) < 1e-12
     assert validate_front_vs_full(3, G_OPT, T_OPT, 2.0, ETA, dt=0.002) < 1e-10
+    assert validate_front_vs_full(4, G_OPT, T_OPT, 2.0, ETA, dt=0.001) < 1e-10
 
 
 @pytest.mark.parametrize("n", [1, 0])
 def test_front_vs_full_needs_two_qutrits(n):
     with pytest.raises(ValueError, match="at least 2 qutrits"):
         validate_front_vs_full(n, G_OPT, T_OPT, 2.0, ETA, dt=0.01)
+
+
+@pytest.mark.parametrize("n_steps", [0, -1])
+def test_full_chain_needs_a_step(n_steps):
+    sched = ChainSchedule(TrapezoidPulse(G_OPT, T_OPT, 2.0), n_steps, (0.0, 0.0))
+    with pytest.raises(ValueError, match="at least 2 qutrits"):
+        evolve_chain_full(sched, ETA)
 
 
 def test_full_chain_capacity():
@@ -319,10 +327,28 @@ def test_full_chain_equals_per_edge_product(n):
     assert np.abs(evolve_chain_full(schedule, ETA, dt=dt) - expected).max() < 1e-12
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_full_chain_ramp_is_pair_sized(monkeypatch, n):
+    # the ramp is evolved on the 9-dim pair; only the plateau is 3^n-dim
+    decomposed = {}
+
+    def counted(hs):
+        decomposed[hs.shape[-1]] = decomposed.get(hs.shape[-1], 0) + len(hs)
+        return eigh(hs)
+
+    eigh = np.linalg.eigh
+    schedule, _, _ = make_schedule(G_OPT, T_OPT, 2.0, ETA, n - 1, dt=0.001)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    evolve_chain_full(schedule, ETA, dt=0.001)
+    assert decomposed.pop(3**n) == 1
+    assert set(decomposed) == {9}
+
+
 @pytest.mark.parametrize("n, dt", [(3, 0.001), (4, 0.004)])
 def test_dense_edge0_step_is_pair_step_times_idle_phases(n, dt):
-    # the oracle's dense edge-0 step against the closed-form pair step: the
-    # n - 2 idle qutrits only turn |2> by exp(i eta T) under diag(0, 0, -eta)
+    # the dense edge-0 step, whose ramp the oracle factors, against the
+    # closed-form pair step: the n - 2 idle qutrits only turn |2> by
+    # exp(i eta T) under diag(0, 0, -eta)
     pulse = TrapezoidPulse(G_OPT, T_OPT, 2.0)
     diag = chain_hamiltonian(ETA, [0.0] * (n - 1))
     w = coupling_operator(0, n)

@@ -411,16 +411,18 @@ def test_errors_with_a_transfer_exact_to_roundoff_writes_a_null_free_fit(tmp_pat
 
 @pytest.mark.parametrize("n_steps", [5, 50])
 def test_errors_at_roundoff_writes_no_fit_and_no_crossover(tmp_path, n_steps):
-    # |error_k| <= 2.6 k eps here: a fit to it, and a k* from its quartic
-    # prefactor, would be fits to roundoff, so both are null with a note
+    # |error_k| <= 2.6 k eps here: a fit to it, its quartic prefactor and a
+    # k* from that would be fits to roundoff, so all three are null with a note
     args = ["--n-steps", n_steps, "--eta-mhz", 200, "--t-ramp-ns", 0.01, "--dt-ns", 0.002]
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "optimizer failed to improve", UserWarning)
         assert run(["errors", *args, "--out", tmp_path]) == 0
     fits = read_json(tmp_path / "fits.json")
     assert fits["intrinsic_free_fit"] is None and fits["k_star"] is None
+    assert fits["intrinsic"] is None
     assert fits["note"] == ("intrinsic_free_fit is null: not enough positive points for a "
-                            "log-log fit; k_star is null: the intrinsic error is at roundoff")
+                            "log-log fit; intrinsic and k_star are null: the intrinsic "
+                            "error is at roundoff")
     _, rows = read_csv(tmp_path / "fig4.csv")
     assert rows.shape == (n_steps, 3)
     assert np.all(np.abs(rows[:, 1]) <= 16 * rows[:, 0] * np.finfo(float).eps)

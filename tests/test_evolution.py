@@ -290,7 +290,7 @@ def test_evolve_affine_matches_step_unitary_product(monkeypatch, kind, window):
 
 
 def test_evolve_affine_memory_is_bounded_by_chunk():
-    # the n = 4 ramp of the full-chain oracle at 4 ps: 500 runs of 81x81.
+    # a dense n = 4 edge-0 ramp at 4 ps: 500 runs of 81x81.
     # Folding a stack of run unitaries in 32 MB chunks peaked at 128 MB;
     # chained through eigenbases in 2 MB chunks, at ~4.3 MB
     pulse = TrapezoidPulse(37.5, 22.0, 2.0)
