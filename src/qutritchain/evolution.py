@@ -13,9 +13,14 @@ import sys
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
+# mismatch of run values, relative to max|c|, up to which evolve_affine
+# takes a window as mirrored: ~3x the 10.9 eps that rounding leaves between
+# a trapezoid's up and down ramp samples (33 (eta, dt) points)
+MIRROR_TOL = 32 * np.finfo(float).eps
 UNITARY_TOL = 1e-9
-# complex (d, d) matrices evolve or evolve_affine hold per batch of steps or
-# runs; 2 MB is 19 runs at d = 81 and keeps a batch's working set in cache
+# complex (d, d) matrices evolve or evolve_affine hold per stack of a batch
+# of steps or runs; 2 MB is 19 runs at d = 81 and keeps a batch's working
+# set in cache
 CHUNK_BYTES = 2_000_000
 # runs evolve_affine multiplies out one by one before its pairwise fold; a
 # batch holds at least one lane
@@ -155,6 +160,19 @@ def evolve_affine(
     scale_of_t must accept an array of times and return one value per
     time; a 0-d return, as from lambda t: 0.0, is broadcast to every time.
 
+    A mirrored window is folded over its first half.  It has real d and w,
+    more than one run, run lengths equal to their reverse, and run values
+    equal to their reverse within MIRROR_TOL * max|c|.  A real symmetric
+    step exp(-i h dt) is its own transpose, so with R the product of the
+    first half's runs and M the middle run (the identity for an even run
+    count), U = R^T M R: half the eigendecompositions.  That U is the exact
+    product for the second half's values replaced by their mirror images,
+    which moves h by at most MIRROR_TOL * max|c| * ||w||_2 and U by at most
+    that times (t1 - t0) / 2, so it is within roundoff of the sampled-step
+    product.  rwa_residual's symmetric trapezoid over its whole window is
+    such a window; a lone ramp (values not mirrored) or plateau (one run)
+    is not.
+
     The window is split into round((t1 - t0) / dt) equal steps (at least one
     if it is not empty), counted from the float difference t1 - t0.  Windows
     of equal length at different offsets can therefore get step counts one
@@ -176,12 +194,33 @@ def evolve_affine(
     real = np.abs(d.imag).max(initial=0.0) == 0.0 and np.abs(w.imag).max(initial=0.0) == 0.0
     d, w = (d.real, w.real) if real else (d, w)
     starts, lengths = _runs(np.append(True, c[1:] != c[:-1]))
+    cs, half = c[starts], len(starts) // 2
+    if (
+        real
+        and half
+        and np.array_equal(lengths, lengths[::-1])
+        and np.abs(cs - cs[::-1]).max() <= MIRROR_TOL * np.abs(cs).max()
+    ):
+        # a mirrored window: the second half's runs are the first half's in
+        # reverse, and real symmetric steps make their product R^T
+        r = _run_product(d, w, cs[:half], lengths[:half], dt_eff)
+        middle = _run_product(d, w, cs[half:-half], lengths[half:-half], dt_eff)
+        return _unitary(r.T @ middle @ r)
+    return _unitary(_run_product(d, w, cs, lengths, dt_eff))
+
+
+def _run_product(
+    d: np.ndarray, w: np.ndarray, cs: np.ndarray, lengths: np.ndarray, dt_eff: float
+) -> np.ndarray:
+    """Product of the run exponentials exp(-i (d + cs[k] w) dt_eff lengths[k]),
+    the earliest on the right, chained through the runs' eigenbases in
+    batches of _chunk runs (see evolve_affine); no runs give the identity."""
+    dim = d.shape[0]
     chunk = _chunk(dim)
     # u: the product so far, in the eigenbasis v_last of its last run
     u, v_last = np.eye(dim, dtype=complex), np.eye(dim, dtype=d.dtype)
-    for lo in range(0, len(starts), chunk):
-        cs = c[starts[lo : lo + chunk]]
-        lam, v = np.linalg.eigh(d[None, :, :] + cs[:, None, None] * w[None, :, :])
+    for lo in range(0, len(cs), chunk):
+        lam, v = np.linalg.eigh(d[None, :, :] + cs[lo : lo + chunk, None, None] * w[None, :, :])
         vh = v.conj().transpose(0, 2, 1)
         # link k takes run k - 1's eigenbasis to run k's, a real matmul for
         # real d and w
@@ -191,7 +230,7 @@ def evolve_affine(
         phases = np.exp(-1j * lam * (dt_eff * lengths[lo : lo + chunk])[:, None])[:, :, None]
         u = _fold(_lane_products(links, phases)) @ u
         v_last = v[-1]
-    return _unitary(v_last @ u)
+    return v_last @ u
 
 
 def _sampled(h_of_t, ts: np.ndarray, dim: int | None = None) -> np.ndarray:
@@ -216,7 +255,8 @@ def evolve(h_of_t, t_span: tuple[float, float], dt: float) -> np.ndarray:
     Hamiltonians in rad/ns, as evolve_affine's scale_of_t maps times to
     values.  Steps are midpoint-sampled: U = prod_k exp(-i h(t_k + dt/2) dt),
     earliest step applied first, and taken in chunks of _chunk(d) steps,
-    with d from one sample of h at t_span[0].  Non-Hermitian samples are
+    with d from one sample of h at t_span[0]; a complex chunk is
+    exponentiated in two halves.  Non-Hermitian samples are
     rejected with the max asymmetry.  Returns the (d, d) propagator, checked
     to be unitary.
     """
@@ -240,5 +280,10 @@ def evolve(h_of_t, t_span: tuple[float, float], dt: float) -> np.ndarray:
         # one step per run, as floats when h is real: the sampled stack is
         # dropped before the step unitaries are built
         hs = (hs if hs.imag.any() else hs.real)[starts]
-        u = _fold(_batch_step_unitaries(hs, dt_eff * lengths)) @ u
+        # exponentiating a complex h holds four complex stacks (h, V, V^H
+        # and V Phi), a real one three stacks' worth: take a complex chunk
+        # in halves to stay within the real chunk's memory
+        part = len(hs) if np.isrealobj(hs) else -(-len(hs) // 2)
+        for i in range(0, len(hs), part):
+            u = _fold(_batch_step_unitaries(hs[i : i + part], dt_eff * lengths[i : i + part])) @ u
     return _unitary(u)

@@ -117,7 +117,11 @@ def rwa_residual(
     same D - omega N and g(t).  That frame differs from the rotating frame
     by exp(-i omega N t) on both sides, which leaves the 2-norm of the gap
     unchanged, and every plateau step is equal, so a plateau costs one
-    eigendecomposition on either side.  g_of_t (MHz) is called on arrays of
+    eigendecomposition on either side.  Both sides are real, so over a
+    mirror-symmetric window, such as a trapezoid's (0, t_total),
+    evolve_affine folds each side over its first half as R^T M R: the up
+    ramp and the plateau are decomposed, the down ramp is not, and the
+    result is within roundoff of the step-by-step product.  g_of_t (MHz) is called on arrays of
     times and follows evolve_affine's rule for scale_of_t: one value per
     time, or a 0-d constant broadcast to every time.  A non-finite omega is
     a ValueError.

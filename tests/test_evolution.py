@@ -7,7 +7,14 @@ from numpy import kron
 from qutritchain import chain, evolution, transfer
 from qutritchain.chain import ChainSchedule, evolve_chain_full
 from qutritchain.evolution import evolve, evolve_affine, unitarity_defect
-from qutritchain.model import MHZ_TO_RAD_NS, chain_hamiltonian, coupling_operator, x_op
+from qutritchain.model import (
+    MHZ_TO_RAD_NS,
+    chain_hamiltonian,
+    coupling_operator,
+    embed,
+    x_op,
+    y_op,
+)
 from qutritchain.pulse import TrapezoidPulse
 from qutritchain.transfer import evolve_transfer, qst_fidelity
 
@@ -289,6 +296,86 @@ def test_evolve_affine_matches_step_unitary_product(monkeypatch, kind, window):
     assert np.abs(u - u_ref).max() < 1e-12
 
 
+def _step_values(values, dt):
+    """A scale_of_t whose value at the k-th midpoint of a grid of steps dt
+    from 0 is values[k]: exact mirror images, whatever the step times' roundoff."""
+    return lambda ts: np.asarray(values)[np.floor(ts / dt).astype(int)]
+
+
+def _triangle(n):
+    return np.minimum(np.arange(n), np.arange(n)[::-1]).astype(float)
+
+
+_EPS = np.finfo(float).eps
+# values per step, and the runs evolve_affine decomposes for them
+MIRRORED = {
+    # a single middle step: 11 runs
+    "odd, single-step middle": (_triangle(21), 11),
+    # runs of 3 steps up to a plateau of 10: 11 runs
+    "odd, plateau": (np.minimum(_triangle(40) // 3, 5.0), 6),
+    # no two steps equal: the middle two differ by rounding, 20 runs
+    "even, within MIRROR_TOL": (
+        np.concatenate((np.arange(10.0), np.arange(10.0)[::-1] * (1 + 4 * _EPS))), 10),
+}
+
+
+def _real_symmetric_parts(dim, kind="real"):
+    rng = np.random.default_rng(23)
+    a = rng.normal(size=(2, dim, dim))
+    if kind == "complex":
+        a = a + 1j * rng.normal(size=(2, dim, dim))
+    return (a + a.conj().transpose(0, 2, 1)) / 2
+
+
+def _decompositions_and_error(monkeypatch, d, w, values, dt):
+    """Matrices evolve_affine decomposes for the window (0, len(values) dt),
+    and its largest entry error against the step-by-step product."""
+    decomposed = []
+    eigh = np.linalg.eigh
+
+    def counted(hs):
+        decomposed.append(len(hs))
+        return eigh(hs)
+
+    c = _step_values(values, dt)
+    mids, dt_eff = evolution._midpoints((0.0, len(values) * dt), dt)
+    hs = d[None] + c(mids)[:, None, None] * w[None]
+    u_ref = evolution._fold(evolution._batch_step_unitaries(hs, dt_eff))
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigh", counted)
+        u = evolve_affine(d, w, c, (0.0, len(values) * dt), dt)
+    return sum(decomposed), np.abs(u - u_ref).max()
+
+
+@pytest.mark.parametrize("window", list(MIRRORED))
+def test_mirrored_window_folds_over_its_first_half(monkeypatch, window):
+    # R^T M R, from the first half's runs and the middle run, equals the
+    # step-by-step product (4.4e-15 at most, measured) with half the
+    # decompositions
+    values, decomposed = MIRRORED[window]
+    d, w = _real_symmetric_parts(6)
+    n, err = _decompositions_and_error(monkeypatch, d, w, values, 0.05)
+    assert n == decomposed
+    assert err < 1e-12
+
+
+@pytest.mark.parametrize(
+    "window", ["complex d and w", "run lengths not mirrored", "values off by 64 eps"]
+)
+def test_unmirrored_window_decomposes_every_run(monkeypatch, window):
+    kind = "complex" if window == "complex d and w" else "real"
+    d, w = _real_symmetric_parts(6, kind)
+    values, runs = _triangle(21), 21
+    if window == "run lengths not mirrored":
+        # runs of values 0, 1, 2, 5, 2, 1, 0 with lengths 1, 2, 1, 1, 1, 1, 1
+        values, runs = np.array([0.0, 1.0, 1.0, 2.0, 5.0, 2.0, 1.0, 0.0]), 7
+    elif window == "values off by 64 eps":
+        values = values * np.where(np.arange(21) > 10, 1 + 64 * _EPS, 1.0)
+    n, err = _decompositions_and_error(monkeypatch, d, w, values, 0.05)
+    assert n == runs
+    assert err < 1e-12
+
+
 def test_evolve_affine_memory_is_bounded_by_chunk():
     # a dense n = 4 edge-0 ramp at 4 ps: 500 runs of 81x81.
     # Folding a stack of run unitaries in 32 MB chunks peaked at 128 MB;
@@ -305,15 +392,22 @@ def test_evolve_affine_memory_is_bounded_by_chunk():
 
 
 def test_evolve_memory_is_bounded_by_chunk():
-    # a time-dependent 81-dim h over one step more than a 9-dim chunk: a
-    # first chunk sized for d = 9 (1543 steps of 81x81) peaked at 894 MB;
-    # chunks sized for d = 81 from one sample peak at ~7.1 MB
+    # a time-dependent 81-dim h over 1544 steps: a first chunk sized for
+    # d = 9 (1543 steps of 81x81) peaked at 894 MB.  Chunks sized for d = 81
+    # from one sample peak at ~7.1 MB for a real h.  A complex chunk, whose
+    # exponentials hold four complex stacks at once, peaked at 8.24 MB when
+    # exponentiated whole, and at ~6.2 MB in halves
     diag, w = chain_hamiltonian(200.0, [0.0] * 3), coupling_operator(0, 4)
     n = evolution._chunk(9) + 1
-    tracemalloc.start()
-    try:
-        evolve(lambda ts: diag[None] + np.sin(ts)[:, None, None] * w[None], (0.0, n * 1e-3), 1e-3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * evolution.CHUNK_BYTES
+    for coupling in (w, w + embed(y_op(), 0, 4)):  # real, then complex
+        tracemalloc.start()
+        try:
+            evolve(
+                lambda ts: diag[None] + np.sin(ts)[:, None, None] * coupling[None],
+                (0.0, n * 1e-3),
+                1e-3,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * evolution.CHUNK_BYTES
