@@ -11,6 +11,7 @@ taking the element-wise modulus of the projected propagator.
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,14 +54,8 @@ PARAM_TOL = 1e-3
 MAX_SWEEPS = 8
 
 
-_PAIR_W = coupling_operator(0, 2)  # W of _pair_parts, which no eta changes
+_PAIR_W = coupling_operator(0, 2)  # the pair's W in H(g) = D + g W, which no eta changes
 _PAIR_W.flags.writeable = False
-
-
-def _pair_parts(eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Resonant two-qutrit Hamiltonian split H(g) = D + g_angular * W, with D
-    and W real symmetric."""
-    return chain_hamiltonian(eta, [0.0]), _PAIR_W
 
 
 def _su2_mul(a1, b1, a0, b0):
@@ -75,100 +70,106 @@ def _su2_fold(a: np.ndarray, b: np.ndarray) -> tuple[complex, complex]:
     product.  The steps are padded with identities (1, 0) to a power of two,
     then each level multiplies neighbouring pairs (_su2_mul) in the same
     tree as evolution._fold."""
-    n = 1 << (len(a) - 1).bit_length()
-    pa, pb = np.ones(n, dtype=complex), np.zeros(n, dtype=complex)
-    pa[: len(a)], pb[: len(b)] = a, b
-    a, b = pa, pb
+    pad = (1 << (len(a) - 1).bit_length()) - len(a)
+    a, b = np.concatenate((a, np.ones(pad))), np.concatenate((b, np.zeros(pad)))
     while len(a) > 1:
         a, b = _su2_mul(a[1::2], b[1::2], a[0::2], b[0::2])
     return a[0], b[0]
 
 
-def _su2_steps(e, b, dt):
-    """First rows (a, b') of the SU(2) elements exp(-i K dt) with K =
-    [[-e/2, b], [b, e/2]]: K^2 = w^2 I with w = hypot(e/2, b), so
-    a = cos(w dt) + i (e/2) sin(w dt)/w and b' = -i b sin(w dt)/w.  b and dt
-    may be arrays, one element per step."""
-    omega = np.hypot(0.5 * e, b)
-    c, s = np.cos(omega * dt), np.sin(omega * dt) / omega
-    return c + 0.5j * e * s, -1j * b * s
-
-
-def _ramp_sectors(values: np.ndarray, eta: float, dt: float):
-    """Sector data of the time-ordered pair steps exp(-i H(g_k) dt), one per
-    coupling value g_k (MHz) in values, as (A, p, q, t): the {01,10} area
-    A = sum_k g_k dt in rad, the first row (p, q) of the {s,11} block's
-    SU(2) fold over its phase exp(i e t/2) (see _pair_window), and the
-    duration t = len(values) dt, which gives that phase and the {a} phase
-    exp(i e t)."""
-    e = eta * MHZ_TO_RAD_NS
-    b = 2.0 * values * MHZ_TO_RAD_NS
-    p, q = _su2_fold(*_su2_steps(e, b, dt))
-    return 0.5 * np.sum(b) * dt, complex(p), complex(q), dt * len(values)
-
-
-def _pair_window(pulse: TrapezoidPulse, eta: float, dt: float) -> np.ndarray:
-    """9x9 up-ramp propagator R of the resonant pair under pulse, on
-    evolve_affine's midpoint grid over pulse.ramp_window, in closed form by
-    excitation sector.
+class _Pair(namedtuple("_Pair", "area p q t")):
+    """A propagator of the resonant pair, H(g) = D + g W with a coupling
+    g(t), by excitation sector.
 
     D + g W conserves excitation, and with s, a = (|02> +- |20>)/sqrt2 every
     sector block is 1x1 or 2x2 (angular e = eta, g = g(t)):
     {00}: 0; {22}: -2e; {a}: -e; {01,10}: g sx; {12,21}: -e + 2g sx;
-    {s,11}: [[-e, 2g], [2g, 0]].  The sx blocks commute from step to step,
-    so their product is exp(-i A sx) with A = sum g_k dt (2A for {12,21}).
-    Only {s,11} is time ordered: each step is exp(i e dt/2) exp(-i K dt) with
-    K = [[-e/2, 2g], [2g, e/2]], an SU(2) element (_su2_steps) folded by
-    _su2_fold; _ramp_sectors gives A and the fold.
+    {s,11}: [[-e, 2g], [2g, 0]].  The sx blocks at different times commute,
+    so the {01,10} block is exp(-i area sx) (2 area for {12,21}), with area
+    the integral of g in rad.  Over a duration of t ns the {a} phase is
+    exp(i e t), and the {s,11} block is exp(i e t/2) times the SU(2)
+    element with first row (p, q), the one time-ordered part.  Each field
+    may be an array, one element per sample.  The readouts take e, and only
+    they write the phases.
     """
-    mids, dt_eff = _midpoints(pulse.ramp_window, dt)
-    r = np.eye(9, dtype=complex)
-    if not len(mids):
+
+    __slots__ = ()
+
+    @classmethod
+    def ramp(cls, values: np.ndarray, eta: float, dt: float) -> _Pair:
+        """The time-ordered product of the steps exp(-i H(g_k) dt), one per
+        coupling value g_k (MHz) in values: area = sum_k g_k dt,
+        t = len(values) dt, and (p, q) the fold (_su2_fold) of the steps'
+        SU(2) elements, each step being a plateau.  ValueError for a bad
+        eta (model._check_eta)."""
+        _check_eta(eta)
+        steps = cls.plateau(eta, values, dt)
+        p, q = _su2_fold(steps.p, steps.q)
+        return cls(np.sum(values * MHZ_TO_RAD_NS) * dt, complex(p), complex(q), dt * len(values))
+
+    @classmethod
+    def plateau(cls, eta: float, g, s) -> _Pair:
+        """Exact exp(-i H(g) s) at the constant coupling g (MHz) for s ns,
+        with area g s; g and s may be arrays.  The {s,11} block is
+        exp(i e s/2) exp(-i K s) with K = [[-e/2, b], [b, e/2]], b = 2g:
+        K^2 = w^2 I with w = hypot(e/2, b), so p = cos(w s) +
+        i (e/2) sin(w s)/w and q = -i b sin(w s)/w."""
+        e, b = eta * MHZ_TO_RAD_NS, g * (2.0 * MHZ_TO_RAD_NS)
+        omega = np.hypot(0.5 * e, b)
+        c, sin = np.cos(omega * s), np.sin(omega * s) / omega
+        return cls(b * (0.5 * s), c + 0.5j * e * sin, -1j * b * sin, s)
+
+    def after(self, earlier: _Pair) -> _Pair:
+        """The product self @ earlier: earlier, then self."""
+        p, q = _su2_mul(self.p, self.q, earlier.p, earlier.q)
+        return _Pair(self.area + earlier.area, p, q, self.t + earlier.t)
+
+    def transpose(self) -> _Pair:
+        """The transposed propagator, whose {s,11} element is (p, -conj(q))."""
+        return self._replace(q=-np.conj(self.q))
+
+    def conj(self) -> _Pair:
+        """The complex conjugate, which is the inverse of the transpose."""
+        return _Pair(-self.area, np.conj(self.p), np.conj(self.q), -self.t)
+
+    def p01(self):
+        """|<01|U|10>|^2 = sin^2 area."""
+        return np.sin(self.area) ** 2
+
+    def p02(self, e: float):
+        """|<02|U|20>|^2 = |exp(i e t/2) p - exp(i e t)|^2 / 4."""
+        return 0.25 * np.abs(self.p - np.exp(0.5j * e * self.t)) ** 2
+
+    def fidelity(self, e: float) -> float:
+        """qst_fidelity of the propagator, for scalar fields.
+
+        It meets the computational subspace in three sectors: {00} gives 1,
+        {01,10} is exp(-i area sx), and {02,20} is [[m + h, m - h], [m - h,
+        m + h]] / 2 with h = exp(i e t) and m = sqrt(h) p, so |m +- h| =
+        |p +- sqrt(h)|.  With x, y = |p +- sqrt(h)| / 2, x^2 + y^2 =
+        (1 + |p|^2) / 2, and qst_fidelity's trace terms are
+        3 + 2 (x^2 + y^2) = 4 + |p|^2 and (1 + 2 |sin area| + 2 y)^2.  F is
+        their sum over d (d + 1) = 30.
+        """
+        y = 0.5 * abs(self.p - np.exp(0.5j * e * self.t))
+        sin_a = abs(np.sin(self.area))
+        return float((4.0 + abs(self.p) ** 2 + (1.0 + 2.0 * sin_a + 2.0 * y) ** 2) / 30.0)
+
+    def matrix(self, e: float) -> np.ndarray:
+        """The 9x9 propagator, for scalar fields."""
+        half, ph = np.exp(0.5j * e * self.t), np.exp(1j * e * self.t)
+        r = np.eye(9, dtype=complex)
+        r[_I01, _I01] = r[_I10, _I10] = np.cos(self.area)
+        r[_I01, _I10] = r[_I10, _I01] = -1j * np.sin(self.area)
+        r[_I12, _I12] = r[_I21, _I21] = ph * np.cos(2.0 * self.area)
+        r[_I12, _I21] = r[_I21, _I12] = -1j * ph * np.sin(2.0 * self.area)
+        r[_I22, _I22] = ph * ph
+        r[_I02, _I02] = r[_I20, _I20] = 0.5 * (half * self.p + ph)
+        r[_I02, _I20] = r[_I20, _I02] = 0.5 * (half * self.p - ph)
+        r[_I02, _I11] = r[_I20, _I11] = half * self.q / np.sqrt(2.0)
+        r[_I11, _I02] = r[_I11, _I20] = -half * np.conj(self.q) / np.sqrt(2.0)
+        r[_I11, _I11] = half * np.conj(self.p)
         return r
-    e = eta * MHZ_TO_RAD_NS
-    a, p, q, t = _ramp_sectors(pulse.value(mids), eta, dt_eff)
-    half = np.exp(0.5j * e * t)
-    m00, m01, m10, m11 = half * p, half * q, -half * np.conj(q), half * np.conj(p)
-
-    r[_I01, _I01] = r[_I10, _I10] = np.cos(a)
-    r[_I01, _I10] = r[_I10, _I01] = -1j * np.sin(a)
-    ph = np.exp(1j * e * t)
-    r[_I12, _I12] = r[_I21, _I21] = ph * np.cos(2.0 * a)
-    r[_I12, _I21] = r[_I21, _I12] = -1j * ph * np.sin(2.0 * a)
-    r[_I22, _I22] = ph * ph
-    r[_I02, _I02] = r[_I20, _I20] = 0.5 * (m00 + ph)
-    r[_I02, _I20] = r[_I20, _I02] = 0.5 * (m00 - ph)
-    r[_I02, _I11] = r[_I20, _I11] = m01 / np.sqrt(2.0)
-    r[_I11, _I02] = r[_I11, _I20] = m10 / np.sqrt(2.0)
-    r[_I11, _I11] = m11
-    return r
-
-
-def _sector_fidelity(ramp, eta: float, g: float, t_plateau: float) -> float:
-    """qst_fidelity of U = R^T P R without building U: R is the up ramp
-    given by its sector data ramp (_ramp_sectors), P the plateau at g (MHz)
-    for t_plateau ns.
-
-    U meets the computational subspace in three sectors: {00} gives 1,
-    {01,10} is exp(-i A sx) with A = 2 A_ramp + g t_plateau, and {02,20} is
-    [[m + h, m - h], [m - h, m + h]] / 2, with h = exp(i e t_total) the {a}
-    phase and m the (s, s) entry of the {s,11} block.  That block is R's
-    SU(2) pair (p, q), transposed to (p, -conj(q)), around the plateau's
-    exact SU(2) element (a, b) (_su2_steps with dt = t_plateau), all times
-    the phase sqrt(h).  So |m +- h| = |m0 +- sqrt(h)| with m0 the first
-    entry of the SU(2) product R^T (P R), which population_series builds
-    the same way for its U, and with x, y =
-    |m0 +- sqrt(h)| / 2 qst_fidelity's trace terms are 3 + 2 (x^2 + y^2)
-    and (1 + 2 |sin A| + 2 y)^2, and F is their sum over d (d + 1) = 30.
-    """
-    area, p, q, t_ramp = ramp
-    e = eta * MHZ_TO_RAD_NS
-    two_g = 2.0 * g * MHZ_TO_RAD_NS
-    m0, _ = _su2_mul(p, -q.conjugate(), *_su2_mul(*_su2_steps(e, two_g, t_plateau), p, q))
-    root_h = np.exp(0.5j * e * (2.0 * t_ramp + t_plateau))
-    x, y = 0.5 * abs(m0 + root_h), 0.5 * abs(m0 - root_h)
-    sin_a = abs(np.sin(2.0 * area + 0.5 * two_g * t_plateau))
-    return float((3.0 + 2.0 * (x * x + y * y) + (1.0 + 2.0 * sin_a + 2.0 * y) ** 2) / 30.0)
 
 
 def _trapezoid_propagator(d, w, pulse: TrapezoidPulse, r, dt: float) -> np.ndarray:
@@ -192,11 +193,13 @@ def evolve_transfer(g_pulse: TrapezoidPulse, eta: float, dt: float = 0.001) -> n
     """9x9 propagator for the resonant pair (Delta1 = Delta2 = 0) driven by
     the coupling pulse over [0, t_total], checked to be unitary.
 
-    Built as U = R^T P R (_trapezoid_propagator), with the up ramp R in
-    closed form by excitation sector (_pair_window, no eigendecomposition).
+    Built as U = R^T P R (_trapezoid_propagator), with the up ramp R on
+    evolve_affine's midpoint grid over g_pulse.ramp_window, in closed form
+    by excitation sector: _Pair.ramp(...).matrix(e), no eigendecomposition.
     """
-    d, w = _pair_parts(eta)
-    return _trapezoid_propagator(d, w, g_pulse, _pair_window(g_pulse, eta, dt), dt)
+    mids, dt_ramp = _midpoints(g_pulse.ramp_window, dt)
+    r = _Pair.ramp(g_pulse.value(mids), eta, dt_ramp).matrix(eta * MHZ_TO_RAD_NS)
+    return _trapezoid_propagator(chain_hamiltonian(eta, [0.0]), _PAIR_W, g_pulse, r, dt)
 
 
 def population_series(
@@ -207,21 +210,17 @@ def population_series(
     Returns (t, p01, p02) with t strictly increasing from 0 to t_total; the
     last sample is evolve_transfer's U = R^T P R.
 
-    Each sample U(t) is carried as two sectors (see _pair_window): the
-    {01,10} area A, which gives p01 = sin^2 A, and the first row (p, q) of
-    the {s,11} block's SU(2) element, which with the {a} phase exp(i e t)
-    gives <02|U(t)|20> = (exp(i e t/2) p - exp(i e t)) / 2, so
-    p02 = |p - exp(i e t/2)|^2 / 4.  Up ramp: the prefixes Q_m (first m
-    steps) of R, chained window by window from one _ramp_sectors fold each.
-    Plateau: P(s) R at even offsets s, with P(s) the exact SU(2) element
-    _su2_steps(e, 2g, s).  Down ramp: its last m steps are Q_m^T, by the step
-    symmetry that makes it R^T, so m steps before the end U(t) = conj(Q_m) U,
-    with area A_U - A_m.  No 9x9 matrix and no eigendecomposition.
-    ValueError unless dt_out is finite and positive.
+    The samples U(t) are one array-valued _Pair, read out by its p01 and p02.
+    Up ramp: the prefixes Q_m (first m steps) of R, each window's _Pair.ramp
+    composed after the prefix before it.  Plateau: P(s) R at even offsets s,
+    with P(s) the exact _Pair.plateau.  Down ramp: its last m steps are
+    Q_m^T, by the step symmetry that makes it R^T, so m steps before the end
+    U(t) = conj(Q_m) U.  The sample times, and the phases read from them,
+    come from step indices.  No 9x9 matrix and no eigendecomposition.
+    ValueError unless dt_out is finite and positive, or for a bad eta.
     """
     if not (_finite(dt_out) and dt_out > 0):
         raise ValueError(f"dt_out must be finite and positive, got {dt_out}")
-    e, g = eta * MHZ_TO_RAD_NS, g_pulse.amp_max * MHZ_TO_RAD_NS
     t_ramp, t_plateau = g_pulse.t_ramp, g_pulse.t_total - 2.0 * g_pulse.t_ramp
     mids, dt_ramp = _midpoints(g_pulse.ramp_window, dt)
     values, n_ramp = g_pulse.value(mids), len(mids)
@@ -229,31 +228,26 @@ def population_series(
     # capping it first keeps a huge dt_out / dt_ramp from overflowing int
     stride = max(1, int(round(min(dt_out / dt_ramp, n_ramp)))) if n_ramp else 1
     edges = [*range(0, n_ramp, stride), n_ramp]
-    # (area, SU(2) pair) of Q_m for m in edges; the last is R
-    area = np.zeros(len(edges))
-    p, q = np.ones(len(edges), dtype=complex), np.zeros(len(edges), dtype=complex)
-    for k, (m0, m1) in enumerate(zip(edges, edges[1:])):
-        a_w, p_w, q_w, _ = _ramp_sectors(values[m0:m1], eta, dt_ramp)
-        area[k + 1] = area[k] + a_w
-        p[k + 1], q[k + 1] = _su2_mul(p_w, q_w, p[k], q[k])
+    # Q_m for m in edges, from the identity Q_0; the last is R
+    prefixes = [_Pair.ramp(values[:0], eta, dt_ramp)]
+    for m0, m1 in zip(edges, edges[1:]):
+        prefixes.append(_Pair.ramp(values[m0:m1], eta, dt_ramp).after(prefixes[-1]))
+    prefix, r = _Pair(*map(np.array, zip(*prefixes))), prefixes[-1]
 
     n_plateau = _n_steps(t_plateau, max(dt_out, dt))
     offsets = t_plateau * np.arange(n_plateau + 1) / max(n_plateau, 1)
-    pa, pb = _su2_mul(*_su2_steps(e, 2.0 * g, offsets), p[-1], q[-1])
-    # U = R^T P R; R^T's {s,11} pair is (p, -conj(q))
-    ua, ub = _su2_mul(p[-1], -np.conj(q[-1]), pa[-1], pb[-1])
-    down, _ = _su2_mul(np.conj(p[-2::-1]), np.conj(q[-2::-1]), ua, ub)
-    u_area = 2.0 * area[-1] + g * t_plateau
+    plateau = _Pair.plateau(eta, g_pulse.amp_max, offsets).after(r)
+    u = r.transpose().after(_Pair.plateau(eta, g_pulse.amp_max, t_plateau).after(r))
+    up = _Pair(*(f[:-1] for f in prefix))
+    down = _Pair(*(f[::-1] for f in up)).conj().after(u)
 
     m = np.array(edges[:-1], dtype=float)
     ts = np.concatenate([m * dt_ramp, t_ramp + offsets, g_pulse.t_total - m[::-1] * dt_ramp])
-    areas = np.concatenate([area[:-1], area[-1] + g * offsets, u_area - area[-2::-1]])
-    ps = np.concatenate([p[:-1], pa, down])
+    samples = _Pair(*map(np.concatenate, zip(up, plateau, down)))._replace(t=ts)
     # a ramp below the resolution of t_total puts the plateau's last sample
     # at the time of U; keep each sample only before the next one
     keep = np.append(ts[1:] > ts[:-1], True)
-    p01, p02 = np.sin(areas) ** 2, 0.25 * np.abs(ps - np.exp(0.5j * e * ts)) ** 2
-    return ts[keep], p01[keep], p02[keep]
+    return ts[keep], samples.p01()[keep], samples.p02(eta * MHZ_TO_RAD_NS)[keep]
 
 
 def qst_fidelity(u) -> float:
@@ -337,15 +331,16 @@ def optimize_pulse(
     smaller g_max wins.
 
     Search evaluations are qst_fidelity of evolve_transfer's R^T P R at
-    2*dt, taken by excitation sector (_sector_fidelity): no 9x9 matrix,
-    eigendecomposition or projection per point.  The up ramp R enters only
-    as its sector data (_ramp_sectors: the {01,10} area, one SU(2) fold of
-    the {s,11} steps and the ramp's duration), memoized per g_max for this
-    call from the unit ramp shape sampled once, because the ramp does not
-    depend on t_qst.  A t_qst point then costs one exact SU(2) plateau
-    element and a few complex products; a new g_max point also folds its
-    ramp, ~1000 steps for a 2 ns ramp.  A non-finite seed is a ValueError
-    before the search starts.
+    2*dt, composed by excitation sector as R^T.after(P.after(R)) of _Pair
+    values and read by _Pair.fidelity: no 9x9 matrix, eigendecomposition or
+    projection per point.  The up ramp R (_Pair.ramp: the {01,10} area, one
+    SU(2) fold of the {s,11} steps and the ramp's duration) and its
+    transpose are memoized per g_max for this call from the unit ramp shape
+    sampled once, because the ramp does not depend on t_qst.  A t_qst point
+    then costs one exact SU(2) plateau element (_Pair.plateau) and a few
+    complex products; a new g_max point also folds its ramp, ~1000 steps
+    for a 2 ns ramp.  A non-finite seed is a ValueError before the search
+    starts, and a bad eta one at the first ramp, before any point.
     """
     g0, t0 = seed
     if not (_finite(g0) and _finite(t0)):
@@ -353,12 +348,15 @@ def optimize_pulse(
     unit = TrapezoidPulse(1.0, 2.0 * t_ramp, t_ramp)
     mids, dt_ramp = _midpoints(unit.ramp_window, 2.0 * dt)
     shape = unit.value(mids)
-    ramps: dict[float, tuple] = {}
+    ramps: dict[float, tuple[_Pair, _Pair]] = {}
 
     def fid(g: float, t: float) -> float:
         if g not in ramps:
-            ramps[g] = _ramp_sectors(g * shape, eta, dt_ramp)
-        return _sector_fidelity(ramps[g], eta, g, t - 2.0 * t_ramp)
+            r = _Pair.ramp(g * shape, eta, dt_ramp)
+            ramps[g] = r.transpose(), r
+        r_t, r = ramps[g]
+        u = r_t.after(_Pair.plateau(eta, g, t - 2.0 * t_ramp).after(r))
+        return u.fidelity(eta * MHZ_TO_RAD_NS)
 
     g, t = g0, t0
     for _ in range(MAX_SWEEPS):

@@ -10,7 +10,13 @@ from qutritchain import noise
 from qutritchain.evolution import _midpoints
 from qutritchain.model import chain_hamiltonian, rwa_residual
 from qutritchain.pulse import TrapezoidPulse, analytic_params, g_eff, solve_constraint
-from qutritchain.transfer import compensation_params, optimize_pulse, phase_gate
+from qutritchain.transfer import (
+    compensation_params,
+    evolve_transfer,
+    optimize_pulse,
+    phase_gate,
+    population_series,
+)
 
 ROOT = pathlib.Path(__file__).parents[1]
 # argument names the benchmark's span wrappers read, by span name
@@ -108,6 +114,7 @@ def test_benchmark_tracer_targets_resolve_and_bind():
 
 
 HUGE_INT = 10**400  # past the float range: float(HUGE_INT) is an OverflowError
+SHORT_PULSE = TrapezoidPulse(30.0, 10.0, 2.0)
 
 
 @pytest.mark.parametrize(
@@ -144,6 +151,9 @@ ENTRY_POINTS = [
     ("rwa_residual-omega", "omega", lambda x: rwa_residual(200.0, lambda ts: 30.0, (0.0, 1.0), x)),
     ("optimize_pulse-seed-g", "seed", lambda x: optimize_pulse(200.0, 2.0, (x, 22.0))),
     ("optimize_pulse-seed-t", "seed", lambda x: optimize_pulse(200.0, 2.0, (37.5, x))),
+    ("optimize_pulse-eta", "eta", lambda x: optimize_pulse(x, 2.0, (37.5, 22.0))),
+    ("population_series-eta", "eta", lambda x: population_series(SHORT_PULSE, x)),
+    ("evolve_transfer-eta", "eta", lambda x: evolve_transfer(SHORT_PULSE, x, dt=0.01)),
 ]
 BAD_NUMBERS = {"inf": float("inf"), "nan": float("nan"), "huge-int": HUGE_INT}
 BAD_INPUTS = {
@@ -156,6 +166,12 @@ BAD_INPUTS["compensation_params-eta-zero"] = (
 BAD_INPUTS["compensation_params-t_ramp-negative"] = (
     "t_ramp", lambda x: compensation_params(0.0, 0.0, 200.0, t_ramp=x), -1.0
 )
+# eta must be positive, with a normal angular value (model._check_eta)
+for name, message, call in ENTRY_POINTS:
+    if name in ("optimize_pulse-eta", "population_series-eta", "evolve_transfer-eta"):
+        BAD_INPUTS[f"{name}-zero"] = (message, call, 0.0)
+        BAD_INPUTS[f"{name}-negative"] = (message, call, -200.0)
+        BAD_INPUTS[f"{name}-subnormal"] = (message, call, 1e-320)
 
 
 @pytest.mark.parametrize("message, call, x", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())

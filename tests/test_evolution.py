@@ -262,7 +262,8 @@ def test_propagator_validates_unitarity(monkeypatch):
         schedule = ChainSchedule(TrapezoidPulse(30.0, 10.0, 2.0), 1, (0.0, 0.0))
         with pytest.raises(ValueError, match="not unitary"):
             evolve_chain_full(schedule, 200.0, dt=0.01)
-    monkeypatch.setattr(transfer, "_pair_window", lambda *args: 2.0 * np.eye(9))
+    # and evolve_transfer its R^T P R: a non-unitary closed-form ramp
+    monkeypatch.setattr(transfer._Pair, "matrix", lambda self, e: 2.0 * np.eye(9))
     with pytest.raises(ValueError, match="not unitary"):
         evolve_transfer(TrapezoidPulse(30.0, 10.0, 2.0), 200.0, dt=0.01)
 

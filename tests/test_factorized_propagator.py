@@ -1,7 +1,8 @@
 """Property tests of the factorized trapezoid propagator U = R^T P R that
 evolve_transfer builds (up ramp R, exact plateau P, down ramp R^T), of
-the closed-form pair window it builds R from, of that window's SU(2)
-fold, and of the excitation-sector fidelity optimize_pulse searches with."""
+the pair's sector algebra (_Pair) it builds R from, of that algebra's
+SU(2) fold, and of the excitation-sector fidelity optimize_pulse searches
+with."""
 
 import numpy as np
 import pytest
@@ -18,23 +19,18 @@ from qutritchain.evolution import (
 )
 from qutritchain.model import (
     MHZ_TO_RAD_NS,
+    basis_index,
     chain_hamiltonian,
     coupling_operator,
 )
 from qutritchain.pulse import TrapezoidPulse
-from qutritchain.transfer import (
-    _pair_parts,
-    _pair_window,
-    _ramp_sectors,
-    _sector_fidelity,
-    _su2_fold,
-    evolve_transfer,
-    qst_fidelity,
-)
+from qutritchain.transfer import _Pair, _su2_fold, evolve_transfer, qst_fidelity
 
 PROPS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 # roundoff of a product of ~10^3 to 10^4 unitary 9x9 steps in float64
 ROUNDOFF = 1e-11
+
+I01, I02, I10, I20 = (basis_index(s) for s in ("01", "02", "10", "20"))
 
 etas = st.floats(150.0, 290.0)
 amps = st.floats(0.0, 55.0)
@@ -47,6 +43,13 @@ def pair_parts(eta):
 
 def coupling(pulse):
     return lambda ts: pulse.value(ts) * MHZ_TO_RAD_NS
+
+
+def up_ramp(pulse, eta, dt):
+    # the up ramp R as evolve_transfer builds it, on the midpoint grid of
+    # round(t_ramp / dt) steps over pulse.ramp_window
+    mids, dt_ramp = _midpoints(pulse.ramp_window, dt)
+    return _Pair.ramp(pulse.value(mids), eta, dt_ramp)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 1000, 1025])
@@ -76,12 +79,13 @@ def test_su2_fold_matches_matrix_fold(n):
 @example(eta=200.0, g=37.5, dt=0.002, t_ramp=0.0)
 @example(eta=200.0, g=37.5, dt=0.002, t_ramp=2.0)
 def test_pair_window_matches_dense_evolve_affine(eta, g, dt, t_ramp):
-    # the up ramp R; t_ramp = 0 gives an empty ramp, the identity
+    # the up ramp R, the pair window _Pair.ramp(...).matrix(e); t_ramp = 0
+    # gives an empty ramp, the identity
     pulse = TrapezoidPulse(g, 2 * t_ramp + 1.0, t_ramp)
-    d, w = _pair_parts(eta)
+    d, w = pair_parts(eta)
     n_tot = np.diag(np.kron(number_op(), np.eye(3)) + np.kron(np.eye(3), number_op())).real
     off_sector = n_tot[:, None] != n_tot[None, :]
-    r = _pair_window(pulse, eta, dt)
+    r = up_ramp(pulse, eta, dt).matrix(eta * MHZ_TO_RAD_NS)
     dense = evolve_affine(d, w, coupling(pulse), pulse.ramp_window, dt)
     assert np.abs(r - dense).max() < 1e-12
     assert unitarity_defect(r) < ROUNDOFF
@@ -156,14 +160,64 @@ def test_off_grid_converges_to_fine_generic_evolution(eta, g, t_ramp, t_plateau)
 @example(eta=200.0, t_ramp=0.0, g=37.5, t_plateau=20.0, dt=0.002)
 @example(eta=200.0, t_ramp=2.0, g=G_OPT, t_plateau=T_OPT - 4.0, dt=0.002)
 def test_sector_fidelity_matches_projected_propagator(eta, t_ramp, g, t_plateau, dt):
-    # optimize_pulse's search F from the ramp's sector data against
-    # qst_fidelity of R^T P R, with the 9x9 closed-form ramp R and a dense
+    # optimize_pulse's search point R^T.after(P.after(R)).fidelity(e)
+    # against qst_fidelity of R^T P R, with R's 9x9 matrix and a dense
     # plateau exponential P; t_ramp = 0 is an empty ramp
     pulse = TrapezoidPulse(g, 2 * t_ramp + t_plateau, t_ramp)
     tau = pulse.t_total - 2 * t_ramp
-    mids, dt_ramp = _midpoints(pulse.ramp_window, dt)
-    ramp = _ramp_sectors(pulse.value(mids), eta, dt_ramp)
-    r = _pair_window(pulse, eta, dt)
+    e = eta * MHZ_TO_RAD_NS
+    ramp = up_ramp(pulse, eta, dt)
+    point = ramp.transpose().after(_Pair.plateau(eta, g, tau).after(ramp))
+    r = ramp.matrix(e)
     d, w = pair_parts(eta)
     p = expm_hermitian(d + g * MHZ_TO_RAD_NS * w, tau)
-    assert abs(_sector_fidelity(ramp, eta, g, tau) - qst_fidelity(r.T @ p @ r)) <= 1e-14
+    assert abs(point.fidelity(e) - qst_fidelity(r.T @ p @ r)) <= 1e-14
+
+
+# the pair's sector algebra against its 9x9 matrices: a ramp of up to 40
+# random coupling values and an exact plateau, composed both ways
+ramp_values = st.lists(st.floats(0.0, 55.0), max_size=40)
+durations = st.floats(0.0, 30.0)
+
+
+@PROPS
+@given(eta=etas, values=ramp_values, dt=dts, g=amps, s=durations)
+@example(eta=200.0, values=[], dt=0.002, g=37.5, s=0.0)
+def test_pair_algebra_matches_its_matrices(eta, values, dt, g, s):
+    e = eta * MHZ_TO_RAD_NS
+    ramp, plateau = _Pair.ramp(np.array(values), eta, dt), _Pair.plateau(eta, g, s)
+    m_r, m_p = ramp.matrix(e), plateau.matrix(e)
+    assert np.abs(plateau.after(ramp).matrix(e) - m_p @ m_r).max() < 1e-13
+    assert np.abs(ramp.after(plateau).matrix(e) - m_r @ m_p).max() < 1e-13
+    for x, m in ((ramp, m_r), (plateau, m_p)):
+        assert np.abs(x.transpose().matrix(e) - m.T).max() < 1e-13
+        assert np.abs(x.conj().matrix(e) - m.conj()).max() < 1e-13
+    d, w = pair_parts(eta)
+    assert np.abs(m_p - expm_hermitian(d + g * MHZ_TO_RAD_NS * w, s)).max() < 1e-12
+    u = ramp.transpose().after(plateau.after(ramp))
+    for x in (ramp, plateau, u, ramp.conj().after(u)):
+        m = x.matrix(e)
+        assert abs(x.fidelity(e) - qst_fidelity(m)) <= 1e-14
+        assert abs(x.p01() - abs(m[I01, I10]) ** 2) < 1e-14
+        assert abs(x.p02(e) - abs(m[I02, I20]) ** 2) < 1e-14
+
+
+@PROPS
+@given(eta=etas, values=ramp_values, dt=dts, g=amps, s=st.lists(durations, min_size=1, max_size=8))
+def test_pair_array_fields_match_scalar_fields(eta, values, dt, g, s):
+    # population_series's array-valued samples: a plateau at each offset
+    # after the ramp, then conjugated and composed after U, sample by sample
+    e = eta * MHZ_TO_RAD_NS
+    ramp = _Pair.ramp(np.array(values), eta, dt)
+    u = ramp.transpose().after(_Pair.plateau(eta, g, 3.0).after(ramp))
+
+    def samples(offsets):
+        x = _Pair.plateau(eta, g, offsets).after(ramp)
+        return x, x.conj().after(u)
+
+    many = samples(np.array(s))
+    for k, s_k in enumerate(s):
+        for x, one in zip(many, samples(s_k)):
+            got = [f[k] for f in x] + [x.p01()[k], x.p02(e)[k]]
+            want = [*one, one.p01(), one.p02(e)]
+            assert np.abs(np.subtract(got, want)).max() < 1e-15

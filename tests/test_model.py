@@ -16,7 +16,7 @@ from qutritchain.model import (
     y_op,
 )
 from qutritchain.pulse import TrapezoidPulse, analytic_params
-from qutritchain.transfer import _pair_parts
+from qutritchain.transfer import _PAIR_W
 
 
 def pair(eta=200.0, g=37.5):
@@ -78,7 +78,7 @@ def test_rwa_double_excitation_block_after_rescaling():
 
 def test_chain_n2_equals_rwa():
     # the two-qutrit chain is the RWA pair D + g W that transfer evolves
-    d, w = _pair_parts(200.0)
+    d, w = chain_hamiltonian(200.0, [0.0]), _PAIR_W
     assert np.array_equal(pair(), d + 37.5 * MHZ_TO_RAD_NS * w)
     assert np.array_equal(w, coupling_operator(0, 2))
 

@@ -122,41 +122,48 @@ def test_optimizer_quick_run_never_below_seed(monkeypatch):
 
 
 def test_optimizer_builds_each_ramp_once(monkeypatch):
-    # a search point is one _sector_fidelity call on the sector data of its
-    # g_max's up ramp, and a ramp fold one _ramp_sectors call: at the search
-    # step 2 dt directly, at dt inside the 9x9 _pair_window of the two
-    # evolve_transfer calls (the seed guard and the final report), whose
+    # a search point is R^T.after(P.after(R)).fidelity(e), with its g_max's
+    # up ramp R and R^T memoized together, and a ramp fold one _Pair.ramp
+    # call: at the search step 2 dt directly, at dt for the 9x9 ramp of the
+    # two evolve_transfer calls (the seed guard and the final report), whose
     # plateaus make the only eigendecompositions
-    folds, points, windows, eighs = [], [], [], []
-    real_ramp_sectors = transfer._ramp_sectors
-    real_sector_fidelity = transfer._sector_fidelity
-    real_pair_window = transfer._pair_window
+    pair = transfer._Pair
+    folds, plateaus, points, transposes, eighs = [], [], [], [], []
+    real_ramp, real_plateau = pair.ramp, pair.plateau
+    real_after, real_transpose = pair.after, pair.transpose
     real_eigh = np.linalg.eigh
 
-    def ramp_sectors(values, eta, dt):
-        folds.append((dt, real_ramp_sectors(values, eta, dt)))
+    def ramp(values, eta, dt):
+        folds.append((dt, real_ramp(values, eta, dt)))
         return folds[-1][1]
 
-    def sector_fidelity(ramp, eta, g, t_plateau):
-        points.append((g, ramp))
-        return real_sector_fidelity(ramp, eta, g, t_plateau)
+    def plateau(eta, g, s):
+        plateaus.append((g, real_plateau(eta, g, s)))
+        return plateaus[-1][1]
 
-    def pair_window(pulse, eta, dt):
-        windows.append(dt)
-        return real_pair_window(pulse, eta, dt)
+    def after(later, earlier):
+        # P.after(R) of a point: the plateau just made, after the ramp
+        if plateaus and later is plateaus[-1][1]:
+            points.append((plateaus[-1][0], earlier))
+        return real_after(later, earlier)
+
+    def transpose(r):
+        transposes.append(r)
+        return real_transpose(r)
 
     def eigh(a, *args, **kwargs):
         eighs.append(np.shape(a))
         return real_eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(transfer, "_ramp_sectors", ramp_sectors)
-    monkeypatch.setattr(transfer, "_sector_fidelity", sector_fidelity)
-    monkeypatch.setattr(transfer, "_pair_window", pair_window)
+    monkeypatch.setattr(pair, "ramp", staticmethod(ramp))
+    monkeypatch.setattr(pair, "plateau", staticmethod(plateau))
+    monkeypatch.setattr(pair, "after", after)
+    monkeypatch.setattr(pair, "transpose", transpose)
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     rep = optimize_pulse(ETA, 2.0, analytic_params(ETA), dt=0.001)
 
     search_ramps = [ramp for dt, ramp in folds if dt == 0.002]
-    assert sorted(dt for dt, _ in folds if dt != 0.002) == windows == [0.001] * 2
+    assert [dt for dt, _ in folds if dt != 0.002] == [0.001] * 2
     # one fold per distinct g_max, which every point at that g_max reuses
     ramp_of = {}
     for g, ramp in points:
@@ -164,6 +171,8 @@ def test_optimizer_builds_each_ramp_once(monkeypatch):
     assert len(search_ramps) == len(ramp_of) > 10
     assert set(map(id, search_ramps)) == set(map(id, ramp_of.values()))
     assert len(points) > len(search_ramps)  # t_qst searches reuse ramps
+    # R^T once per fold, memoized with it
+    assert list(map(id, transposes)) == list(map(id, search_ramps))
     # one single-run plateau per evolve_transfer; none in the search
     assert eighs == [(1, 9, 9)] * 2
     # reference optimum at dt = 1 ps, F as the unfactorized integrator gave it
