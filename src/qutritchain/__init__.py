@@ -14,7 +14,6 @@ from .chain import (
 from .model import (
     basis_labels,
     chain_hamiltonian,
-    rwa_residual,
     x_op,
     y_op,
 )
@@ -37,6 +36,7 @@ from .transfer import (
     phase_gate,
     population_series,
     qst_fidelity,
+    rwa_residual,
 )
 
 __version__ = "0.1.0"

@@ -22,9 +22,9 @@ import numpy as np
 
 from . import analysis, chain, noise, transfer
 from .evolution import _finite
-from .model import COUPLING_CAP_MHZ, _check_eta, rwa_residual
+from .model import COUPLING_CAP_MHZ, _check_eta
 from .pulse import TrapezoidPulse, analytic_params
-from .transfer import TransferReport
+from .transfer import TransferReport, rwa_residual
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1

@@ -127,14 +127,20 @@ def _chunk(dim: int) -> int:
 
 
 def _per_time(values, ts: np.ndarray, name: str) -> np.ndarray:
-    """The values a callable `name` returned for the times ts, as one float
-    per time.  A 0-d value is a constant and is broadcast to every time;
-    any other shape but ts's is a ValueError."""
-    c = np.asarray(values, dtype=float)
+    """The values a callable `name` returned for the times ts, as one finite
+    float per time.  A 0-d value is a constant and is broadcast to every
+    time.  Any other shape but ts's is a ValueError, and so is a NaN, an
+    infinity or an int past the float range."""
+    try:
+        c = np.asarray(values, dtype=float)
+    except OverflowError:  # an int past the float range
+        c = np.array(np.inf)
     if c.ndim == 0:
-        return np.full(ts.shape, c)
-    if c.shape != ts.shape:
+        c = np.full(ts.shape, c)
+    elif c.shape != ts.shape:
         raise ValueError(f"{name} must return one value per time")
+    if not np.isfinite(c).all():
+        raise ValueError(f"{name} must return finite values")
     return c
 
 
@@ -157,8 +163,9 @@ def evolve_affine(
     are decomposed in batches of CHUNK_BYTES of matrices, with no loop over
     steps; a batch's factors are multiplied out in lanes of LANE runs (see
     _lane_products) and the lanes folded pairwise.
-    scale_of_t must accept an array of times and return one value per
-    time; a 0-d return, as from lambda t: 0.0, is broadcast to every time.
+    scale_of_t must accept an array of times and return one finite value
+    per time; a 0-d return, as from lambda t: 0.0, is broadcast to every
+    time.  Any other return is a ValueError before any decomposition.
 
     A mirrored window is folded over its first half.  It has real d and w,
     more than one run, run lengths equal to their reverse, and run values
@@ -169,9 +176,9 @@ def evolve_affine(
     product for the second half's values replaced by their mirror images,
     which moves h by at most MIRROR_TOL * max|c| * ||w||_2 and U by at most
     that times (t1 - t0) / 2, so it is within roundoff of the sampled-step
-    product.  rwa_residual's symmetric trapezoid over its whole window is
-    such a window; a lone ramp (values not mirrored) or plateau (one run)
-    is not.
+    product.  A symmetric trapezoid over its whole window, as in each
+    exchange block of rwa_residual's exact side, is such a window; a lone
+    ramp (values not mirrored) or plateau (one run) is not.
 
     The window is split into round((t1 - t0) / dt) equal steps (at least one
     if it is not empty), counted from the float difference t1 - t0.  Windows

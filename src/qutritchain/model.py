@@ -1,4 +1,6 @@
-"""Transmon-qutrit chain Hamiltonians in the RWA, and the RWA residual.
+"""Transmon-qutrit chain Hamiltonians in the RWA, and the spin-1 operators
+they are built from.  The check of the RWA itself, rwa_residual, lives in
+transfer, next to the pair's closed form that its RWA side uses.
 
 Each transmon keeps its three lowest levels.  Public parameters are cyclic
 frequencies in MHz and times in ns; matrices are built in angular rad/ns
@@ -8,12 +10,12 @@ qutrit 1 most significant: index("ab..") = 3^(n-1)*a + 3^(n-2)*b + ...
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 # evolve is not called here; it stays imported because bench/tracing.py wraps model.evolve
-from .evolution import _finite, _per_time, evolve, evolve_affine  # noqa: F401
+from .evolution import _finite, evolve  # noqa: F401
 
 MHZ_TO_RAD_NS = 2.0 * np.pi * 1e-3
 
@@ -99,42 +101,3 @@ def chain_hamiltonian(eta: float, couplings: Sequence[float]) -> np.ndarray:
             h += g * MHZ_TO_RAD_NS * coupling_operator(k, n)
     return h
 
-
-def rwa_residual(
-    eta: float,
-    g_of_t: Callable[[np.ndarray], np.ndarray],
-    t_span: tuple[float, float],
-    omega: float,
-    dt: float = 0.001,
-) -> float:
-    """Operator-norm gap between exact and RWA propagators of a qutrit pair.
-
-    Both qutrits share the clock omega (MHz) and the same resonant coupling
-    schedule; the gap is O(g / omega) from the dropped terms oscillating at
-    omega_1 + omega_2.  Both sides evolve in the frame where h is affine in
-    g: h = D - omega N + g(t) V with N the total excitation number, V = X X
-    (exact) or (X X + Y Y)/2 (RWA), and both run on evolve_affine with the
-    same D - omega N and g(t).  That frame differs from the rotating frame
-    by exp(-i omega N t) on both sides, which leaves the 2-norm of the gap
-    unchanged, and every plateau step is equal, so a plateau costs one
-    eigendecomposition on either side.  Both sides are real, so over a
-    mirror-symmetric window, such as a trapezoid's (0, t_total),
-    evolve_affine folds each side over its first half as R^T M R: the up
-    ramp and the plateau are decomposed, the down ramp is not, and the
-    result is within roundoff of the step-by-step product.  g_of_t (MHz) is called on arrays of
-    times and follows evolve_affine's rule for scale_of_t: one value per
-    time, or a 0-d constant broadcast to every time.  A non-finite omega is
-    a ValueError.
-    """
-    if not _finite(omega):
-        raise ValueError(f"omega must be finite, got {omega}")
-    n_total = np.add.outer(np.arange(3), np.arange(3)).ravel()
-    d_lab = chain_hamiltonian(eta, [0.0]) - np.diag(omega * MHZ_TO_RAD_NS * n_total)
-    xx = np.kron(x_op(), x_op())
-
-    def g_values(ts):
-        return _per_time(g_of_t(ts), ts, "g_of_t") * MHZ_TO_RAD_NS
-
-    u_exact = evolve_affine(d_lab, xx, g_values, t_span, dt)
-    u_rwa = evolve_affine(d_lab, coupling_operator(0, 2), g_values, t_span, dt)
-    return float(np.linalg.norm(u_exact - u_rwa, ord=2))

@@ -1,6 +1,6 @@
 """Two-qutrit state transfer: evolution under the coupling pulse, the
 projected average fidelity against the swap target, parameter optimization,
-and phase compensation.
+phase compensation, and the RWA residual of the pair.
 
 The computational subspace is {|00>, |01>, |10>, |02>, |20>} (d = 5); the
 transfer target swaps 01<->10 and 02<->20.  Since residual phases are
@@ -13,10 +13,19 @@ from __future__ import annotations
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .evolution import _finite, _midpoints, _n_steps, _unitary, evolve_affine
+from .evolution import (
+    _finite,
+    _midpoints,
+    _n_steps,
+    _per_time,
+    _runs,
+    _unitary,
+    evolve_affine,
+)
 from .model import (
     DELTA_RANGE_MHZ,
     MHZ_TO_RAD_NS,
@@ -24,6 +33,7 @@ from .model import (
     basis_index,
     coupling_operator,
     chain_hamiltonian,
+    x_op,
 )
 from .pulse import TrapezoidPulse, pulse_area
 
@@ -170,6 +180,93 @@ class _Pair(namedtuple("_Pair", "area p q t")):
         r[_I11, _I02] = r[_I11, _I20] = -half * np.conj(self.q) / np.sqrt(2.0)
         r[_I11, _I11] = half * np.conj(self.p)
         return r
+
+
+# rwa_residual's exact side, D - omega N + g XX, conserves excitation
+# parity and is symmetric under swapping the two qutrits.  So in the real
+# orthogonal basis (|jk> + sign |kj>) / norm, one column per (j, k, sign)
+# below, it is block diagonal: {00, 11, 22, s02}, {a02}, which XX does not
+# couple, {s01, s12} and {a01, a12} (s, a: exchange-symmetric, -antisymmetric)
+_EXCHANGE_STATES = ((0, 0, 1), (1, 1, 1), (2, 2, 1), (0, 2, 1), (0, 2, -1),
+                    (0, 1, 1), (1, 2, 1), (0, 1, -1), (1, 2, -1))
+_EXCHANGE_UNCOUPLED = 4
+_EXCHANGE_BLOCKS = (slice(0, 4), slice(5, 7), slice(7, 9))
+# the state |jk> of each column, where the diagonal D - omega N takes the
+# column's value
+_EXCHANGE_REPS = [3 * j + k for j, k, _ in _EXCHANGE_STATES]
+
+
+def _exchange_basis() -> np.ndarray:
+    """The columns (|jk> + sign |kj>) / norm of _EXCHANGE_STATES."""
+    b = np.zeros((9, 9))
+    for col, (j, k, sign) in enumerate(_EXCHANGE_STATES):
+        b[3 * j + k, col] += 1.0
+        b[3 * k + j, col] += sign
+    return b / np.linalg.norm(b, axis=0)
+
+
+_EXCHANGE = _exchange_basis()
+_EXCHANGE_XX = _EXCHANGE.T @ np.kron(x_op(), x_op()).real @ _EXCHANGE
+
+
+def rwa_residual(
+    eta: float,
+    g_of_t: Callable[[np.ndarray], np.ndarray],
+    t_span: tuple[float, float],
+    omega: float,
+    dt: float = 0.001,
+) -> float:
+    """Operator-norm gap between exact and RWA propagators of a qutrit pair.
+
+    Both qutrits share the clock omega (MHz) and the same resonant coupling
+    schedule; the gap is O(g / omega) from the dropped terms oscillating at
+    omega_1 + omega_2.  Both sides are midpoint products on one grid over
+    t_span, in the frame where h = D - omega N + g(t) V is affine in g, with
+    N the total excitation number and V = X X (exact) or W = (X X + Y Y)/2
+    (RWA).  That frame differs from the rotating frame by exp(-i omega N t)
+    on both sides, which leaves the 2-norm of the gap unchanged.
+
+    RWA side: N commutes with D and W, so each step is exp(i omega N dt)
+    exp(-i (D + g W) dt), and the product is exp(i omega N T) times the
+    pair's rotating-frame product, exact on the grid.  Each run of equal
+    samples is one _Pair.plateau and the runs are folded by _su2_fold: no
+    eigendecomposition.  Exact side: in the exchange basis _EXCHANGE, h is
+    block diagonal; the {a02} block is a constant phase, and the 4x4 and two
+    2x2 blocks run on evolve_affine, which folds a mirror-symmetric window,
+    such as a trapezoid's (0, t_total), over its first half.  No 9x9 matrix
+    is decomposed, and each side is checked to be unitary.
+
+    g_of_t (MHz) is called once, on the array of midpoint times, and
+    follows evolve_affine's rule for scale_of_t: one finite value per time,
+    or a 0-d constant broadcast to every time.  A non-finite omega, a bad
+    eta or a bad g_of_t return is a ValueError before any step.
+    """
+    if not _finite(omega):
+        raise ValueError(f"omega must be finite, got {omega}")
+    clock = omega * MHZ_TO_RAD_NS
+    n_total = np.add.outer(np.arange(3), np.arange(3)).ravel()
+    d_lab = chain_hamiltonian(eta, [0.0]).diagonal().real - clock * n_total
+    mids, dt_eff = _midpoints(t_span, dt)
+    g = _per_time(g_of_t(mids), mids, "g_of_t")
+    if not len(g):
+        return 0.0  # both sides are the identity
+    t_total = dt_eff * len(g)
+
+    starts, lengths = _runs(np.append(True, g[1:] != g[:-1]))
+    runs = _Pair.plateau(eta, g[starts], dt_eff * lengths)
+    pair = _Pair(np.sum(runs.area), *_su2_fold(runs.p, runs.q), t_total)
+    u_rwa = np.exp(1j * clock * n_total * t_total)[:, None] * pair.matrix(eta * MHZ_TO_RAD_NS)
+
+    d_x, g_rad = d_lab[_EXCHANGE_REPS], g * MHZ_TO_RAD_NS
+    u = np.zeros((9, 9), dtype=complex)
+    u[_EXCHANGE_UNCOUPLED, _EXCHANGE_UNCOUPLED] = np.exp(-1j * d_x[_EXCHANGE_UNCOUPLED] * t_total)
+    for block in _EXCHANGE_BLOCKS:
+        # evolve_affine samples the same midpoint grid, so g is not sampled again
+        u[block, block] = evolve_affine(
+            np.diag(d_x[block]), _EXCHANGE_XX[block, block], lambda ts: g_rad, t_span, dt
+        )
+    u_exact = _EXCHANGE @ u @ _EXCHANGE.T
+    return float(np.linalg.norm(_unitary(u_exact) - _unitary(u_rwa), ord=2))
 
 
 def _trapezoid_propagator(d, w, pulse: TrapezoidPulse, r, dt: float) -> np.ndarray:

@@ -8,7 +8,7 @@ import pytest
 import qutritchain
 from qutritchain import noise
 from qutritchain.evolution import _midpoints
-from qutritchain.model import chain_hamiltonian, rwa_residual
+from qutritchain.model import chain_hamiltonian
 from qutritchain.pulse import TrapezoidPulse, analytic_params, g_eff, solve_constraint
 from qutritchain.transfer import (
     compensation_params,
@@ -16,6 +16,7 @@ from qutritchain.transfer import (
     optimize_pulse,
     phase_gate,
     population_series,
+    rwa_residual,
 )
 
 ROOT = pathlib.Path(__file__).parents[1]
@@ -149,6 +150,8 @@ ENTRY_POINTS = [
     ("compensation_params-t_ramp", "t_ramp",
      lambda x: compensation_params(1.0, 0.5, 200.0, t_ramp=x)),
     ("rwa_residual-omega", "omega", lambda x: rwa_residual(200.0, lambda ts: 30.0, (0.0, 1.0), x)),
+    ("rwa_residual-g_of_t", "g_of_t",
+     lambda x: rwa_residual(200.0, lambda ts: x, (0.0, 1.0), 4000.0)),
     ("optimize_pulse-seed-g", "seed", lambda x: optimize_pulse(200.0, 2.0, (x, 22.0))),
     ("optimize_pulse-seed-t", "seed", lambda x: optimize_pulse(200.0, 2.0, (37.5, x))),
     ("optimize_pulse-eta", "eta", lambda x: optimize_pulse(x, 2.0, (37.5, 22.0))),

@@ -216,6 +216,23 @@ def test_evolve_affine_rejects_scale_of_wrong_shape(scale_of_t):
 
 
 @pytest.mark.parametrize(
+    "scale_of_t",
+    [
+        lambda ts: np.where(ts == ts[-1], np.nan, 1.0),  # one NaN sample
+        lambda ts: np.full(len(ts), np.inf),
+        lambda ts: 10**400,  # an int past the float range
+        lambda ts: [1.0] * (len(ts) - 1) + [10**400],
+    ],
+)
+def test_evolve_affine_rejects_a_non_finite_scale_before_any_step(monkeypatch, scale_of_t):
+    # a ValueError that names scale_of_t, not an OverflowError, a
+    # RuntimeWarning or a LinAlgError from the decompositions after it
+    monkeypatch.setattr(np.linalg, "eigh", None)
+    with pytest.raises(ValueError, match="scale_of_t must return finite values"):
+        evolve_affine(np.eye(2), np.eye(2), scale_of_t, (0.0, 1.0), 0.1)
+
+
+@pytest.mark.parametrize(
     "t_span, dt",
     [((0.0, np.nan), 0.1), ((np.nan, 1.0), 0.1), ((0.0, 1.0), np.nan), ((0.0, np.inf), 0.1),
      ((-np.inf, 1.0), 0.1), ((0.0, 1.0), np.inf)],

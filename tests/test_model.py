@@ -1,5 +1,8 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy import kron
 
 from _oracles import number_op, rwa_residual_generic, rwa_residual_rotating
@@ -11,12 +14,14 @@ from qutritchain.model import (
     chain_hamiltonian,
     coupling_operator,
     embed,
-    rwa_residual,
     x_op,
     y_op,
 )
 from qutritchain.pulse import TrapezoidPulse, analytic_params
-from qutritchain.transfer import _PAIR_W
+from qutritchain.transfer import _PAIR_W, rwa_residual
+
+EPS = np.finfo(float).eps
+PROPS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
 
 def pair(eta=200.0, g=37.5):
@@ -155,7 +160,16 @@ def test_coupling_cap_enforced():
 
 
 def test_rwa_residual_zero_coupling():
-    assert rwa_residual(200.0, lambda t: 0.0, (0.0, 10.0), 6000.0, dt=0.01) == 0.0
+    # at zero coupling both sides are the phases exp(-i (D - omega N) T),
+    # computed by different code (a closed form against per-block
+    # exponentials), so they agree to the roundoff of the largest phase,
+    # theta = max|diag(D - omega N)| T: eps * theta = 3.4e-13 here, and the
+    # residual is 3.7e-13
+    eta, omega, t = 200.0, 6000.0, 10.0
+    n_total = np.add.outer(np.arange(3), np.arange(3)).ravel()
+    diag = np.diag(chain_hamiltonian(eta, [0.0])).real - omega * MHZ_TO_RAD_NS * n_total
+    theta = np.abs(diag).max() * t
+    assert rwa_residual(eta, lambda t: 0.0, (0.0, t), omega, dt=0.01) <= 4 * EPS * theta
 
 
 def test_rwa_residual_rejects_coupling_of_wrong_shape():
@@ -182,7 +196,7 @@ def test_rwa_residual_samples_coupling_per_array():
         return pulse.value(ts)
 
     rwa_residual(200.0, counted, (0.0, 22.0), 4000.0, dt=0.002)  # 11000 midpoints
-    assert calls == [(11000,), (11000,)]  # one grid per propagator, no probe
+    assert calls == [(11000,)]  # one grid per call, shared by both sides, no probe
 
 
 @pytest.mark.parametrize("omega", [2000.0, 8000.0])
@@ -201,61 +215,105 @@ def test_rwa_residual_dt_halving():
     assert coarse == pytest.approx(fine, rel=1e-6)
 
 
-def test_rwa_residual_plateau_is_one_eigendecomposition(monkeypatch):
-    decomposed = []
+def decomposed_by_dimension(monkeypatch) -> Counter:
+    """Matrices np.linalg.eigh decomposes from here on, by dimension."""
+    decomposed = Counter()
 
     def counted(hs):
-        decomposed.append(len(hs))
+        decomposed[hs.shape[-1]] += int(np.prod(hs.shape[:-2]))
         return eigh(hs)
 
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", counted)
+    return decomposed
+
+
+def test_rwa_residual_plateau_is_one_eigendecomposition(monkeypatch):
+    decomposed = decomposed_by_dimension(monkeypatch)
     pulse = TrapezoidPulse(37.5, 22.0, 2.0)
     rwa_residual(200.0, pulse.value, (0.0, 22.0), 4000.0, dt=0.002)
-    # each side: the 1000 up-ramp steps, whose mirror image is the down
-    # ramp, and one for the plateau
-    assert 2 * 1000 < sum(decomposed) <= 2 * (1000 + 1)
+    # no 9x9 matrix and nothing on the RWA side (a closed form); each of the
+    # exact side's coupled exchange blocks, one 4x4 and two 2x2, decomposes
+    # the 1000 up-ramp steps, whose mirror image is the down ramp, and one
+    # matrix for the plateau
+    assert decomposed == {4: 1000 + 1, 2: 2 * (1000 + 1)}
+
+
+def assert_matches_generic(eta, g_of_t, t_span, omega, dt):
+    # the oracle's exact side takes every 9x9 step on the generic evolve,
+    # and its RWA side is the 9x9 evolve_affine; both sides of rwa_residual
+    # take other routes, so the two agree to the roundoff of a product of
+    # n_steps unitary steps, bounded by n_steps * eps
+    ref = rwa_residual_generic(eta, g_of_t, t_span, omega, dt=dt)
+    res = rwa_residual(eta, g_of_t, t_span, omega, dt=dt)
+    n_steps = len(_midpoints(t_span, dt)[0])
+    assert abs(res - ref) <= n_steps * EPS
 
 
 @pytest.mark.parametrize("omega", [2000.0, 8000.0])
 def test_rwa_residual_matches_exact_side_on_evolve(omega):
+    # a window that ends inside the pulse does not mirror: 1500 steps, a
+    # bound of 3.3e-13; measured 2.9e-15 (2 GHz) and 2.5e-14 (8 GHz)
     pulse = TrapezoidPulse(37.5, 22.0, 2.0)
-    ref = rwa_residual_generic(200.0, pulse.value, (0.0, 3.0), omega, dt=0.002)
-    res = rwa_residual(200.0, pulse.value, (0.0, 3.0), omega, dt=0.002)
-    assert res == pytest.approx(ref, rel=1e-12)
+    assert_matches_generic(200.0, pulse.value, (0.0, 3.0), omega, 0.002)
 
 
 @pytest.mark.parametrize("omega", [2000.0, 8000.0])
 def test_rwa_residual_matches_exact_side_on_evolve_over_the_whole_pulse(omega):
-    # over (0, t_total) each side folds over its up ramp (R^T M R), while
-    # the oracle's exact side takes every step; measured 6.3e-13 at 2 GHz
-    # and 1.2e-12 at 8 GHz, the gaps the unfolded sides had too
+    # over (0, t_total) each exact-side block folds over its up ramp
+    # (R^T M R): 11000 steps, a bound of 2.4e-12; measured 1.3e-13 (2 GHz)
+    # and 7.4e-13 (8 GHz)
     pulse = TrapezoidPulse(37.5, 22.0, 2.0)
-    ref = rwa_residual_generic(200.0, pulse.value, (0.0, 22.0), omega, dt=0.002)
-    res = rwa_residual(200.0, pulse.value, (0.0, 22.0), omega, dt=0.002)
-    assert res == pytest.approx(ref, rel=1e-10)
+    assert_matches_generic(200.0, pulse.value, (0.0, 22.0), omega, 0.002)
+
+
+@PROPS
+@given(
+    eta=st.floats(150.0, 290.0),
+    omega=st.floats(2000.0, 8000.0),
+    dt=st.sampled_from([0.001, 0.002]),
+    levels=st.lists(st.floats(0.0, 55.0), min_size=1, max_size=3),
+    runs=st.lists(st.tuples(st.integers(0, 2), st.integers(10, 200)), min_size=1, max_size=8),
+    mirror=st.booleans(),
+    t0=st.floats(0.0, 5.0),
+)
+def test_rwa_residual_matches_exact_side_on_piecewise_constant_coupling(
+    eta, omega, dt, levels, runs, mirror, t0
+):
+    # a coupling that is constant on runs of steps, with levels that repeat
+    # across runs; a mirrored schedule (the runs, then the same in reverse)
+    # takes evolve_affine's fold in every exact-side block.  dt stays at the
+    # package's 1-2 ps grids: the phase per step, max|diag(D - omega N)| dt,
+    # is then <= 0.41 rad, while at 4 ps and 8 GHz it is ~0.8 rad and the
+    # phase roundoff alone can pass n_steps * eps.  Runs of >= 10 steps keep
+    # the fixed roundoff of the 9x9 products (a few eps) below the bound.
+    runs = runs + runs[::-1] if mirror else runs
+    values = np.repeat([levels[k % len(levels)] for k, _ in runs], [n for _, n in runs])
+    t_span = (t0, t0 + len(values) * dt)
+    mids, dt_eff = _midpoints(t_span, dt)
+    assert len(mids) == len(values)
+
+    def g_of_t(ts):
+        return values[np.clip(((ts - t0) / dt_eff).astype(int), 0, len(values) - 1)]
+
+    assert_matches_generic(eta, g_of_t, t_span, omega, dt)
 
 
 @pytest.mark.parametrize("dt", [0.001, 0.002])
 @pytest.mark.parametrize("eta", [195.0, 200.0, 205.0])
 def test_rwa_residual_folds_the_pulse_over_its_up_ramp(monkeypatch, eta, dt):
     # validate's pulse at the benchmark's etas: its rounded down-ramp
-    # samples must stay mirror images of the up ramp's, or each side
-    # decomposes both ramps and validate takes ~2x as long
+    # samples must stay mirror images of the up ramp's, or each exact-side
+    # block decomposes both ramps and validate takes longer
     t_ramp = 400.0 / eta
     pulse = TrapezoidPulse(*analytic_params(eta, t_ramp), t_ramp)
-    decomposed = []
-
-    def counted(hs):
-        decomposed.append(len(hs))
-        return eigh(hs)
-
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    decomposed = decomposed_by_dimension(monkeypatch)
     rwa_residual(eta, pulse.value, (0.0, pulse.t_total), 4000.0, dt=dt)
     mids, _ = _midpoints((0.0, pulse.t_total), dt)
     up_ramp_runs = np.count_nonzero(mids < t_ramp)  # one run per ramp step
-    assert sum(decomposed) == 2 * (up_ramp_runs + 1)
+    # each coupled exchange block (one 4x4, two 2x2) decomposes its up ramp
+    # and the plateau; the RWA side and the 9x9 decompose nothing
+    assert decomposed == {4: up_ramp_runs + 1, 2: 2 * (up_ramp_runs + 1)}
 
 
 def test_rwa_residual_matches_per_sample_reference():
