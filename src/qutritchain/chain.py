@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import evolve_affine
+# bound here for bench/tracing.py, which wraps chain.evolve_affine
+from .evolution import evolve_affine  # noqa: F401
 from .model import (
     MHZ_TO_RAD_NS,
     chain_hamiltonian,
@@ -20,7 +21,8 @@ from .model import (
     embed,
 )
 from .pulse import TrapezoidPulse
-from .transfer import _trapezoid_propagator, evolve_transfer, measure_compensation, phase_gate
+from .transfer import (_evolve_exchange_blocks, _trapezoid_propagator, evolve_transfer,
+                       measure_compensation, phase_gate)
 
 def uniform_state() -> np.ndarray:
     """(|0> + |1> + |2>) / sqrt(3)."""
@@ -165,8 +167,11 @@ def evolve_chain_full(schedule: ChainSchedule, eta: float, dt: float = 0.001) ->
     0 the coupling is W_pair x I and the diagonal is D_pair x I + I x
     D_idle, whose idle part commutes with both, so R = R_pair x
     exp(-i D_idle t_ramp) with R_pair evolved on the 9-dim pair (both
-    factors sliced from the 3^n operators); the plateau P is one dense
-    3^n-dim exponential.  Every qutrit has the same eta, so the edge-k
+    factors sliced from the 3^n operators), in exchange blocks
+    (transfer._evolve_exchange_blocks): the 2x2 {11, s02} and the diagonal
+    {s01, a01, s12, a12} on evolve_affine, both decomposed in closed form,
+    and phases for 00, 22 and a02.  The plateau P is one dense 3^n-dim
+    exponential.  Every qutrit has the same eta, so the edge-k
     Hamiltonian is the edge-0 one with its qutrits relabelled; the edge-0
     step is evolved once, checked to be unitary, and relabelled by
     edge_permutation.  A schedule of no steps is a ValueError.
@@ -183,7 +188,7 @@ def evolve_chain_full(schedule: ChainSchedule, eta: float, dt: float = 0.001) ->
     # qutrits add 0 to the diagonal, so diag[::m, ::m] is D_pair and
     # diag.diagonal()[:m] is D_idle
     m = 3 ** (n - 2)
-    r_pair = evolve_affine(diag[::m, ::m], w[::m, ::m], g, pulse.ramp_window, dt)
+    r_pair = _evolve_exchange_blocks(diag[::m, ::m], w[::m, ::m], g, pulse.ramp_window, dt)
     r = np.kron(r_pair, np.diag(np.exp(-1j * pulse.t_ramp * diag.diagonal()[:m])))
     step0 = _trapezoid_propagator(diag, w, pulse, r, dt)
     u = np.eye(3**n, dtype=complex)

@@ -161,8 +161,9 @@ def evolve_affine(
     U = V_K Phi_K (V_K^H V_{K-1}) Phi_{K-1} ... (V_1^H V_0) Phi_0 V_0^H,
     where each link V_k^H V_{k-1} is a real matmul for real d and w.  Runs
     are decomposed in batches of CHUNK_BYTES of matrices, with no loop over
-    steps; a batch's factors are multiplied out in lanes of LANE runs (see
-    _lane_products) and the lanes folded pairwise.
+    steps, by _eigh: in closed form for real 2x2 or diagonal d and w, by
+    np.linalg.eigh otherwise.  A batch's factors are multiplied out in
+    lanes of LANE runs (see _lane_products) and the lanes folded pairwise.
     scale_of_t must accept an array of times and return one finite value
     per time; a 0-d return, as from lambda t: 0.0, is broadcast to every
     time.  Any other return is a ValueError before any decomposition.
@@ -216,18 +217,44 @@ def evolve_affine(
     return _unitary(_run_product(d, w, cs, lengths, dt_eff))
 
 
+def _eigh(d: np.ndarray, w: np.ndarray, cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of the stack of Hermitian d + cs[k] w,
+    as np.linalg.eigh gives them, in closed form for real 2x2 or diagonal
+    d and w, with no stack built.  A 2x2 [[a, b], [b, c]] is m I +
+    r [[cos 2t, sin 2t], [sin 2t, -cos 2t]] with m = (a + c) / 2,
+    r = hypot((a - c) / 2, b) and 2t = atan2(b, (a - c) / 2), so lam =
+    m -+ r (ascending) with eigenvectors (-sin t, cos t) and (cos t, sin t).
+    A diagonal matrix keeps its diagonal as lam, in its own order, with
+    V = I.  Any other pair goes to np.linalg.eigh."""
+    n = d.shape[0]
+    if np.isrealobj(d) and np.isrealobj(w):
+        if n == 2:
+            a, b, c = (d[i, j] + cs * w[i, j] for i, j in ((0, 0), (0, 1), (1, 1)))
+            m, half = (a + c) / 2, (a - c) / 2
+            r, t = np.hypot(half, b), np.arctan2(b, half) / 2
+            cos, sin = np.cos(t), np.sin(t)
+            v = np.array(((-sin, cos), (cos, sin))).transpose(2, 0, 1)
+            return np.stack((m - r, m + r), axis=1), v
+        off = ~np.eye(n, dtype=bool)
+        if not (d[off].any() or w[off].any()):
+            lam = d.diagonal() + cs[:, None] * w.diagonal()
+            return lam, np.repeat(np.eye(n)[None], len(cs), axis=0)
+    return np.linalg.eigh(d[None, :, :] + cs[:, None, None] * w[None, :, :])
+
+
 def _run_product(
     d: np.ndarray, w: np.ndarray, cs: np.ndarray, lengths: np.ndarray, dt_eff: float
 ) -> np.ndarray:
     """Product of the run exponentials exp(-i (d + cs[k] w) dt_eff lengths[k]),
-    the earliest on the right, chained through the runs' eigenbases in
-    batches of _chunk runs (see evolve_affine); no runs give the identity."""
+    the earliest on the right, chained through the runs' eigenbases (_eigh)
+    in batches of _chunk runs (see evolve_affine); no runs give the
+    identity."""
     dim = d.shape[0]
     chunk = _chunk(dim)
     # u: the product so far, in the eigenbasis v_last of its last run
     u, v_last = np.eye(dim, dtype=complex), np.eye(dim, dtype=d.dtype)
     for lo in range(0, len(cs), chunk):
-        lam, v = np.linalg.eigh(d[None, :, :] + cs[lo : lo + chunk, None, None] * w[None, :, :])
+        lam, v = _eigh(d, w, cs[lo : lo + chunk])
         vh = v.conj().transpose(0, 2, 1)
         # link k takes run k - 1's eigenbasis to run k's, a real matmul for
         # real d and w

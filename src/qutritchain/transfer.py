@@ -182,31 +182,66 @@ class _Pair(namedtuple("_Pair", "area p q t")):
         return r
 
 
-# rwa_residual's exact side, D - omega N + g XX, conserves excitation
-# parity and is symmetric under swapping the two qutrits.  So in the real
-# orthogonal basis (|jk> + sign |kj>) / norm, one column per (j, k, sign)
-# below, it is block diagonal: {00, 11, 22, s02}, {a02}, which XX does not
-# couple, {s01, s12} and {a01, a12} (s, a: exchange-symmetric, -antisymmetric)
+# A pair of equal qutrits is symmetric under swapping them, so its
+# Hamiltonians are block diagonal in the real basis |jk> + sign |kj>, one
+# column per (j, k, sign) below (s, a: exchange-symmetric, -antisymmetric):
+# D + g W in {11, s02} and 1x1 blocks, D - omega N + g XX in {00, 11, 22,
+# s02}, {a02}, {s01, s12} and {a01, a12}
 _EXCHANGE_STATES = ((0, 0, 1), (1, 1, 1), (2, 2, 1), (0, 2, 1), (0, 2, -1),
                     (0, 1, 1), (1, 2, 1), (0, 1, -1), (1, 2, -1))
-_EXCHANGE_UNCOUPLED = 4
-_EXCHANGE_BLOCKS = (slice(0, 4), slice(5, 7), slice(7, 9))
-# the state |jk> of each column, where the diagonal D - omega N takes the
-# column's value
-_EXCHANGE_REPS = [3 * j + k for j, k, _ in _EXCHANGE_STATES]
 
 
-def _exchange_basis() -> np.ndarray:
-    """The columns (|jk> + sign |kj>) / norm of _EXCHANGE_STATES."""
+def _exchange_basis() -> tuple[np.ndarray, np.ndarray]:
+    """The unnormalized columns |jk> + sign |kj> of _EXCHANGE_STATES, whose
+    entries 0, +-1 and 2 are exact, and the factors 1 / (norm_i norm_j)
+    that normalize a matrix taken through them, from the exact squared
+    norms: 1/2, 1/4 or 1/sqrt(8)."""
     b = np.zeros((9, 9))
     for col, (j, k, sign) in enumerate(_EXCHANGE_STATES):
         b[3 * j + k, col] += 1.0
         b[3 * k + j, col] += sign
-    return b / np.linalg.norm(b, axis=0)
+    squared = np.sum(b * b, axis=0)
+    return b, 1.0 / np.sqrt(np.outer(squared, squared))
 
 
-_EXCHANGE = _exchange_basis()
-_EXCHANGE_XX = _EXCHANGE.T @ np.kron(x_op(), x_op()).real @ _EXCHANGE
+_EXCHANGE, _EXCHANGE_SCALE = _exchange_basis()
+
+
+def _evolve_exchange_blocks(d, w, scale_of_t, t_span, dt: float) -> np.ndarray:
+    """evolve_affine of a qutrit pair's d + c(t) w (real symmetric 9x9),
+    block by block in the exchange basis, rotated back to |jk>.
+
+    A matrix m is taken to the basis as (B^T m B) * _EXCHANGE_SCALE, B =
+    _EXCHANGE.  Each entry of B^T m and of (B^T m) B is a sum of at most
+    two nonzero exact terms, so an entry that exchange symmetry zeroes is
+    exactly 0.  The blocks are the sets of states that w's nonzero
+    off-diagonal entries connect.  The states that it connects to no other
+    are evolved together as one diagonal block, which evolve_affine
+    decomposes in closed form, as it does a 2x2 block; a state that w does
+    not touch at all only turns by its phase exp(-i d T) over the grid's
+    duration T.  d must be diagonal in the exchange basis: an off-diagonal
+    entry, such as those of unequal etas, would couple two blocks or two
+    states of the diagonal block, and is a ValueError.
+    """
+    d_x, w_x = ((_EXCHANGE.T @ m @ _EXCHANGE) * _EXCHANGE_SCALE for m in (d, w))
+    off = np.abs(d_x - np.diag(d_x.diagonal())).max()
+    if off:
+        raise ValueError(f"d is not diagonal in the exchange basis: max off-diagonal {off:.3e}")
+    reach = (w_x != 0) | np.eye(9, dtype=bool)
+    for _ in range(3):  # paths of up to 8 steps connect any two of 9 states
+        reach = (reach.astype(int) @ reach) > 0
+    blocks = sorted({tuple(np.flatnonzero(row)) for row in reach if row.sum() > 1})
+    touched = w_x.any(axis=0)
+    isolated = tuple(np.flatnonzero((reach.sum(axis=1) == 1) & touched))
+    if isolated:
+        blocks.append(isolated)
+    mids, dt_eff = _midpoints(t_span, dt)
+    u = np.diag(np.where(touched, 0.0, np.exp(-1j * d_x.diagonal() * (dt_eff * len(mids)))))
+    for block in blocks:
+        grid = np.ix_(block, block)
+        u[grid] = evolve_affine(np.diag(d_x.diagonal()[list(block)]), w_x[grid],
+                                scale_of_t, t_span, dt)
+    return _EXCHANGE @ (u * _EXCHANGE_SCALE) @ _EXCHANGE.T
 
 
 def rwa_residual(
@@ -230,11 +265,13 @@ def rwa_residual(
     exp(-i (D + g W) dt), and the product is exp(i omega N T) times the
     pair's rotating-frame product, exact on the grid.  Each run of equal
     samples is one _Pair.plateau and the runs are folded by _su2_fold: no
-    eigendecomposition.  Exact side: in the exchange basis _EXCHANGE, h is
-    block diagonal; the {a02} block is a constant phase, and the 4x4 and two
-    2x2 blocks run on evolve_affine, which folds a mirror-symmetric window,
-    such as a trapezoid's (0, t_total), over its first half.  No 9x9 matrix
-    is decomposed, and each side is checked to be unitary.
+    eigendecomposition.  Exact side: in the exchange basis, h is block
+    diagonal (_evolve_exchange_blocks); {a02}, which XX does not touch, is
+    a constant phase, and the 4x4 {00, 11, 22, s02} and the 2x2 {s01, s12}
+    and {a01, a12} run on evolve_affine, which folds a mirror-symmetric
+    window, such as a trapezoid's (0, t_total), over its first half and
+    decomposes a 2x2 in closed form.  No 9x9 matrix is decomposed, and
+    each side is checked to be unitary.
 
     g_of_t (MHz) is called once, on the array of midpoint times, and
     follows evolve_affine's rule for scale_of_t: one finite value per time,
@@ -257,15 +294,10 @@ def rwa_residual(
     pair = _Pair(np.sum(runs.area), *_su2_fold(runs.p, runs.q), t_total)
     u_rwa = np.exp(1j * clock * n_total * t_total)[:, None] * pair.matrix(eta * MHZ_TO_RAD_NS)
 
-    d_x, g_rad = d_lab[_EXCHANGE_REPS], g * MHZ_TO_RAD_NS
-    u = np.zeros((9, 9), dtype=complex)
-    u[_EXCHANGE_UNCOUPLED, _EXCHANGE_UNCOUPLED] = np.exp(-1j * d_x[_EXCHANGE_UNCOUPLED] * t_total)
-    for block in _EXCHANGE_BLOCKS:
-        # evolve_affine samples the same midpoint grid, so g is not sampled again
-        u[block, block] = evolve_affine(
-            np.diag(d_x[block]), _EXCHANGE_XX[block, block], lambda ts: g_rad, t_span, dt
-        )
-    u_exact = _EXCHANGE @ u @ _EXCHANGE.T
+    # evolve_affine samples the same midpoint grid, so g is not sampled again
+    g_rad = g * MHZ_TO_RAD_NS
+    xx = np.kron(x_op(), x_op()).real
+    u_exact = _evolve_exchange_blocks(np.diag(d_lab), xx, lambda ts: g_rad, t_span, dt)
     return float(np.linalg.norm(_unitary(u_exact) - _unitary(u_rwa), ord=2))
 
 

@@ -158,3 +158,12 @@ def rwa_residual_rotating(
     u_exact = evolve(h_exact, t_span, dt)
     u_rwa = evolve_affine(diag, w_rwa, g_values, t_span, dt)
     return float(np.linalg.norm(u_exact - u_rwa, ord=2))
+
+
+def dense_pair_ramp(eta: float, pulse, dt: float) -> np.ndarray:
+    """The pair's up ramp R on the dense 9x9 evolve_affine, whose every run
+    is a 9x9 np.linalg.eigh: the oracle's ramp before it ran in exchange
+    blocks."""
+    g = lambda ts: pulse.value(ts) * MHZ_TO_RAD_NS
+    return evolve_affine(chain_hamiltonian(eta, [0.0]), coupling_operator(0, 2), g,
+                         pulse.ramp_window, dt)

@@ -1,8 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from _oracles import dense_pair_ramp
 from _reference import G_OPT, T_OPT
-from qutritchain import chain
+from qutritchain import chain, evolution
 from qutritchain.chain import (
     ChainSchedule,
     edge_permutation,
@@ -13,7 +17,7 @@ from qutritchain.chain import (
     uniform_state,
     validate_front_vs_full,
 )
-from qutritchain.evolution import evolve, evolve_affine
+from qutritchain.evolution import _midpoints, evolve, evolve_affine
 from qutritchain.model import (
     MHZ_TO_RAD_NS,
     basis_index,
@@ -22,9 +26,17 @@ from qutritchain.model import (
     embed,
 )
 from qutritchain.pulse import TrapezoidPulse
-from qutritchain.transfer import evolve_transfer, measure_compensation, phase_gate
+from qutritchain.transfer import (
+    _evolve_exchange_blocks,
+    _Pair,
+    evolve_transfer,
+    measure_compensation,
+    phase_gate,
+)
 
 ETA = 200.0
+EPS = np.finfo(float).eps
+PROPS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
 
 def norm_deficit(front):
@@ -329,19 +341,52 @@ def test_full_chain_equals_per_edge_product(n):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_full_chain_ramp_is_pair_sized(monkeypatch, n):
-    # the ramp is evolved on the 9-dim pair; only the plateau is 3^n-dim
-    decomposed = {}
+    # the ramp is evolved on the 9-dim pair in exchange blocks: the 2x2
+    # {11, s02} and the diagonal block {s01, a01, s12, a12}, one closed-form
+    # decomposition each per ramp step (00, 22 and a02, which W does not
+    # touch, are phases); only the plateau is 3^n-dim, and nothing is 9x9
+    decomposed = Counter()
 
-    def counted(hs):
-        decomposed[hs.shape[-1]] = decomposed.get(hs.shape[-1], 0) + len(hs)
-        return eigh(hs)
+    def counted(d, w, cs):
+        decomposed[d.shape[0]] += len(cs)
+        return eigh(d, w, cs)
 
-    eigh = np.linalg.eigh
+    eigh = evolution._eigh
     schedule, _, _ = make_schedule(G_OPT, T_OPT, 2.0, ETA, n - 1, dt=0.001)
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(evolution, "_eigh", counted)
     evolve_chain_full(schedule, ETA, dt=0.001)
-    assert decomposed.pop(3**n) == 1
-    assert set(decomposed) == {9}
+    ramp_steps = len(_midpoints(schedule.step_pulse.ramp_window, 0.001)[0])
+    assert decomposed == {3**n: 1, 2: ramp_steps, 4: ramp_steps}
+
+
+@PROPS
+@given(
+    eta=st.floats(150.0, 290.0),
+    dt=st.sampled_from([0.001, 0.002, 0.004]),
+    t_ramp=st.floats(0.0, 3.0),
+)
+@example(eta=200.0, dt=0.001, t_ramp=0.0)
+@example(eta=200.0, dt=0.004, t_ramp=0.0015)  # one step, shorter than dt
+@example(eta=170.0, dt=0.001, t_ramp=0.0015)  # two steps
+def test_blocked_pair_ramp_matches_the_dense_one(eta, dt, t_ramp):
+    # the oracle's R_pair in exchange blocks against the dense 9x9 ramp on
+    # the same grid, both on evolve_affine.  Against the pair's closed form
+    # the dense ramp drifts by up to 1.3 eps per step and the blocked one by
+    # 0.22 (ramps of 10 steps or more, 1500 random cases over eta 150-290
+    # MHz and dt 1-4 ps); a one-step ramp differs by up to 5 eps (the dense
+    # step's 9x9 eigh and the blocks' change of basis).  An empty ramp is
+    # the identity on both, exactly.
+    pulse = TrapezoidPulse(G_OPT, T_OPT, t_ramp)
+    g = lambda ts: pulse.value(ts) * MHZ_TO_RAD_NS
+    blocked = _evolve_exchange_blocks(
+        chain_hamiltonian(eta, [0.0]), coupling_operator(0, 2), g, pulse.ramp_window, dt
+    )
+    mids, dt_ramp = _midpoints(pulse.ramp_window, dt)
+    n_steps = len(mids)
+    closed = _Pair.ramp(pulse.value(mids), eta, dt_ramp).matrix(eta * MHZ_TO_RAD_NS)
+    assert np.abs(blocked - closed).max() <= (n_steps + 2) * EPS * bool(n_steps)
+    dense = dense_pair_ramp(eta, pulse, dt)
+    assert np.abs(blocked - dense).max() <= (2 * n_steps + 8) * EPS * bool(n_steps)
 
 
 @pytest.mark.parametrize("n, dt", [(3, 0.001), (4, 0.004)])

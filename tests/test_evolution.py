@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy import kron
 
 from qutritchain import chain, evolution, transfer
@@ -261,21 +262,24 @@ def test_propagator_validates_unitarity(monkeypatch):
         with pytest.raises(ValueError, match="not unitary"):
             evolve(lambda ts: np.zeros((len(ts), 2, 2)), (0.0, 1.0), 0.1)
     # evolve_affine folds in the eigenbases of its runs: stretch their
-    # eigenvectors, for a window of one run and one of ten
-    eigh = np.linalg.eigh
+    # eigenvectors, for a window of one run and one of ten, on each path of
+    # the decomposition (2x2 and diagonal in closed form, np.linalg.eigh)
+    eigh = evolution._eigh
 
-    def stretched(hs):
-        lam, v = eigh(hs)
+    def stretched(d, w, cs):
+        lam, v = eigh(d, w, cs)
         return lam, 2.0 * v
 
     with monkeypatch.context() as m:
-        m.setattr(np.linalg, "eigh", stretched)
-        for scale_of_t in (lambda ts: np.zeros_like(ts), lambda ts: ts):
-            with pytest.raises(ValueError, match="not unitary"):
-                evolve_affine(np.eye(2), np.diag([1.0, -1.0]), scale_of_t, (0.0, 1.0), 0.1)
-    # the full-chain oracle checks its step R^T P R: a non-unitary dense ramp
+        m.setattr(evolution, "_eigh", stretched)
+        for d, w in ((np.eye(2), x_op()[:2, :2]), (np.eye(3), np.diag([1.0, 0.0, -1.0])),
+                     (np.eye(3), x_op())):
+            for scale_of_t in (lambda ts: np.zeros_like(ts), lambda ts: ts):
+                with pytest.raises(ValueError, match="not unitary"):
+                    evolve_affine(d, w, scale_of_t, (0.0, 1.0), 0.1)
+    # the full-chain oracle checks its step R^T P R: a non-unitary ramp
     with monkeypatch.context() as m:
-        m.setattr(chain, "evolve_affine", lambda d, *args: 2.0 * np.eye(len(d)))
+        m.setattr(chain, "_evolve_exchange_blocks", lambda d, *args: 2.0 * np.eye(len(d)))
         schedule = ChainSchedule(TrapezoidPulse(30.0, 10.0, 2.0), 1, (0.0, 0.0))
         with pytest.raises(ValueError, match="not unitary"):
             evolve_chain_full(schedule, 200.0, dt=0.01)
@@ -325,6 +329,7 @@ def _triangle(n):
 
 
 _EPS = np.finfo(float).eps
+PROPS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 # values per step, and the runs evolve_affine decomposes for them
 MIRRORED = {
     # a single middle step: 11 runs
@@ -392,6 +397,77 @@ def test_unmirrored_window_decomposes_every_run(monkeypatch, window):
     n, err = _decompositions_and_error(monkeypatch, d, w, values, 0.05)
     assert n == runs
     assert err < 1e-12
+
+
+def _closed_form_pair(dim, degeneracy, draw_entries):
+    """Real symmetric d and w of size dim (2x2, or diagonal for any other
+    dim), from draw_entries(k) -> k floats, with a degeneracy that the
+    stack d + c w takes at c = 1 or at every c."""
+    a = np.array(draw_entries(6))
+    if dim == 2:
+        d, w = np.array([[a[0], a[1]], [a[1], a[2]]]), np.array([[a[3], a[4]], [a[4], a[5]]])
+        if degeneracy == "b = 0":  # at c = 1
+            w[0, 1] = w[1, 0] = -d[0, 1]
+        elif degeneracy == "a = c":
+            d[1, 1], w[1, 1] = d[0, 0], w[0, 0]
+    else:
+        d, w = np.diag(draw_entries(dim)), np.diag(draw_entries(dim))
+    if degeneracy == "zero":  # at c = 0
+        d = np.zeros_like(d)
+    return d, w
+
+
+@PROPS
+@given(
+    dim=st.sampled_from([2, 1, 3, 5]),
+    degeneracy=st.sampled_from(["none", "b = 0", "a = c", "zero"]),
+    exponent=st.integers(-150, 150),
+    data=st.data(),
+)
+def test_closed_form_decompositions_match_lapack(dim, degeneracy, exponent, data):
+    # evolution._eigh's 2x2 and diagonal closed forms, at scales 1e-150 to
+    # 1e150: residual and orthonormality within a few eps, eigenvalues as
+    # LAPACK's, ascending for the 2x2 (a diagonal keeps its own order)
+    unit = st.floats(-1.0, 1.0)
+    draw_entries = lambda k: data.draw(st.lists(unit, min_size=k, max_size=k))
+    d, w = _closed_form_pair(dim, degeneracy, draw_entries)
+    d, w = d * 10.0**exponent, w * 10.0**exponent
+    cs = np.array([0.0, 1.0] + data.draw(st.lists(st.floats(-3.0, 3.0), max_size=6)))
+    hs = d[None] + cs[:, None, None] * w[None]
+    lam, v = evolution._eigh(d, w, cs)
+    size = np.abs(hs).max(axis=(1, 2))
+    residual = np.abs(hs @ v - v * lam[:, None, :]).max(axis=(1, 2))
+    assert np.all(residual <= 4 * dim * _EPS * size)
+    assert np.abs(v.transpose(0, 2, 1) @ v - np.eye(dim)).max() <= 4 * _EPS
+    assert np.all(np.abs(np.sort(lam) - np.linalg.eigh(hs)[0]).max(axis=1) <= 4 * _EPS * size)
+    if dim == 2:
+        assert np.all(lam[:, 0] <= lam[:, 1])
+
+
+@PROPS
+@given(
+    dim=st.sampled_from([2, 1, 4]),
+    degeneracy=st.sampled_from(["none", "b = 0", "a = c", "zero"]),
+    values=st.lists(st.sampled_from([0.0, 1.0, -0.5, 2.0, 3.5]), min_size=1, max_size=120),
+    data=st.data(),
+)
+def test_evolve_affine_in_closed_form_matches_lapack(dim, degeneracy, values, data):
+    # the same window with every run decomposed by np.linalg.eigh instead,
+    # at up to ~0.3 rad per step.  The two differ by up to 1.6 eps per step
+    # (6000 random scratch windows), mostly LAPACK's roundoff: against a
+    # long-double product of the exact run unitaries, the 2x2 closed form
+    # is within 0.49 n_steps eps and LAPACK within 1.09 (400 windows)
+    unit = st.floats(-1.0, 1.0)
+    draw_entries = lambda k: data.draw(st.lists(unit, min_size=k, max_size=k))
+    d, w = _closed_form_pair(dim, degeneracy, draw_entries)
+    dt, c = 0.05, _step_values(values, 0.05)
+    window = (0.0, len(values) * dt)
+    u = evolve_affine(d, w, c, window, dt)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(evolution, "_eigh",
+                  lambda d, w, cs: np.linalg.eigh(d[None] + cs[:, None, None] * w[None]))
+        u_lapack = evolve_affine(d, w, c, window, dt)
+    assert np.abs(u - u_lapack).max() <= (2 * len(values) + 2) * _EPS
 
 
 def test_evolve_affine_memory_is_bounded_by_chunk():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy import kron
 
 from _oracles import number_op, rwa_residual_generic, rwa_residual_rotating
+from qutritchain import evolution
 from qutritchain.evolution import _midpoints, evolve, hermiticity_defect
 from qutritchain.model import (
     MHZ_TO_RAD_NS,
@@ -216,15 +217,16 @@ def test_rwa_residual_dt_halving():
 
 
 def decomposed_by_dimension(monkeypatch) -> Counter:
-    """Matrices np.linalg.eigh decomposes from here on, by dimension."""
+    """Matrices evolution._eigh decomposes from here on, by dimension: in
+    closed form (2x2 and diagonal) or by np.linalg.eigh."""
     decomposed = Counter()
 
-    def counted(hs):
-        decomposed[hs.shape[-1]] += int(np.prod(hs.shape[:-2]))
-        return eigh(hs)
+    def counted(d, w, cs):
+        decomposed[d.shape[0]] += len(cs)
+        return eigh(d, w, cs)
 
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    eigh = evolution._eigh
+    monkeypatch.setattr(evolution, "_eigh", counted)
     return decomposed
 
 
@@ -235,7 +237,7 @@ def test_rwa_residual_plateau_is_one_eigendecomposition(monkeypatch):
     # no 9x9 matrix and nothing on the RWA side (a closed form); each of the
     # exact side's coupled exchange blocks, one 4x4 and two 2x2, decomposes
     # the 1000 up-ramp steps, whose mirror image is the down ramp, and one
-    # matrix for the plateau
+    # matrix for the plateau; {a02}, which XX does not touch, is a phase
     assert decomposed == {4: 1000 + 1, 2: 2 * (1000 + 1)}
 
 

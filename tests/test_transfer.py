@@ -181,6 +181,27 @@ def test_optimizer_builds_each_ramp_once(monkeypatch):
     assert rep.fidelity == pytest.approx(0.9999618550421556, abs=1e-9)
 
 
+def _symmetry_breaking_pair(case):
+    """A pair Hamiltonian that is not block diagonal in the exchange basis."""
+    if case == "unequal etas":
+        local = lambda eta: np.diag([0.0, 0.0, -eta * MHZ_TO_RAD_NS])
+        return np.kron(local(200.0), np.eye(3)) + np.kron(np.eye(3), local(210.0))
+    d = chain_hamiltonian(200.0, [0.0]).real
+    d[basis_index("00"), basis_index("11")] = d[basis_index("11"), basis_index("00")] = 0.1
+    return d
+
+
+@pytest.mark.parametrize("case", ["unequal etas", "a |00>-|11> coupling"])
+def test_exchange_blocks_reject_a_pair_that_is_not_block_diagonal(case):
+    # unequal etas couple s02 to a02 and s12 to a12, and a |00>-|11> term
+    # in d couples two states of the diagonal block; either would be
+    # dropped by evolving the blocks apart
+    with pytest.raises(ValueError, match="d is not diagonal in the exchange basis"):
+        transfer._evolve_exchange_blocks(
+            _symmetry_breaking_pair(case), coupling_operator(0, 2), lambda ts: 1.0, (0.0, 1.0), 0.1
+        )
+
+
 def test_report_json_keys(u_opt):
     rep = measure_report(u_opt, G_OPT, T_OPT)
     d = rep.to_dict()
