@@ -163,15 +163,16 @@ def evolve_chain_full(schedule: ChainSchedule, eta: float, dt: float = 0.001) ->
     own window [0, T], as evolve_transfer's R^T P R
     (transfer._trapezoid_propagator) on the same grid.  The up ramp R comes
     from the generic evolve_affine instead of the pair's closed form: front
-    and full chain share one discretization but not one ramp code.  At edge
-    0 the coupling is W_pair x I and the diagonal is D_pair x I + I x
-    D_idle, whose idle part commutes with both, so R = R_pair x
-    exp(-i D_idle t_ramp) with R_pair evolved on the 9-dim pair (both
-    factors sliced from the 3^n operators), in exchange blocks
-    (transfer._evolve_exchange_blocks): the 2x2 {11, s02} and the diagonal
-    {s01, a01, s12, a12} on evolve_affine, both decomposed in closed form,
-    and phases for 00, 22 and a02.  The plateau P is one dense 3^n-dim
-    exponential.  Every qutrit has the same eta, so the edge-k
+    and full chain share one discretization and the SU(2) product
+    (evolution._su2_fold), but not one ramp code.  At edge 0 the coupling
+    is W_pair x I and the diagonal is D_pair x I + I x D_idle, whose idle
+    part commutes with both, so R = R_pair x exp(-i D_idle t_ramp) with
+    R_pair evolved on the 9-dim pair (both factors sliced from the 3^n
+    operators), in exchange blocks (transfer._evolve_exchange_blocks): the
+    2x2 {11, s02} on evolve_affine, an SU(2) fold of its runs with no
+    decomposition, and phases for the states that W couples to no other
+    (00, 22, a02, s01, a01, s12, a12).  The plateau P is one dense
+    3^n-dim exponential.  Every qutrit has the same eta, so the edge-k
     Hamiltonian is the edge-0 one with its qutrits relabelled; the edge-0
     step is evolved once, checked to be unitary, and relabelled by
     edge_permutation.  A schedule of no steps is a ValueError.

@@ -25,6 +25,13 @@ CHUNK_BYTES = 2_000_000
 # runs evolve_affine multiplies out one by one before its pairwise fold; a
 # batch holds at least one lane
 LANE = 16
+# steps of the arrowhead secular iteration (_secular_eigh) before a matrix
+# goes to LAPACK
+SECULAR_ITERATIONS = 16
+# matrices the secular solver takes at once: its ~15 (n, batch) float
+# arrays stay within ~0.5 MB at n = 4
+SECULAR_BATCH = 1024
+_EPS, _TINY, _MAX = np.finfo(float).eps, np.finfo(float).tiny, np.finfo(float).max
 
 
 def _finite(x) -> bool:
@@ -154,26 +161,29 @@ def evolve_affine(
     """Evolution under h(t) = d + c(t) w with Hermitian d, w and real c(t).
 
     Same midpoint integrator as evolve(), but each run of equal sampled c
-    values is one exponential exp(-i h dt * run) from one eigendecomposition
-    h = V diag(lam) V^H; a pulse plateau then costs one eigendecomposition
-    and is exact.  The run unitaries are never built: with Phi_k =
-    exp(-i lam_k dt * run_k), the product is taken in the eigenbases,
-    U = V_K Phi_K (V_K^H V_{K-1}) Phi_{K-1} ... (V_1^H V_0) Phi_0 V_0^H,
-    where each link V_k^H V_{k-1} is a real matmul for real d and w.  Runs
-    are decomposed in batches of CHUNK_BYTES of matrices, with no loop over
-    steps, by _eigh: in closed form for real 2x2 or diagonal d and w, by
-    np.linalg.eigh otherwise.  A batch's factors are multiplied out in
-    lanes of LANE runs (see _lane_products) and the lanes folded pairwise.
-    scale_of_t must accept an array of times and return one finite value
-    per time; a 0-d return, as from lambda t: 0.0, is broadcast to every
-    time.  Any other return is a ValueError before any decomposition.
+    values is one exact exponential exp(-i h dt * run), so a pulse plateau
+    is one run, and the runs' product (_run_product) has no loop over
+    steps.  Real 2x2 d and w take no decomposition: each run is an SU(2)
+    element times a phase, and the elements are folded pairwise with the
+    phases summed (_su2_run_product).  Any other size is chained through
+    the runs' eigenbases (_eigenbasis_product): with h = V diag(lam) V^H
+    and Phi_k = exp(-i lam_k dt * run_k), U = V_K Phi_K (V_K^H V_{K-1})
+    Phi_{K-1} ... (V_1^H V_0) Phi_0 V_0^H, where each link V_k^H V_{k-1}
+    is a real matmul for real d and w.  Its runs are decomposed in batches
+    of CHUNK_BYTES of matrices by _eigh: a real arrowhead by its secular
+    equation, any other pair by np.linalg.eigh.  A batch's factors are
+    multiplied out in lanes of LANE runs (see _lane_products) and the
+    lanes folded pairwise.  scale_of_t must accept an array of times and
+    return one finite value per time; a 0-d return, as from lambda t: 0.0,
+    is broadcast to every time.  Any other return is a ValueError before
+    any run is multiplied out.
 
     A mirrored window is folded over its first half.  It has real d and w,
     more than one run, run lengths equal to their reverse, and run values
     equal to their reverse within MIRROR_TOL * max|c|.  A real symmetric
     step exp(-i h dt) is its own transpose, so with R the product of the
     first half's runs and M the middle run (the identity for an even run
-    count), U = R^T M R: half the eigendecompositions.  That U is the exact
+    count), U = R^T M R: half the runs.  That U is the exact
     product for the second half's values replaced by their mirror images,
     which moves h by at most MIRROR_TOL * max|c| * ||w||_2 and U by at most
     that times (t1 - t0) / 2, so it is within roundoff of the sampled-step
@@ -217,38 +227,214 @@ def evolve_affine(
     return _unitary(_run_product(d, w, cs, lengths, dt_eff))
 
 
-def _eigh(d: np.ndarray, w: np.ndarray, cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of the stack of Hermitian d + cs[k] w,
-    as np.linalg.eigh gives them, in closed form for real 2x2 or diagonal
-    d and w, with no stack built.  A 2x2 [[a, b], [b, c]] is m I +
-    r [[cos 2t, sin 2t], [sin 2t, -cos 2t]] with m = (a + c) / 2,
-    r = hypot((a - c) / 2, b) and 2t = atan2(b, (a - c) / 2), so lam =
-    m -+ r (ascending) with eigenvectors (-sin t, cos t) and (cos t, sin t).
-    A diagonal matrix keeps its diagonal as lam, in its own order, with
-    V = I.  Any other pair goes to np.linalg.eigh."""
+def _su2_mul(a1, b1, a0, b0):
+    """First row of the SU(2) product [[a1, b1], [-conj(b1), conj(a1)]]
+    [[a0, b0], [-conj(b0), conj(a0)]], which is again of that form."""
+    return a1 * a0 - b1 * np.conj(b0), a1 * b0 + b1 * np.conj(a0)
+
+
+def _su2_fold(a: np.ndarray, b: np.ndarray) -> tuple[complex, complex]:
+    """Time-ordered product of the SU(2) steps [[a_k, b_k], [-conj(b_k),
+    conj(a_k)]], later step on the left, as the first row (a, b) of the
+    product.  The steps are padded with identities (1, 0) to a power of two,
+    then each level multiplies neighbouring pairs (_su2_mul) in the same
+    tree as _fold."""
+    pad = (1 << (len(a) - 1).bit_length()) - len(a)
+    a, b = np.concatenate((a, np.ones(pad))), np.concatenate((b, np.zeros(pad)))
+    while len(a) > 1:
+        a, b = _su2_mul(a[1::2], b[1::2], a[0::2], b[0::2])
+    return a[0], b[0]
+
+
+def _su2_run_product(
+    d: np.ndarray, w: np.ndarray, cs: np.ndarray, lengths: np.ndarray, dt_eff: float
+) -> np.ndarray:
+    """_run_product of real 2x2 d and w, with no decomposition.  A run's h =
+    d + c w = [[p, b], [b, q]] is m I + K with m = (p + q) / 2, h- = (p -
+    q) / 2 and K = [[h-, b], [b, -h-]], whose square is r^2 I, r =
+    hypot(h-, b).  Over the run's duration t, exp(-i h t) is therefore
+    exp(-i m t) times the SU(2) element with first row (cos rt - i h- s,
+    -i b s), s = sin(rt) / r (t at r = 0).  The rows are folded by
+    _su2_fold, a batch of _chunk(2) runs at a time, and the phases m t are
+    summed, not multiplied out, so that they add no roundoff per run."""
+    a, b, phase = 1.0 + 0j, 0j, 0.0
+    chunk = _chunk(2)
+    for lo in range(0, len(cs), chunk):
+        c, t = cs[lo : lo + chunk], dt_eff * lengths[lo : lo + chunk]
+        p, off, q = (d[i, j] + c * w[i, j] for i, j in ((0, 0), (0, 1), (1, 1)))
+        half = (p - q) / 2
+        r = np.hypot(half, off)
+        s = np.where(r > 0, np.sin(r * t) / np.where(r > 0, r, 1.0), t)
+        a, b = _su2_mul(*_su2_fold(np.cos(r * t) - 1j * half * s, -1j * off * s), a, b)
+        phase += np.sum((p + q) / 2 * t)
+    return np.exp(-1j * phase) * np.array([[a, b], [-np.conj(b), np.conj(a)]])
+
+
+def _arrowhead(d: np.ndarray, w: np.ndarray) -> tuple[int, np.ndarray] | None:
+    """The centre c and the leaves (the other indices, by ascending d_ii) of
+    real d and w of size n >= 3 whose stack d + c w is an arrowhead with
+    fixed leaf diagonals: d diagonal, every off-diagonal nonzero of w in
+    row and column c, w zero on the leaves' diagonal, and the leaves'
+    diagonals distinct.  None for any other pair."""
     n = d.shape[0]
-    if np.isrealobj(d) and np.isrealobj(w):
-        if n == 2:
-            a, b, c = (d[i, j] + cs * w[i, j] for i, j in ((0, 0), (0, 1), (1, 1)))
-            m, half = (a + c) / 2, (a - c) / 2
-            r, t = np.hypot(half, b), np.arctan2(b, half) / 2
-            cos, sin = np.cos(t), np.sin(t)
-            v = np.array(((-sin, cos), (cos, sin))).transpose(2, 0, 1)
-            return np.stack((m - r, m + r), axis=1), v
-        off = ~np.eye(n, dtype=bool)
-        if not (d[off].any() or w[off].any()):
-            lam = d.diagonal() + cs[:, None] * w.diagonal()
-            return lam, np.repeat(np.eye(n)[None], len(cs), axis=0)
-    return np.linalg.eigh(d[None, :, :] + cs[:, None, None] * w[None, :, :])
+    if n < 3 or not (np.isrealobj(d) and np.isrealobj(w)):
+        return None
+    coupled = (w != 0) & ~np.eye(n, dtype=bool)
+    c = int(np.argmax(coupled.sum(axis=1)))
+    if np.count_nonzero(d - np.diag(d.diagonal())) or coupled.sum() != 2 * coupled[c].sum():
+        return None
+    leaves = np.delete(np.arange(n), c)
+    leaves = leaves[np.argsort(d.diagonal()[leaves])]
+    delta = d.diagonal()[leaves]
+    if w.diagonal()[leaves].any() or np.any(delta[1:] == delta[:-1]):
+        return None
+    return c, leaves
+
+
+def _secular_roots(
+    a: np.ndarray, z2: np.ndarray, delta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The roots lam = sigma + tau of f(lam) = lam - a - sum_i z2_i / (lam -
+    delta_i) for a stack of k centres a, (m, k) squared couplings z2 and
+    ascending leaf diagonals delta, as (m + 1, k) arrays sigma and tau, and
+    whether each tau converged.
+
+    There is one root below delta_1, one between each two neighbouring
+    leaves and one above delta_m.  f rises from -inf to +inf between two
+    poles, so its sign at the midpoint tells the nearer pole sigma of each
+    inner root; an outer root has one.  Each root is found as tau = lam -
+    sigma, so that lam - sigma and every lam - delta_i = tau - (delta_i -
+    sigma) keep their relative accuracy.  A step takes the root on the
+    known side of sigma of tau^2 + (sigma - a - S(tau)) tau - z2_sigma = 0,
+    S(tau) = sum over the other leaves of z2_i / (tau - (delta_i - sigma)),
+    by the formula without cancellation, and keeps it within half the
+    interval: at most SECULAR_ITERATIONS steps, until tau moves by at most
+    2 eps |tau|."""
+    m, k = z2.shape
+    n = m + 1
+    # root j lies between lo[j] and hi[j]
+    lo, hi = np.append(-np.inf, delta), np.append(delta, np.inf)
+    left = np.ones((n, k), dtype=bool)  # nearer its lower pole, tau > 0
+    left[0] = False
+    for j in range(1, m):
+        mid = (lo[j] + hi[j]) / 2
+        left[j] = mid - a - np.sum(z2 / (mid - delta)[:, None], axis=0) > 0
+    # each root's pole is the leaf below it (lower) or above it (upper);
+    # with the lower pole tau > 0, with the upper one tau < 0, and both are
+    # handled as u = |tau| > 0
+    rows = np.arange(n)
+    lower, upper = np.maximum(rows - 1, 0), np.minimum(rows, m - 1)
+
+    def choose(if_lower, if_upper):
+        return np.where(left, if_lower, if_upper)
+
+    sigma = choose(delta[lower, None], delta[upper, None])
+    z2_pole = choose(z2[lower], z2[upper])
+    bound = choose((hi - delta[lower])[:, None], (delta[upper] - lo)[:, None]) / 2
+    # the other leaves, in m - 1 slots, as z2_i / 2 and shift = +-(delta_i -
+    # sigma), signed as tau, so that u - shift = +-(tau - (delta_i - sigma))
+    weight, shift = [], []
+    for r in range(m - 1):
+        beside_lower, beside_upper = r + (r >= lower), r + (r >= upper)
+        weight.append(choose(z2[beside_lower], z2[beside_upper]) / 2)
+        shift.append(choose((delta[beside_lower] - delta[lower])[:, None],
+                            (delta[upper] - delta[beside_upper])[:, None]))
+    # in u, the quadratic is u^2 + 2 h u - z2_sigma = 0 with h = +-(sigma -
+    # a - S(tau)) / 2, and its positive root is z2_sigma / q if h >= 0,
+    # else q, with q = |h| + sqrt(h^2 + z2_sigma)
+    half_base = choose(sigma - a, a - sigma) / 2
+    u = np.zeros((n, k))
+    for _ in range(SECULAR_ITERATIONS):
+        h = half_base.copy()
+        for wr, sr in zip(weight, shift):
+            h -= wr / (u - sr)
+        q = np.abs(h) + np.sqrt(h * h + z2_pole)
+        new = np.minimum(np.where(h >= 0, z2_pole / q, q), bound)
+        converged = np.abs(new - u) <= 2 * _EPS * new
+        u = new
+        if converged.all():
+            break
+    return sigma, choose(u, -u), converged
+
+
+def _secular_eigh(
+    d: np.ndarray, w: np.ndarray, cs: np.ndarray, c: int, leaves: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending), eigenvectors and a converged flag for each
+    arrowhead d + cs[k] w (see _arrowhead), whose couplings z_i = cs[k]
+    w[c, leaf i] must have normal squares, by the arrowhead secular
+    equation (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995).  The
+    eigenvalues are its roots (_secular_roots), and the eigenvector of lam
+    is (1 at the centre, z_i / (lam - delta_i) at leaf i), normalized.
+
+    A matrix counts as converged when its every root has, its centre row's
+    residual is within 2 n eps max|h| and V^T V is within 2 n eps of I.
+    The others' values are not to be used: _eigh sends them to LAPACK."""
+    n, k = d.shape[0], len(cs)
+    delta = d.diagonal()[leaves]
+    a = d[c, c] + cs * w[c, c]
+    z = w[c, leaves][:, None] * cs
+    with np.errstate(all="ignore"):
+        sigma, tau, converged = _secular_roots(a, z * z, delta)
+        lam = sigma + tau
+        # v[row, j] for the eigenvector of lam_j: 1 at the centre and x_ij =
+        # z_i / (lam_j - delta_i) at leaf i, over the norm
+        x = delta[:, None, None] - sigma
+        np.subtract(tau, x, out=x)
+        np.divide(z[:, None, :], x, out=x)
+        norm = np.sqrt(1.0 + sum(xi * xi for xi in x))
+        v = np.empty((n, n, k))
+        v[c], v[leaves] = 1.0 / norm, np.divide(x, norm, out=x)
+        del x
+        size = np.maximum(np.maximum(np.abs(a), np.abs(delta).max()), np.abs(z).max(axis=0))
+        residual = (a - lam) * v[c] + sum(zi * v[leaf] for zi, leaf in zip(z, leaves))
+        ok = converged.all(axis=0) & np.all(np.abs(residual) <= 2 * n * _EPS * size, axis=0)
+        for i in range(n):
+            for j in range(i + 1):
+                ok &= np.abs(np.sum(v[:, i] * v[:, j], axis=0) - (i == j)) <= 2 * n * _EPS
+    return lam.T.copy(), v.transpose(2, 0, 1).copy(), ok
+
+
+def _eigh(d: np.ndarray, w: np.ndarray, cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of the stack of Hermitian
+    d + cs[k] w, as np.linalg.eigh gives them.  A real arrowhead
+    (_arrowhead) is solved by its secular equation (_secular_eigh),
+    SECULAR_BATCH matrices at a time, with no stack built.  Its matrices
+    with a coupling whose square is not a normal float, and those that do
+    not converge, go to np.linalg.eigh, as does every other pair."""
+    arrow = _arrowhead(d, w)
+    if arrow is None:
+        return np.linalg.eigh(d[None, :, :] + cs[:, None, None] * w[None, :, :])
+    n = d.shape[0]
+    lam, v = np.empty((len(cs), n)), np.empty((len(cs), n, n))
+    with np.errstate(over="ignore"):
+        z2 = (cs[:, None] * w[arrow[0], arrow[1]]) ** 2
+    solved = np.all((z2 >= _TINY) & (z2 <= _MAX), axis=1)
+    for lo in range(0, len(cs), SECULAR_BATCH):
+        batch = lo + np.flatnonzero(solved[lo : lo + SECULAR_BATCH])
+        lam[batch], v[batch], solved[batch] = _secular_eigh(d, w, cs[batch], *arrow)
+    rest = ~solved
+    if rest.any():
+        lam[rest], v[rest] = np.linalg.eigh(d[None] + cs[rest, None, None] * w[None])
+    return lam, v
 
 
 def _run_product(
     d: np.ndarray, w: np.ndarray, cs: np.ndarray, lengths: np.ndarray, dt_eff: float
 ) -> np.ndarray:
     """Product of the run exponentials exp(-i (d + cs[k] w) dt_eff lengths[k]),
-    the earliest on the right, chained through the runs' eigenbases (_eigh)
-    in batches of _chunk runs (see evolve_affine); no runs give the
-    identity."""
+    the earliest on the right: by _su2_run_product for real 2x2 d and w,
+    by _eigenbasis_product for any other; no runs give the identity."""
+    if d.shape[0] == 2 and np.isrealobj(d) and np.isrealobj(w):
+        return _su2_run_product(d, w, cs, lengths, dt_eff)
+    return _eigenbasis_product(d, w, cs, lengths, dt_eff)
+
+
+def _eigenbasis_product(
+    d: np.ndarray, w: np.ndarray, cs: np.ndarray, lengths: np.ndarray, dt_eff: float
+) -> np.ndarray:
+    """_run_product chained through the runs' eigenbases (_eigh) in batches
+    of _chunk runs (see evolve_affine)."""
     dim = d.shape[0]
     chunk = _chunk(dim)
     # u: the product so far, in the eigenbasis v_last of its last run

@@ -61,18 +61,19 @@ def basis_index(label: str) -> int:
 
 
 def embed(op: np.ndarray, k: int, n: int) -> np.ndarray:
-    """Embed a single-qutrit operator on qutrit k (0-based) into n qutrits."""
-    out = np.eye(1, dtype=complex)
-    for j in range(n):
-        out = np.kron(out, op if j == k else np.eye(3, dtype=complex))
-    return out
+    """Embed a single-qutrit operator on qutrit k (0-based) into n qutrits:
+    I_(3^k) x op x I_(3^(n-k-1))."""
+    return np.kron(np.kron(np.eye(3**k, dtype=complex), op),
+                   np.eye(3 ** (n - k - 1), dtype=complex))
 
 
 def coupling_operator(k: int, n: int) -> np.ndarray:
-    """(X_k X_k+1 + Y_k Y_k+1) / 2 embedded in n qutrits (0-based edge k)."""
-    xx = embed(x_op(), k, n) @ embed(x_op(), k + 1, n)
-    yy = embed(y_op(), k, n) @ embed(y_op(), k + 1, n)
-    return (xx + yy) / 2.0
+    """(X_k X_k+1 + Y_k Y_k+1) / 2 embedded in n qutrits (0-based edge k):
+    the 9x9 pair operator between identities on the qutrits before and
+    after the edge."""
+    pair = (np.kron(x_op(), x_op()) + np.kron(y_op(), y_op())) / 2.0
+    return np.kron(np.kron(np.eye(3**k, dtype=complex), pair),
+                   np.eye(3 ** (n - k - 2), dtype=complex))
 
 
 def chain_hamiltonian(eta: float, couplings: Sequence[float]) -> np.ndarray:
@@ -89,11 +90,13 @@ def chain_hamiltonian(eta: float, couplings: Sequence[float]) -> np.ndarray:
         raise ValueError(
             f"full Hilbert space capped at {MAX_FULL_QUTRITS} qutrits (3^{n} dims requested)"
         )
-    dim = 3**n
-    h = np.zeros((dim, dim), dtype=complex)
-    local = np.diag([0.0, 0.0, -eta * MHZ_TO_RAD_NS]).astype(complex)
+    # the diagonal qutrit by qutrit: qutrit i's (0, 0, -eta), each entry
+    # repeated over the qutrits after it and tiled over those before it
+    diagonal = np.zeros(3**n)
+    local = np.array([0.0, 0.0, -eta * MHZ_TO_RAD_NS])
     for i in range(n):
-        h += embed(local, i, n)
+        diagonal += np.tile(np.repeat(local, 3 ** (n - i - 1)), 3**i)
+    h = np.diag(diagonal).astype(complex)
     for k, g in enumerate(couplings):
         if not -1e-12 <= g <= COUPLING_CAP_MHZ + 1e-9:
             raise ValueError(f"g_{k} = {g} MHz outside 0..{COUPLING_CAP_MHZ} MHz")

@@ -23,6 +23,8 @@ from .evolution import (
     _n_steps,
     _per_time,
     _runs,
+    _su2_fold,
+    _su2_mul,
     _unitary,
     evolve_affine,
 )
@@ -66,25 +68,6 @@ MAX_SWEEPS = 8
 
 _PAIR_W = coupling_operator(0, 2)  # the pair's W in H(g) = D + g W, which no eta changes
 _PAIR_W.flags.writeable = False
-
-
-def _su2_mul(a1, b1, a0, b0):
-    """First row of the SU(2) product [[a1, b1], [-conj(b1), conj(a1)]]
-    [[a0, b0], [-conj(b0), conj(a0)]], which is again of that form."""
-    return a1 * a0 - b1 * np.conj(b0), a1 * b0 + b1 * np.conj(a0)
-
-
-def _su2_fold(a: np.ndarray, b: np.ndarray) -> tuple[complex, complex]:
-    """Time-ordered product of the SU(2) steps [[a_k, b_k], [-conj(b_k),
-    conj(a_k)]], later step on the left, as the first row (a, b) of the
-    product.  The steps are padded with identities (1, 0) to a power of two,
-    then each level multiplies neighbouring pairs (_su2_mul) in the same
-    tree as evolution._fold."""
-    pad = (1 << (len(a) - 1).bit_length()) - len(a)
-    a, b = np.concatenate((a, np.ones(pad))), np.concatenate((b, np.zeros(pad)))
-    while len(a) > 1:
-        a, b = _su2_mul(a[1::2], b[1::2], a[0::2], b[0::2])
-    return a[0], b[0]
 
 
 class _Pair(namedtuple("_Pair", "area p q t")):
@@ -215,32 +198,31 @@ def _evolve_exchange_blocks(d, w, scale_of_t, t_span, dt: float) -> np.ndarray:
     _EXCHANGE.  Each entry of B^T m and of (B^T m) B is a sum of at most
     two nonzero exact terms, so an entry that exchange symmetry zeroes is
     exactly 0.  The blocks are the sets of states that w's nonzero
-    off-diagonal entries connect.  The states that it connects to no other
-    are evolved together as one diagonal block, which evolve_affine
-    decomposes in closed form, as it does a 2x2 block; a state that w does
-    not touch at all only turns by its phase exp(-i d T) over the grid's
-    duration T.  d must be diagonal in the exchange basis: an off-diagonal
+    off-diagonal entries connect, each evolved by evolve_affine (a 2x2 by
+    its SU(2) fold, an arrowhead by its secular equation).  A state that w
+    connects to no other only turns by its phase exp(-i (d_ii T + w_ii A))
+    over the grid's duration T, with A = sum_k c_k dt_eff from the samples
+    that scale_of_t returns on evolve_affine's grid, checked as it checks
+    them.  d must be diagonal in the exchange basis: an off-diagonal
     entry, such as those of unequal etas, would couple two blocks or two
-    states of the diagonal block, and is a ValueError.
+    one-state blocks, and is a ValueError.
     """
     d_x, w_x = ((_EXCHANGE.T @ m @ _EXCHANGE) * _EXCHANGE_SCALE for m in (d, w))
     off = np.abs(d_x - np.diag(d_x.diagonal())).max()
     if off:
         raise ValueError(f"d is not diagonal in the exchange basis: max off-diagonal {off:.3e}")
+    mids, dt_eff = _midpoints(t_span, dt)
+    c = _per_time(scale_of_t(mids), mids, "scale_of_t")
     reach = (w_x != 0) | np.eye(9, dtype=bool)
     for _ in range(3):  # paths of up to 8 steps connect any two of 9 states
         reach = (reach.astype(int) @ reach) > 0
-    blocks = sorted({tuple(np.flatnonzero(row)) for row in reach if row.sum() > 1})
-    touched = w_x.any(axis=0)
-    isolated = tuple(np.flatnonzero((reach.sum(axis=1) == 1) & touched))
-    if isolated:
-        blocks.append(isolated)
-    mids, dt_eff = _midpoints(t_span, dt)
-    u = np.diag(np.where(touched, 0.0, np.exp(-1j * d_x.diagonal() * (dt_eff * len(mids)))))
-    for block in blocks:
+    single = reach.sum(axis=1) == 1
+    angle = d_x.diagonal() * (dt_eff * len(c)) + w_x.diagonal() * (dt_eff * np.sum(c))
+    u = np.diag(np.where(single, np.exp(-1j * angle), 0.0))
+    for block in sorted({tuple(np.flatnonzero(row)) for row in reach[~single]}):
         grid = np.ix_(block, block)
         u[grid] = evolve_affine(np.diag(d_x.diagonal()[list(block)]), w_x[grid],
-                                scale_of_t, t_span, dt)
+                                lambda ts: c, t_span, dt)
     return _EXCHANGE @ (u * _EXCHANGE_SCALE) @ _EXCHANGE.T
 
 
@@ -269,9 +251,12 @@ def rwa_residual(
     diagonal (_evolve_exchange_blocks); {a02}, which XX does not touch, is
     a constant phase, and the 4x4 {00, 11, 22, s02} and the 2x2 {s01, s12}
     and {a01, a12} run on evolve_affine, which folds a mirror-symmetric
-    window, such as a trapezoid's (0, t_total), over its first half and
-    decomposes a 2x2 in closed form.  No 9x9 matrix is decomposed, and
-    each side is checked to be unitary.
+    window, such as a trapezoid's (0, t_total), over its first half.  The
+    2x2 blocks are SU(2) folds.  The 4x4 is an arrowhead, in which XX
+    couples 11 to each of the other three and to nothing else, and its
+    runs are decomposed by its secular equation; at omega = -eta / 2 its
+    three other diagonals are equal, and they go to LAPACK.  No 9x9 matrix
+    is decomposed, and each side is checked to be unitary.
 
     g_of_t (MHz) is called once, on the array of midpoint times, and
     follows evolve_affine's rule for scale_of_t: one finite value per time,

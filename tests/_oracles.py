@@ -1,9 +1,12 @@
 """Reference implementations shared by the tests, independent of the
 package's closed forms and fast paths, and the helpers only tests use
-(number_op, count_transfer_peaks, choi)."""
+(number_op, count_transfer_peaks, choi, runs_by_dimension)."""
+
+from collections import Counter
 
 import numpy as np
 
+from qutritchain import evolution
 from qutritchain.evolution import (
     HERMITIAN_TOL,
     _batch_step_unitaries,
@@ -17,6 +20,7 @@ from qutritchain.model import (
     chain_hamiltonian,
     coupling_operator,
     x_op,
+    y_op,
 )
 
 
@@ -167,3 +171,58 @@ def dense_pair_ramp(eta: float, pulse, dt: float) -> np.ndarray:
     g = lambda ts: pulse.value(ts) * MHZ_TO_RAD_NS
     return evolve_affine(chain_hamiltonian(eta, [0.0]), coupling_operator(0, 2), g,
                          pulse.ramp_window, dt)
+
+
+def embed_product(op: np.ndarray, k: int, n: int) -> np.ndarray:
+    """op on qutrit k of n as the Kronecker product of n factors, op at k
+    and the 3x3 identity elsewhere: model.embed before it took the
+    identities before and after k whole."""
+    out = np.eye(1, dtype=complex)
+    for j in range(n):
+        out = np.kron(out, op if j == k else np.eye(3, dtype=complex))
+    return out
+
+
+def coupling_operator_product(k: int, n: int) -> np.ndarray:
+    """(X_k X_k+1 + Y_k Y_k+1) / 2 from the products of embedded n-qutrit
+    operators, as model.coupling_operator built it before it embedded the
+    9x9 pair operator."""
+    xx = embed_product(x_op(), k, n) @ embed_product(x_op(), k + 1, n)
+    yy = embed_product(y_op(), k, n) @ embed_product(y_op(), k + 1, n)
+    return (xx + yy) / 2.0
+
+
+def chain_hamiltonian_product(eta: float, couplings) -> np.ndarray:
+    """model.chain_hamiltonian from embedded n-qutrit operators: the
+    diagonal as a sum of embedded diag(0, 0, -eta), the couplings from
+    coupling_operator_product."""
+    n = len(couplings) + 1
+    h = np.zeros((3**n, 3**n), dtype=complex)
+    local = np.diag([0.0, 0.0, -eta * MHZ_TO_RAD_NS]).astype(complex)
+    for i in range(n):
+        h += embed_product(local, i, n)
+    for k, g in enumerate(couplings):
+        if g:
+            h += g * MHZ_TO_RAD_NS * coupling_operator_product(k, n)
+    return h
+
+
+def runs_by_dimension(monkeypatch) -> tuple[Counter, Counter]:
+    """Runs that evolution._run_product multiplies out from here on (a 2x2
+    by its SU(2) fold, any other size through evolution._eigh), and
+    matrices that np.linalg.eigh decomposes for evolution, both by
+    dimension."""
+    runs, lapack = Counter(), Counter()
+    run_product, eigh = evolution._run_product, np.linalg.eigh
+
+    def counted_runs(d, w, cs, lengths, dt_eff):
+        runs[d.shape[0]] += len(cs)
+        return run_product(d, w, cs, lengths, dt_eff)
+
+    def counted_eigh(a, *args, **kwargs):
+        lapack[np.shape(a)[-1]] += int(np.prod(np.shape(a)[:-2]))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(evolution, "_run_product", counted_runs)
+    monkeypatch.setattr(evolution.np.linalg, "eigh", counted_eigh)
+    return runs, lapack

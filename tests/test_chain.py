@@ -1,12 +1,10 @@
-from collections import Counter
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from _oracles import dense_pair_ramp
+from _oracles import dense_pair_ramp, runs_by_dimension
 from _reference import G_OPT, T_OPT
-from qutritchain import chain, evolution
+from qutritchain import chain
 from qutritchain.chain import (
     ChainSchedule,
     edge_permutation,
@@ -342,21 +340,16 @@ def test_full_chain_equals_per_edge_product(n):
 @pytest.mark.parametrize("n", [3, 4])
 def test_full_chain_ramp_is_pair_sized(monkeypatch, n):
     # the ramp is evolved on the 9-dim pair in exchange blocks: the 2x2
-    # {11, s02} and the diagonal block {s01, a01, s12, a12}, one closed-form
-    # decomposition each per ramp step (00, 22 and a02, which W does not
-    # touch, are phases); only the plateau is 3^n-dim, and nothing is 9x9
-    decomposed = Counter()
-
-    def counted(d, w, cs):
-        decomposed[d.shape[0]] += len(cs)
-        return eigh(d, w, cs)
-
-    eigh = evolution._eigh
+    # {11, s02}, one SU(2) run per ramp step, and phases for the states W
+    # couples to no other (00, 22, a02, s01, a01, s12 and a12); only the
+    # plateau is 3^n-dim, one run and one LAPACK decomposition, and nothing
+    # is 9x9
     schedule, _, _ = make_schedule(G_OPT, T_OPT, 2.0, ETA, n - 1, dt=0.001)
-    monkeypatch.setattr(evolution, "_eigh", counted)
+    runs, lapack = runs_by_dimension(monkeypatch)
     evolve_chain_full(schedule, ETA, dt=0.001)
     ramp_steps = len(_midpoints(schedule.step_pulse.ramp_window, 0.001)[0])
-    assert decomposed == {3**n: 1, 2: ramp_steps, 4: ramp_steps}
+    assert runs == {3**n: 1, 2: ramp_steps}
+    assert lapack == {3**n: 1}
 
 
 @PROPS

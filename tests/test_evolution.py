@@ -16,7 +16,7 @@ from qutritchain.model import (
     x_op,
     y_op,
 )
-from qutritchain.pulse import TrapezoidPulse
+from qutritchain.pulse import TrapezoidPulse, analytic_params
 from qutritchain.transfer import evolve_transfer, qst_fidelity
 
 from _oracles import expm_hermitian
@@ -261,20 +261,27 @@ def test_propagator_validates_unitarity(monkeypatch):
         m.setattr(evolution, "_batch_step_unitaries", doubled)
         with pytest.raises(ValueError, match="not unitary"):
             evolve(lambda ts: np.zeros((len(ts), 2, 2)), (0.0, 1.0), 0.1)
-    # evolve_affine folds in the eigenbases of its runs: stretch their
-    # eigenvectors, for a window of one run and one of ten, on each path of
-    # the decomposition (2x2 and diagonal in closed form, np.linalg.eigh)
+    # evolve_affine folds a 2x2 as SU(2) rows: corrupt the fold's first row
+    with monkeypatch.context() as m:
+        m.setattr(evolution, "_su2_fold", lambda a, b: (2.0 * a[0], b[0]))
+        for scale_of_t in (lambda ts: np.zeros_like(ts), lambda ts: ts):
+            with pytest.raises(ValueError, match="not unitary"):
+                evolve_affine(np.eye(2), x_op()[:2, :2], scale_of_t, (0.0, 1.0), 0.1)
+    # and chains any other size through the eigenbases of its runs: stretch
+    # their eigenvectors, for a window of one run and one of ten, from the
+    # secular solver (an arrowhead with distinct leaves) and from LAPACK
     eigh = evolution._eigh
 
     def stretched(d, w, cs):
         lam, v = eigh(d, w, cs)
         return lam, 2.0 * v
 
+    arrowhead = np.zeros((4, 4))
+    arrowhead[0, 1:] = arrowhead[1:, 0] = 1.0
     with monkeypatch.context() as m:
         m.setattr(evolution, "_eigh", stretched)
-        for d, w in ((np.eye(2), x_op()[:2, :2]), (np.eye(3), np.diag([1.0, 0.0, -1.0])),
-                     (np.eye(3), x_op())):
-            for scale_of_t in (lambda ts: np.zeros_like(ts), lambda ts: ts):
+        for d, w in ((np.diag([0.0, 1.0, 2.0, 3.0]), arrowhead), (np.eye(3), x_op())):
+            for scale_of_t in (lambda ts: np.ones_like(ts), lambda ts: 1.0 + ts):
                 with pytest.raises(ValueError, match="not unitary"):
                     evolve_affine(d, w, scale_of_t, (0.0, 1.0), 0.1)
     # the full-chain oracle checks its step R^T P R: a non-unitary ramp
@@ -399,73 +406,143 @@ def test_unmirrored_window_decomposes_every_run(monkeypatch, window):
     assert err < 1e-12
 
 
-def _closed_form_pair(dim, degeneracy, draw_entries):
-    """Real symmetric d and w of size dim (2x2, or diagonal for any other
-    dim), from draw_entries(k) -> k floats, with a degeneracy that the
-    stack d + c w takes at c = 1 or at every c."""
-    a = np.array(draw_entries(6))
+# the cases of the closed-form pairs by size: a 2x2 for the SU(2) fold, an
+# arrowhead of 3 to 5 for the secular solver
+CASES = {2: ["none", "b = 0", "a = c", "zero"],
+         **dict.fromkeys((3, 4, 5), ["none", "equal leaves", "close leaves", "zero coupling"])}
+
+
+def _closed_form_pair(dim, case, draw):
+    """Real symmetric d and w of size dim, drawn by draw(strategy): for dim
+    2 any 2x2 of entries in [-1, 1], with a degeneracy that the stack d + c
+    w takes at c = 1 ("b = 0"), at every c ("a = c") or at c = 0 ("zero");
+    for dim 3 to 5 an arrowhead, with diagonal d, w coupling its centre to
+    every leaf and zero on the leaves' diagonal, the leaves' diagonals
+    ascending by gaps of 0.05 to 1 and its couplings 0.1 to 1, with two
+    leaves' diagonals equal or 1e-12 apart, or one leaf not coupled."""
+    unit = st.floats(-1.0, 1.0)
+    entries = lambda k: np.array(draw(st.lists(unit, min_size=k, max_size=k)))
     if dim == 2:
+        a = entries(6)
         d, w = np.array([[a[0], a[1]], [a[1], a[2]]]), np.array([[a[3], a[4]], [a[4], a[5]]])
-        if degeneracy == "b = 0":  # at c = 1
+        if case == "b = 0":
             w[0, 1] = w[1, 0] = -d[0, 1]
-        elif degeneracy == "a = c":
+        elif case == "a = c":
             d[1, 1], w[1, 1] = d[0, 0], w[0, 0]
-    else:
-        d, w = np.diag(draw_entries(dim)), np.diag(draw_entries(dim))
-    if degeneracy == "zero":  # at c = 0
-        d = np.zeros_like(d)
-    return d, w
+        elif case == "zero":
+            d = np.zeros_like(d)
+        return d, w
+    gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=dim - 2, max_size=dim - 2))
+    leaves = np.cumsum([draw(unit)] + gaps)
+    if case == "equal leaves":
+        leaves[1] = leaves[0]
+    elif case == "close leaves":
+        leaves[1] = leaves[0] * (1 + 1e-12) + 1e-12
+    d, w = np.diag(np.append(draw(unit), leaves)), np.zeros((dim, dim))
+    w[0, 0] = draw(unit)
+    w[0, 1:] = w[1:, 0] = draw(st.lists(st.floats(0.1, 1.0), min_size=dim - 1, max_size=dim - 1))
+    if case == "zero coupling":
+        w[0, 1] = w[1, 0] = 0.0
+    # the centre at any index
+    centre = draw(st.integers(0, dim - 1))
+    return np.roll(d, centre, axis=(0, 1)), np.roll(w, centre, axis=(0, 1))
 
 
-@PROPS
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
-    dim=st.sampled_from([2, 1, 3, 5]),
-    degeneracy=st.sampled_from(["none", "b = 0", "a = c", "zero"]),
+    dim=st.sampled_from([3, 4, 5]),
     exponent=st.integers(-150, 150),
     data=st.data(),
 )
-def test_closed_form_decompositions_match_lapack(dim, degeneracy, exponent, data):
-    # evolution._eigh's 2x2 and diagonal closed forms, at scales 1e-150 to
-    # 1e150: residual and orthonormality within a few eps, eigenvalues as
-    # LAPACK's, ascending for the 2x2 (a diagonal keeps its own order)
-    unit = st.floats(-1.0, 1.0)
-    draw_entries = lambda k: data.draw(st.lists(unit, min_size=k, max_size=k))
-    d, w = _closed_form_pair(dim, degeneracy, draw_entries)
+def test_closed_form_decompositions_match_lapack(dim, exponent, data):
+    # evolution._eigh on arrowheads, at scales 1e-150 to 1e150 and with the
+    # coupling levels c = 0 and 6.9e-166 rad/ns, whose couplings' squares
+    # are 0: every matrix either has, from the secular solver, a residual
+    # and V^T V - I within 4 n eps and ascending eigenvalues within 4 n eps
+    # of LAPACK's, or went to LAPACK, as those with equal leaves or an
+    # uncoupled leaf must
+    case = data.draw(st.sampled_from(CASES[dim]))
+    d, w = _closed_form_pair(dim, case, data.draw)
     d, w = d * 10.0**exponent, w * 10.0**exponent
-    cs = np.array([0.0, 1.0] + data.draw(st.lists(st.floats(-3.0, 3.0), max_size=6)))
+    levels = [0.0, 6.9e-166, 0.05, 0.3, 1.0] + data.draw(st.lists(st.floats(-3.0, 3.0), max_size=6))
+    cs = np.array(levels)
     hs = d[None] + cs[:, None, None] * w[None]
-    lam, v = evolution._eigh(d, w, cs)
+    sent, eigh = [], np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        sent.extend(a)
+        return eigh(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(np.linalg, "eigh", recorded)
+        lam, v = evolution._eigh(d, w, cs)
+    lapack = [any(np.array_equal(h, s) for s in sent) for h in hs]
+    assert lapack[0] and lapack[1]  # no coupling, and couplings whose squares underflow
+    if case in ("equal leaves", "zero coupling"):
+        assert all(lapack)
+    mine = ~np.array(lapack)
+    hs, lam, v = hs[mine], lam[mine], v[mine]
     size = np.abs(hs).max(axis=(1, 2))
     residual = np.abs(hs @ v - v * lam[:, None, :]).max(axis=(1, 2))
     assert np.all(residual <= 4 * dim * _EPS * size)
-    assert np.abs(v.transpose(0, 2, 1) @ v - np.eye(dim)).max() <= 4 * _EPS
-    assert np.all(np.abs(np.sort(lam) - np.linalg.eigh(hs)[0]).max(axis=1) <= 4 * _EPS * size)
-    if dim == 2:
-        assert np.all(lam[:, 0] <= lam[:, 1])
+    assert np.all(np.abs(v.transpose(0, 2, 1) @ v - np.eye(dim)).max(axis=(1, 2)) <= 4 * dim * _EPS)
+    assert np.all(np.diff(lam, axis=1) > 0)
+    assert np.all(np.abs(lam - np.linalg.eigh(hs)[0]).max(axis=1) <= 4 * dim * _EPS * size)
+
+
+@pytest.mark.parametrize("eta", [150.0, 200.0, 290.0])
+@pytest.mark.parametrize("omega", [300.0, 2000.0, 4000.0, 8000.0])
+def test_secular_solver_converges_on_the_rwa_ramps(eta, omega):
+    # the 4x4 exchange block {00, 11, 22, s02} of rwa_residual's exact side
+    # over the ramp of the analytic pulse at t_ramp = 400 / eta and 1 ps:
+    # every matrix converges, within 0.85 eps max|h| of residual, 3 eps of
+    # V^T V - I and 5.1 eps max|h| of LAPACK's eigenvalues (measured)
+    t_ramp = 400.0 / eta
+    pulse = TrapezoidPulse(*analytic_params(eta, t_ramp), t_ramp)
+    mids, _ = evolution._midpoints(pulse.ramp_window, 0.001)
+    cs = pulse.value(mids) * MHZ_TO_RAD_NS
+    n_total = np.add.outer(np.arange(3), np.arange(3)).ravel()
+    d = chain_hamiltonian(eta, [0.0]).diagonal().real - omega * MHZ_TO_RAD_NS * n_total
+    block = [0, 1, 2, 3]  # 00, 11, 22, s02 in the exchange basis
+    d_x, w_x = ((transfer._EXCHANGE.T @ m @ transfer._EXCHANGE) * transfer._EXCHANGE_SCALE
+                for m in (np.diag(d), kron(x_op(), x_op()).real))
+    d, w = np.diag(d_x.diagonal()[block]), w_x[np.ix_(block, block)]
+    lam, v, ok = evolution._secular_eigh(d, w, cs, *evolution._arrowhead(d, w))
+    assert ok.all()
+    hs = d[None] + cs[:, None, None] * w[None]
+    size = np.abs(hs).max(axis=(1, 2))
+    assert np.all(np.abs(hs @ v - v * lam[:, None, :]).max(axis=(1, 2)) <= 2 * _EPS * size)
+    assert np.abs(v.transpose(0, 2, 1) @ v - np.eye(4)).max() <= 4 * _EPS
+    assert np.all(np.abs(lam - np.linalg.eigh(hs)[0]).max(axis=1) <= 8 * _EPS * size)
+
+
+def _lapack_eigh(d, w, cs):
+    return np.linalg.eigh(d[None] + cs[:, None, None] * w[None])
 
 
 @PROPS
 @given(
-    dim=st.sampled_from([2, 1, 4]),
-    degeneracy=st.sampled_from(["none", "b = 0", "a = c", "zero"]),
+    dim=st.sampled_from([2, 3, 4, 5]),
     values=st.lists(st.sampled_from([0.0, 1.0, -0.5, 2.0, 3.5]), min_size=1, max_size=120),
     data=st.data(),
 )
-def test_evolve_affine_in_closed_form_matches_lapack(dim, degeneracy, values, data):
-    # the same window with every run decomposed by np.linalg.eigh instead,
-    # at up to ~0.3 rad per step.  The two differ by up to 1.6 eps per step
-    # (6000 random scratch windows), mostly LAPACK's roundoff: against a
-    # long-double product of the exact run unitaries, the 2x2 closed form
-    # is within 0.49 n_steps eps and LAPACK within 1.09 (400 windows)
-    unit = st.floats(-1.0, 1.0)
-    draw_entries = lambda k: data.draw(st.lists(unit, min_size=k, max_size=k))
-    d, w = _closed_form_pair(dim, degeneracy, draw_entries)
+def test_evolve_affine_in_closed_form_matches_lapack(dim, values, data):
+    # the same window with every run decomposed by np.linalg.eigh and
+    # chained through the eigenbases instead, at up to ~0.3 rad per step:
+    # a 2x2 by its SU(2) fold, an arrowhead by the secular solver.  The two
+    # differed by up to 1.6 eps per step when the 2x2 closed form was a
+    # decomposition (6000 random windows), mostly LAPACK's roundoff:
+    # against a long-double product of the exact run unitaries, that
+    # closed form was within 0.49 n_steps eps and LAPACK within 1.09 (400
+    # windows)
+    case = data.draw(st.sampled_from(CASES[dim]))
+    d, w = _closed_form_pair(dim, case, data.draw)
     dt, c = 0.05, _step_values(values, 0.05)
     window = (0.0, len(values) * dt)
     u = evolve_affine(d, w, c, window, dt)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(evolution, "_eigh",
-                  lambda d, w, cs: np.linalg.eigh(d[None] + cs[:, None, None] * w[None]))
+        m.setattr(evolution, "_run_product", evolution._eigenbasis_product)
+        m.setattr(evolution, "_eigh", _lapack_eigh)
         u_lapack = evolve_affine(d, w, c, window, dt)
     assert np.abs(u - u_lapack).max() <= (2 * len(values) + 2) * _EPS
 

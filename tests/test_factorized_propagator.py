@@ -13,6 +13,7 @@ from _reference import G_OPT, T_OPT
 from qutritchain.evolution import (
     _fold,
     _midpoints,
+    _su2_fold,
     evolve,
     evolve_affine,
     unitarity_defect,
@@ -24,7 +25,7 @@ from qutritchain.model import (
     coupling_operator,
 )
 from qutritchain.pulse import TrapezoidPulse
-from qutritchain.transfer import _Pair, _su2_fold, evolve_transfer, qst_fidelity
+from qutritchain.transfer import _Pair, evolve_transfer, qst_fidelity
 
 PROPS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 # roundoff of a product of ~10^3 to 10^4 unitary 9x9 steps in float64

@@ -1,12 +1,17 @@
-from collections import Counter
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy import kron
 
-from _oracles import number_op, rwa_residual_generic, rwa_residual_rotating
-from qutritchain import evolution
+from _oracles import (
+    chain_hamiltonian_product,
+    coupling_operator_product,
+    embed_product,
+    number_op,
+    runs_by_dimension,
+    rwa_residual_generic,
+    rwa_residual_rotating,
+)
 from qutritchain.evolution import _midpoints, evolve, hermiticity_defect
 from qutritchain.model import (
     MHZ_TO_RAD_NS,
@@ -19,7 +24,7 @@ from qutritchain.model import (
     y_op,
 )
 from qutritchain.pulse import TrapezoidPulse, analytic_params
-from qutritchain.transfer import _PAIR_W, rwa_residual
+from qutritchain.transfer import _PAIR_W, phase_gate, rwa_residual
 
 EPS = np.finfo(float).eps
 PROPS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -109,6 +114,27 @@ def test_chain_all_zero_is_diagonal_minus_eta_per_double_excitation():
 def test_chain_capacity_error():
     with pytest.raises(ValueError, match="capped"):
         chain_hamiltonian(200.0, [0.0] * 4)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pair_sized_operators_match_the_embedded_products(n):
+    # embed, coupling_operator and chain_hamiltonian take the identities
+    # before and after their qutrits whole; every entry equals the product
+    # of n embedded factors.  coupling_operator and chain_hamiltonian are
+    # equal to the bit; embed's zero entries may differ in the sign of
+    # their imaginary part, which no sum or product of the package reads
+    def same_bits(a, b):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    for k in range(n):
+        for op in (x_op(), y_op(), number_op(), phase_gate(0.3, -2.0)):
+            assert np.array_equal(embed(op, k, n), embed_product(op, k, n))
+    for k in range(n - 1):
+        assert same_bits(coupling_operator(k, n), coupling_operator_product(k, n))
+    for eta in (200.0, 150.3):
+        for couplings in ([0.0] * (n - 1), [37.5] * (n - 1), [12.3, 0.0, 55.0][: n - 1]):
+            assert same_bits(chain_hamiltonian(eta, couplings),
+                             chain_hamiltonian_product(eta, couplings))
 
 
 def test_excitation_number_conserved():
@@ -216,29 +242,18 @@ def test_rwa_residual_dt_halving():
     assert coarse == pytest.approx(fine, rel=1e-6)
 
 
-def decomposed_by_dimension(monkeypatch) -> Counter:
-    """Matrices evolution._eigh decomposes from here on, by dimension: in
-    closed form (2x2 and diagonal) or by np.linalg.eigh."""
-    decomposed = Counter()
-
-    def counted(d, w, cs):
-        decomposed[d.shape[0]] += len(cs)
-        return eigh(d, w, cs)
-
-    eigh = evolution._eigh
-    monkeypatch.setattr(evolution, "_eigh", counted)
-    return decomposed
-
-
 def test_rwa_residual_plateau_is_one_eigendecomposition(monkeypatch):
-    decomposed = decomposed_by_dimension(monkeypatch)
+    runs, lapack = runs_by_dimension(monkeypatch)
     pulse = TrapezoidPulse(37.5, 22.0, 2.0)
     rwa_residual(200.0, pulse.value, (0.0, 22.0), 4000.0, dt=0.002)
     # no 9x9 matrix and nothing on the RWA side (a closed form); each of the
-    # exact side's coupled exchange blocks, one 4x4 and two 2x2, decomposes
-    # the 1000 up-ramp steps, whose mirror image is the down ramp, and one
-    # matrix for the plateau; {a02}, which XX does not touch, is a phase
-    assert decomposed == {4: 1000 + 1, 2: 2 * (1000 + 1)}
+    # exact side's coupled exchange blocks, one 4x4 arrowhead and two 2x2,
+    # multiplies out the 1000 up-ramp steps, whose mirror image is the down
+    # ramp, and one run for the plateau; {a02}, which XX does not touch, is
+    # a phase.  The arrowhead's secular solver converges on every run and
+    # the 2x2 blocks are SU(2) folds, so nothing goes to LAPACK
+    assert runs == {4: 1000 + 1, 2: 2 * (1000 + 1)}
+    assert lapack == {}
 
 
 def assert_matches_generic(eta, g_of_t, t_span, omega, dt):
@@ -306,16 +321,32 @@ def test_rwa_residual_matches_exact_side_on_piecewise_constant_coupling(
 def test_rwa_residual_folds_the_pulse_over_its_up_ramp(monkeypatch, eta, dt):
     # validate's pulse at the benchmark's etas: its rounded down-ramp
     # samples must stay mirror images of the up ramp's, or each exact-side
-    # block decomposes both ramps and validate takes longer
+    # block multiplies out both ramps and validate takes longer
     t_ramp = 400.0 / eta
     pulse = TrapezoidPulse(*analytic_params(eta, t_ramp), t_ramp)
-    decomposed = decomposed_by_dimension(monkeypatch)
+    runs, lapack = runs_by_dimension(monkeypatch)
     rwa_residual(eta, pulse.value, (0.0, pulse.t_total), 4000.0, dt=dt)
     mids, _ = _midpoints((0.0, pulse.t_total), dt)
     up_ramp_runs = np.count_nonzero(mids < t_ramp)  # one run per ramp step
-    # each coupled exchange block (one 4x4, two 2x2) decomposes its up ramp
-    # and the plateau; the RWA side and the 9x9 decompose nothing
-    assert decomposed == {4: up_ramp_runs + 1, 2: 2 * (up_ramp_runs + 1)}
+    # each coupled exchange block (one 4x4, two 2x2) multiplies out its up
+    # ramp and the plateau; the RWA side and the 9x9 take no run, and no
+    # matrix goes to LAPACK
+    assert runs == {4: up_ramp_runs + 1, 2: 2 * (up_ramp_runs + 1)}
+    assert lapack == {}
+
+
+@pytest.mark.parametrize("dt", [0.001, 0.002])
+def test_rwa_residual_with_equal_leaves_matches_exact_side_on_evolve(monkeypatch, dt):
+    # at omega = -eta / 2 the 4x4 block's leaves 00, 22 and s02 share one
+    # diagonal, 0, so the secular solver does not apply and every run of
+    # the block goes to LAPACK; the residual still agrees with the generic
+    # reference to n_steps eps
+    pulse = TrapezoidPulse(37.5, 22.0, 2.0)
+    runs, lapack = runs_by_dimension(monkeypatch)
+    rwa_residual(200.0, pulse.value, (0.0, 3.0), -100.0, dt=dt)
+    assert lapack[4] == runs[4] > 0
+    monkeypatch.undo()
+    assert_matches_generic(200.0, pulse.value, (0.0, 3.0), -100.0, dt)
 
 
 def test_rwa_residual_matches_per_sample_reference():
