@@ -8,6 +8,7 @@ The transferred state is therefore carried exactly by an unnormalized
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,17 @@ from .transfer import (_evolve_exchange_blocks, _trapezoid_propagator, evolve_tr
 def uniform_state() -> np.ndarray:
     """(|0> + |1> + |2>) / sqrt(3)."""
     return np.ones(3, dtype=complex) / np.sqrt(3.0)
+
+
+def _check_n_steps(n_steps) -> None:
+    """ValueError unless n_steps is a nonnegative integer (operator.index
+    takes it: an int, a numpy integer or a bool, not a float)."""
+    try:
+        ok = operator.index(n_steps) >= 0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"n_steps must be a nonnegative integer, got {n_steps!r}")
 
 
 @dataclass(frozen=True)
@@ -107,10 +119,10 @@ def intrinsic_error_curve(
     every front's norm is checked at once per doubling, so a non-unitary
     step still raises ValueError.  So does a power of M with an entry
     above 1 in modulus (no power of a contraction has one) or a NaN, even
-    where psi0's own fronts stay bounded: the next powers could overflow.
+    where psi0's own fronts stay bounded: the next powers could overflow,
+    and so does an n_steps that is not a nonnegative integer.
     """
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
+    _check_n_steps(n_steps)
     psi0 = _checked_front(uniform_state() if initial is None else initial)
     if n_steps == 0:
         return np.empty((0, 2))
@@ -133,7 +145,9 @@ def make_schedule(
     g_max: float, t_qst: float, t_ramp: float, eta: float, n_steps: int, dt: float = 0.001
 ) -> tuple[ChainSchedule, np.ndarray, np.ndarray]:
     """Build the repeated-pulse schedule plus its step propagator and the
-    per-step compensation gate measured from that propagator."""
+    per-step compensation gate measured from that propagator.  An n_steps
+    that is not a nonnegative integer is a ValueError before any evolution."""
+    _check_n_steps(n_steps)
     pulse = TrapezoidPulse(g_max, t_qst, t_ramp)
     u_step = evolve_transfer(pulse, eta, dt=dt)
     theta, phi = measure_compensation(u_step)
@@ -163,8 +177,12 @@ def evolve_chain_full(schedule: ChainSchedule, eta: float, dt: float = 0.001) ->
     own window [0, T], as evolve_transfer's R^T P R
     (transfer._trapezoid_propagator) on the same grid.  The up ramp R comes
     from the generic evolve_affine instead of the pair's closed form: front
-    and full chain share one discretization and the SU(2) product
-    (evolution._su2_fold), but not one ramp code.  At edge 0 the coupling
+    and full chain share one discretization, the SU(2) element
+    (evolution._su2_element) and the SU(2) product (evolution._su2_fold),
+    but not one ramp code.  Independent checks of the shared code stay in
+    the tests: the dense 9x9 ramp (tests/_oracles.dense_pair_ramp), the
+    generic residual (tests/_oracles.rwa_residual_generic) and the
+    closed-form-vs-LAPACK tests of test_evolution.  At edge 0 the coupling
     is W_pair x I and the diagonal is D_pair x I + I x D_idle, whose idle
     part commutes with both, so R = R_pair x exp(-i D_idle t_ramp) with
     R_pair evolved on the 9-dim pair (both factors sliced from the 3^n

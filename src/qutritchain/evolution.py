@@ -164,8 +164,9 @@ def evolve_affine(
     values is one exact exponential exp(-i h dt * run), so a pulse plateau
     is one run, and the runs' product (_run_product) has no loop over
     steps.  Real 2x2 d and w take no decomposition: each run is an SU(2)
-    element times a phase, and the elements are folded pairwise with the
-    phases summed (_su2_run_product).  Any other size is chained through
+    element (_su2_element, the one that _Pair.plateau also takes) times a
+    phase, and the elements are folded pairwise with the phases summed
+    (_su2_run_product).  Any other size is chained through
     the runs' eigenbases (_eigenbasis_product): with h = V diag(lam) V^H
     and Phi_k = exp(-i lam_k dt * run_k), U = V_K Phi_K (V_K^H V_{K-1})
     Phi_{K-1} ... (V_1^H V_0) Phi_0 V_0^H, where each link V_k^H V_{k-1}
@@ -183,7 +184,9 @@ def evolve_affine(
     equal to their reverse within MIRROR_TOL * max|c|.  A real symmetric
     step exp(-i h dt) is its own transpose, so with R the product of the
     first half's runs and M the middle run (the identity for an even run
-    count), U = R^T M R: half the runs.  That U is the exact
+    count), U = R^T M R.  M^(1/2), the middle run for half its length, is
+    real symmetric too, so U = X^T X with X = M^(1/2) R, one run chain over
+    half the runs.  That U is the exact
     product for the second half's values replaced by their mirror images,
     which moves h by at most MIRROR_TOL * max|c| * ||w||_2 and U by at most
     that times (t1 - t0) / 2, so it is within roundoff of the sampled-step
@@ -220,10 +223,12 @@ def evolve_affine(
         and np.abs(cs - cs[::-1]).max() <= MIRROR_TOL * np.abs(cs).max()
     ):
         # a mirrored window: the second half's runs are the first half's in
-        # reverse, and real symmetric steps make their product R^T
-        r = _run_product(d, w, cs[:half], lengths[:half], dt_eff)
-        middle = _run_product(d, w, cs[half:-half], lengths[half:-half], dt_eff)
-        return _unitary(r.T @ middle @ r)
+        # reverse, and real symmetric steps make their product R^T; X is
+        # the first half's runs, then the middle run (if any) for half its
+        # length
+        k = len(cs) - half
+        x = _run_product(d, w, cs[:k], np.append(lengths[:half], lengths[half:k] / 2), dt_eff)
+        return _unitary(x.T @ x)
     return _unitary(_run_product(d, w, cs, lengths, dt_eff))
 
 
@@ -246,26 +251,35 @@ def _su2_fold(a: np.ndarray, b: np.ndarray) -> tuple[complex, complex]:
     return a[0], b[0]
 
 
+def _su2_element(half, off, t):
+    """First row of exp(-i K t), K = [[half, off], [off, -half]] real, for
+    scalars or arrays.  K^2 = r^2 I with r = hypot(half, off), so the row is
+    (cos rt - i half s, -i off s) with s = sin(rt) / r.  s divides by r +
+    tiny, which is r for every r >= 2^-968 and keeps s finite at r = 0;
+    below that half and off are smaller than 2^-968, so s changes the row
+    by less than 2^-968 t, and at r = 0 the row is (1, 0)."""
+    r = np.hypot(half, off)
+    s = np.sin(r * t) / (r + _TINY)
+    return np.cos(r * t) - 1j * half * s, -1j * off * s
+
+
 def _su2_run_product(
     d: np.ndarray, w: np.ndarray, cs: np.ndarray, lengths: np.ndarray, dt_eff: float
 ) -> np.ndarray:
     """_run_product of real 2x2 d and w, with no decomposition.  A run's h =
-    d + c w = [[p, b], [b, q]] is m I + K with m = (p + q) / 2, h- = (p -
-    q) / 2 and K = [[h-, b], [b, -h-]], whose square is r^2 I, r =
-    hypot(h-, b).  Over the run's duration t, exp(-i h t) is therefore
-    exp(-i m t) times the SU(2) element with first row (cos rt - i h- s,
-    -i b s), s = sin(rt) / r (t at r = 0).  The rows are folded by
-    _su2_fold, a batch of _chunk(2) runs at a time, and the phases m t are
-    summed, not multiplied out, so that they add no roundoff per run."""
+    d + c w = [[p, b], [b, q]] is m I + K with m = (p + q) / 2 and K =
+    [[(p - q) / 2, b], [b, (q - p) / 2]], so over the run's duration t,
+    exp(-i h t) is exp(-i m t) times the SU(2) element of K
+    (_su2_element, the one element, which transfer._Pair.plateau also
+    takes).  The elements are folded by _su2_fold, a batch of
+    _chunk(2) runs at a time, and the phases m t are summed, not
+    multiplied out, so that they add no roundoff per run."""
     a, b, phase = 1.0 + 0j, 0j, 0.0
     chunk = _chunk(2)
     for lo in range(0, len(cs), chunk):
         c, t = cs[lo : lo + chunk], dt_eff * lengths[lo : lo + chunk]
         p, off, q = (d[i, j] + c * w[i, j] for i, j in ((0, 0), (0, 1), (1, 1)))
-        half = (p - q) / 2
-        r = np.hypot(half, off)
-        s = np.where(r > 0, np.sin(r * t) / np.where(r > 0, r, 1.0), t)
-        a, b = _su2_mul(*_su2_fold(np.cos(r * t) - 1j * half * s, -1j * off * s), a, b)
+        a, b = _su2_mul(*_su2_fold(*_su2_element((p - q) / 2, off, t)), a, b)
         phase += np.sum((p + q) / 2 * t)
     return np.exp(-1j * phase) * np.array([[a, b], [-np.conj(b), np.conj(a)]])
 

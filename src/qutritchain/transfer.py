@@ -23,6 +23,7 @@ from .evolution import (
     _n_steps,
     _per_time,
     _runs,
+    _su2_element,
     _su2_fold,
     _su2_mul,
     _unitary,
@@ -104,13 +105,11 @@ class _Pair(namedtuple("_Pair", "area p q t")):
     def plateau(cls, eta: float, g, s) -> _Pair:
         """Exact exp(-i H(g) s) at the constant coupling g (MHz) for s ns,
         with area g s; g and s may be arrays.  The {s,11} block is
-        exp(i e s/2) exp(-i K s) with K = [[-e/2, b], [b, e/2]], b = 2g:
-        K^2 = w^2 I with w = hypot(e/2, b), so p = cos(w s) +
-        i (e/2) sin(w s)/w and q = -i b sin(w s)/w."""
+        exp(i e s/2) exp(-i K s) with K = [[-e/2, b], [b, e/2]], b = 2g,
+        and (p, q) is K's SU(2) element (evolution._su2_element, the one
+        element that evolve_affine's 2x2 runs also take)."""
         e, b = eta * MHZ_TO_RAD_NS, g * (2.0 * MHZ_TO_RAD_NS)
-        omega = np.hypot(0.5 * e, b)
-        c, sin = np.cos(omega * s), np.sin(omega * s) / omega
-        return cls(b * (0.5 * s), c + 0.5j * e * sin, -1j * b * sin, s)
+        return cls(b * (0.5 * s), *_su2_element(-0.5 * e, b, s), s)
 
     def after(self, earlier: _Pair) -> _Pair:
         """The product self @ earlier: earlier, then self."""
@@ -453,13 +452,14 @@ def optimize_pulse(
     sampled once, because the ramp does not depend on t_qst.  A t_qst point
     then costs one exact SU(2) plateau element (_Pair.plateau) and a few
     complex products; a new g_max point also folds its ramp, ~1000 steps
-    for a 2 ns ramp.  A non-finite seed is a ValueError before the search
-    starts, and a bad eta one at the first ramp, before any point.
+    for a 2 ns ramp.  A seed that is not a pulse (non-finite, g_max < 0 or
+    t_qst < 2 t_ramp) is a ValueError before the search starts, and a bad
+    eta one at the first ramp, before any point.
     """
     g0, t0 = seed
-    if not (_finite(g0) and _finite(t0)):
-        raise ValueError(f"seed must be finite, got {seed}")
     unit = TrapezoidPulse(1.0, 2.0 * t_ramp, t_ramp)
+    if not (_finite(g0) and _finite(t0) and g0 >= 0 and t0 >= 2 * t_ramp):
+        raise ValueError(f"seed must be a finite pulse (g_max >= 0, t_qst >= 2 t_ramp), got {seed}")
     mids, dt_ramp = _midpoints(unit.ramp_window, 2.0 * dt)
     shape = unit.value(mids)
     ramps: dict[float, tuple[_Pair, _Pair]] = {}

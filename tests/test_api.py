@@ -3,10 +3,12 @@ import inspect
 import itertools
 import pathlib
 
+import numpy as np
 import pytest
 
 import qutritchain
 from qutritchain import noise
+from qutritchain.chain import intrinsic_error_curve, make_schedule
 from qutritchain.evolution import _midpoints
 from qutritchain.model import chain_hamiltonian
 from qutritchain.pulse import TrapezoidPulse, analytic_params, g_eff, solve_constraint
@@ -169,6 +171,21 @@ BAD_INPUTS["compensation_params-eta-zero"] = (
 BAD_INPUTS["compensation_params-t_ramp-negative"] = (
     "t_ramp", lambda x: compensation_params(0.0, 0.0, 200.0, t_ramp=x), -1.0
 )
+# a seed that is no pulse: a plateau of negative duration, a negative coupling
+BAD_INPUTS["optimize_pulse-seed-t-below-two-ramps"] = (
+    "seed", lambda x: optimize_pulse(200.0, 2.0, (37.5, x)), 3.0
+)
+BAD_INPUTS["optimize_pulse-seed-g-negative"] = (
+    "seed", lambda x: optimize_pulse(200.0, 2.0, (x, 22.0)), -5.0
+)
+# n_steps must be a nonnegative integer, checked before any evolution
+for bad, x in {"negative": -3, "float": 2.5, "float-integral": 3.0, "none": None}.items():
+    BAD_INPUTS[f"make_schedule-n_steps-{bad}"] = (
+        "n_steps", lambda x: make_schedule(37.5, 22.0, 2.0, 200.0, x), x
+    )
+    BAD_INPUTS[f"intrinsic_error_curve-n_steps-{bad}"] = (
+        "n_steps", lambda x: intrinsic_error_curve(x, np.eye(9), np.eye(3)), x
+    )
 # eta must be positive, with a normal angular value (model._check_eta)
 for name, message, call in ENTRY_POINTS:
     if name in ("optimize_pulse-eta", "population_series-eta", "evolve_transfer-eta"):

@@ -160,6 +160,17 @@ def test_intrinsic_error_curve_rejects_negative_n_steps(step):
         intrinsic_error_curve(-1, u_step, comp)
 
 
+@pytest.mark.parametrize("n_steps", [-3, 2.5])
+def test_make_schedule_refuses_bad_n_steps_before_any_evolution(monkeypatch, n_steps):
+    # at -3 the schedule was built with total_duration = -66 ns, and at 2.5
+    # only coupling_values failed, both after the step was evolved
+    evolved = []
+    monkeypatch.setattr(chain, "evolve_transfer", lambda *args, **kwargs: evolved.append(args))
+    with pytest.raises(ValueError, match="^n_steps"):
+        make_schedule(G_OPT, T_OPT, 2.0, ETA, n_steps)
+    assert evolved == []
+
+
 def test_intrinsic_error_curve_steps_three_basis_fronts(step, monkeypatch):
     # the work per curve does not grow with n_steps: one step_transfer call
     # per column of the front map

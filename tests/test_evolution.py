@@ -19,7 +19,7 @@ from qutritchain.model import (
 from qutritchain.pulse import TrapezoidPulse, analytic_params
 from qutritchain.transfer import evolve_transfer, qst_fidelity
 
-from _oracles import expm_hermitian
+from _oracles import expm_hermitian, runs_by_dimension
 
 
 def test_kron_identity():
@@ -337,7 +337,7 @@ def _triangle(n):
 
 _EPS = np.finfo(float).eps
 PROPS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
-# values per step, and the runs evolve_affine decomposes for them
+# values per step, and the runs evolve_affine multiplies out for them
 MIRRORED = {
     # a single middle step: 11 runs
     "odd, single-step middle": (_triangle(21), 11),
@@ -357,35 +357,57 @@ def _real_symmetric_parts(dim, kind="real"):
     return (a + a.conj().transpose(0, 2, 1)) / 2
 
 
-def _decompositions_and_error(monkeypatch, d, w, values, dt):
-    """Matrices evolve_affine decomposes for the window (0, len(values) dt),
-    and its largest entry error against the step-by-step product."""
-    decomposed = []
-    eigh = np.linalg.eigh
-
-    def counted(hs):
-        decomposed.append(len(hs))
-        return eigh(hs)
-
+def _runs_and_error(monkeypatch, d, w, values, dt):
+    """Runs that evolve_affine multiplies out for the window (0, len(values)
+    dt) and matrices it sends to LAPACK, by dimension
+    (_oracles.runs_by_dimension), and its largest entry error against the
+    step-by-step product."""
     c = _step_values(values, dt)
     mids, dt_eff = evolution._midpoints((0.0, len(values) * dt), dt)
     hs = d[None] + c(mids)[:, None, None] * w[None]
     u_ref = evolution._fold(evolution._batch_step_unitaries(hs, dt_eff))
     with monkeypatch.context() as m:
-        m.setattr(np.linalg, "eigh", counted)
+        runs, lapack = runs_by_dimension(m)
         u = evolve_affine(d, w, c, (0.0, len(values) * dt), dt)
-    return sum(decomposed), np.abs(u - u_ref).max()
+    return runs, lapack, np.abs(u - u_ref).max()
 
 
+def _arrowhead_parts():
+    """A real 4x4 arrowhead (evolution._arrowhead): centre 0, coupled by w
+    to every leaf, with leaf gaps (>= 5) well above the couplings (<= 0.9
+    at c = 11), as in rwa_residual's block, where the secular solver
+    converges on every run."""
+    d = np.diag([0.5, -8.0, 3.0, 9.0])
+    w = np.zeros((4, 4))
+    w[0, 0] = 0.4
+    w[0, 1:] = w[1:, 0] = [0.05, 0.08, 0.04]
+    return d, w
+
+
+# d and w of each run kernel, the offset added to the window's values, and
+# whether its runs go to LAPACK.  At c = 0 an arrowhead's leaves are not
+# coupled, and _eigh sends that matrix to LAPACK by design, so its values
+# start at 1
+KERNELS = {
+    "2x2 SU(2) fold": (lambda: _real_symmetric_parts(2), 0.0, False),
+    "4x4 arrowhead, secular solver": (_arrowhead_parts, 1.0, False),
+    "dense 6x6, LAPACK": (lambda: _real_symmetric_parts(6), 0.0, True),
+}
+
+
+@pytest.mark.parametrize("kernel", list(KERNELS))
 @pytest.mark.parametrize("window", list(MIRRORED))
-def test_mirrored_window_folds_over_its_first_half(monkeypatch, window):
-    # R^T M R, from the first half's runs and the middle run, equals the
-    # step-by-step product (4.4e-15 at most, measured) with half the
-    # decompositions
-    values, decomposed = MIRRORED[window]
-    d, w = _real_symmetric_parts(6)
-    n, err = _decompositions_and_error(monkeypatch, d, w, values, 0.05)
-    assert n == decomposed
+def test_mirrored_window_folds_over_its_first_half(monkeypatch, window, kernel):
+    # X^T X, X the first half's runs and then the middle run at half its
+    # length, in one run chain, equals the step-by-step product (9.2e-15 at
+    # most, measured) with half the runs, on each run kernel
+    values, n_runs = MIRRORED[window]
+    parts, offset, lapack_runs = KERNELS[kernel]
+    d, w = parts()
+    runs, lapack, err = _runs_and_error(monkeypatch, d, w, values + offset, 0.05)
+    dim = d.shape[0]
+    assert runs == {dim: n_runs}
+    assert lapack == ({dim: n_runs} if lapack_runs else {})
     assert err < 1e-12
 
 
@@ -395,14 +417,14 @@ def test_mirrored_window_folds_over_its_first_half(monkeypatch, window):
 def test_unmirrored_window_decomposes_every_run(monkeypatch, window):
     kind = "complex" if window == "complex d and w" else "real"
     d, w = _real_symmetric_parts(6, kind)
-    values, runs = _triangle(21), 21
+    values, n_runs = _triangle(21), 21
     if window == "run lengths not mirrored":
         # runs of values 0, 1, 2, 5, 2, 1, 0 with lengths 1, 2, 1, 1, 1, 1, 1
-        values, runs = np.array([0.0, 1.0, 1.0, 2.0, 5.0, 2.0, 1.0, 0.0]), 7
+        values, n_runs = np.array([0.0, 1.0, 1.0, 2.0, 5.0, 2.0, 1.0, 0.0]), 7
     elif window == "values off by 64 eps":
         values = values * np.where(np.arange(21) > 10, 1 + 64 * _EPS, 1.0)
-    n, err = _decompositions_and_error(monkeypatch, d, w, values, 0.05)
-    assert n == runs
+    runs, lapack, err = _runs_and_error(monkeypatch, d, w, values, 0.05)
+    assert runs == lapack == {6: n_runs}
     assert err < 1e-12
 
 

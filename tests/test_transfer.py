@@ -121,6 +121,24 @@ def test_optimizer_quick_run_never_below_seed(monkeypatch):
     assert rep.t_qst > 0 and rep.g_max > 0 and 0 <= rep.leakage_11 < 1e-3
 
 
+@pytest.mark.parametrize("seed", [(37.5, 3.0), (-5.0, 22.0)])
+def test_optimizer_refuses_a_seed_that_is_no_pulse_before_any_ramp(monkeypatch, seed):
+    # a plateau of negative duration, a negative coupling: both used to run
+    # the whole search and fail only in the final report's TrapezoidPulse
+    folds = []
+    monkeypatch.setattr(transfer._Pair, "ramp", lambda *args: folds.append(args))
+    with pytest.raises(ValueError, match="^seed"):
+        optimize_pulse(ETA, 2.0, seed)
+    assert folds == []
+
+
+@pytest.mark.parametrize("seed", [(0.0, 22.0), (37.5, 4.0)])
+def test_optimizer_takes_a_seed_on_the_pulse_boundary(seed):
+    # no coupling, or no plateau, is still a pulse
+    rep = optimize_pulse(ETA, 2.0, seed, dt=0.01)
+    assert rep.g_max >= 0 and rep.t_qst >= 4.0
+
+
 def test_optimizer_builds_each_ramp_once(monkeypatch):
     # a search point is R^T.after(P.after(R)).fidelity(e), with its g_max's
     # up ramp R and R^T memoized together, and a ramp fold one _Pair.ramp
