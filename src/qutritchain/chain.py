@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# bound here for bench/tracing.py, which wraps chain.evolve_affine
-from .evolution import evolve_affine  # noqa: F401
+# evolve_affine is bound here for bench/tracing.py, which wraps chain.evolve_affine
+from .evolution import _midpoints, evolve_affine  # noqa: F401
 from .model import (
     MHZ_TO_RAD_NS,
     chain_hamiltonian,
@@ -43,11 +43,15 @@ def _check_n_steps(n_steps) -> None:
 
 @dataclass(frozen=True)
 class ChainSchedule:
-    """One optimized step pulse repeated for every edge, abutting in time."""
+    """One optimized step pulse repeated for every edge, abutting in time.
+    An n_steps that is not a nonnegative integer is a ValueError."""
 
     step_pulse: TrapezoidPulse
     n_steps: int
     compensation: tuple[float, float]  # (theta, phi) applied after each step
+
+    def __post_init__(self):
+        _check_n_steps(self.n_steps)
 
     @property
     def total_duration(self) -> float:
@@ -175,19 +179,21 @@ def evolve_chain_full(schedule: ChainSchedule, eta: float, dt: float = 0.001) ->
     A segment is the step pulse started later, and the Hamiltonian depends
     on time only through the pulse, so each is evolved in the step pulse's
     own window [0, T], as evolve_transfer's R^T P R
-    (transfer._trapezoid_propagator) on the same grid.  The up ramp R comes
-    from the generic evolve_affine instead of the pair's closed form: front
-    and full chain share one discretization, the SU(2) element
-    (evolution._su2_element) and the SU(2) product (evolution._su2_fold),
-    but not one ramp code.  Independent checks of the shared code stay in
-    the tests: the dense 9x9 ramp (tests/_oracles.dense_pair_ramp), the
-    generic residual (tests/_oracles.rwa_residual_generic) and the
-    closed-form-vs-LAPACK tests of test_evolution.  At edge 0 the coupling
+    (transfer._trapezoid_propagator) on the same grid.  The up ramp R is
+    sampled once, on _midpoints(pulse.ramp_window, dt), and comes from the
+    generic integrator (evolution._evolve_samples) instead of the pair's
+    closed form: front and full chain share one discretization, the SU(2)
+    element (evolution._su2_element) and the SU(2) product
+    (evolution._su2_fold), but not one ramp code.  Independent checks of
+    the shared code stay in the tests: the dense 9x9 ramp
+    (tests/_oracles.dense_pair_ramp), the generic residual
+    (tests/_oracles.rwa_residual_generic) and the closed-form-vs-LAPACK
+    tests of test_evolution.  At edge 0 the coupling
     is W_pair x I and the diagonal is D_pair x I + I x D_idle, whose idle
     part commutes with both, so R = R_pair x exp(-i D_idle t_ramp) with
     R_pair evolved on the 9-dim pair (both factors sliced from the 3^n
     operators), in exchange blocks (transfer._evolve_exchange_blocks): the
-    2x2 {11, s02} on evolve_affine, an SU(2) fold of its runs with no
+    2x2 {11, s02} on _evolve_samples, an SU(2) fold of its runs with no
     decomposition, and phases for the states that W couples to no other
     (00, 22, a02, s01, a01, s12, a12).  The plateau P is one dense
     3^n-dim exponential.  Every qutrit has the same eta, so the edge-k
@@ -202,12 +208,13 @@ def evolve_chain_full(schedule: ChainSchedule, eta: float, dt: float = 0.001) ->
     comp = phase_gate(*schedule.compensation)
     pulse = schedule.step_pulse
     w = coupling_operator(0, n)
-    g = lambda ts: pulse.value(ts) * MHZ_TO_RAD_NS
+    mids, dt_ramp = _midpoints(pulse.ramp_window, dt)
+    g = pulse.value(mids) * MHZ_TO_RAD_NS
     # basis index = pair * m + idle; |00> of the pair and |0..0> of the idle
     # qutrits add 0 to the diagonal, so diag[::m, ::m] is D_pair and
     # diag.diagonal()[:m] is D_idle
     m = 3 ** (n - 2)
-    r_pair = _evolve_exchange_blocks(diag[::m, ::m], w[::m, ::m], g, pulse.ramp_window, dt)
+    r_pair = _evolve_exchange_blocks(diag[::m, ::m], w[::m, ::m], g, dt_ramp)
     r = np.kron(r_pair, np.diag(np.exp(-1j * pulse.t_ramp * diag.diagonal()[:m])))
     step0 = _trapezoid_propagator(diag, w, pulse, r, dt)
     u = np.eye(3**n, dtype=complex)

@@ -28,9 +28,6 @@ LANE = 16
 # steps of the arrowhead secular iteration (_secular_eigh) before a matrix
 # goes to LAPACK
 SECULAR_ITERATIONS = 16
-# matrices the secular solver takes at once: its ~15 (n, batch) float
-# arrays stay within ~0.5 MB at n = 4
-SECULAR_BATCH = 1024
 _EPS, _TINY, _MAX = np.finfo(float).eps, np.finfo(float).tiny, np.finfo(float).max
 
 
@@ -191,8 +188,8 @@ def evolve_affine(
     which moves h by at most MIRROR_TOL * max|c| * ||w||_2 and U by at most
     that times (t1 - t0) / 2, so it is within roundoff of the sampled-step
     product.  A symmetric trapezoid over its whole window, as in each
-    exchange block of rwa_residual's exact side, is such a window; a lone
-    ramp (values not mirrored) or plateau (one run) is not.
+    exchange block of rwa_residual, is such a window; a lone ramp (values
+    not mirrored) or plateau (one run) is not.
 
     The window is split into round((t1 - t0) / dt) equal steps (at least one
     if it is not empty), counted from the float difference t1 - t0.  Windows
@@ -200,18 +197,24 @@ def evolve_affine(
     apart: at dt = 0.002, (0, 0.005) takes 2 steps and (0.1, 0.105) takes 3.
     The package's callers evolve ramps at offset 0 and plateaus from t_ramp;
     a plateau is one run at any step count.  Returns the (d, d) propagator,
-    checked to be unitary.
+    checked to be unitary.  The integrator after the sampling is
+    _evolve_samples, which transfer._evolve_exchange_blocks calls on
+    samples it is handed.
     """
     for name, m in (("d", d), ("w", w)):
         defect = hermiticity_defect(np.asarray(m))
         if defect > HERMITIAN_TOL:
             raise ValueError(f"{name} is not Hermitian: max asymmetry {defect:.3e}")
     mids, dt_eff = _midpoints(t_span, dt)
-    dim = d.shape[0]
-    if not len(mids):
-        return np.eye(dim, dtype=complex)
-    c = _per_time(scale_of_t(mids), mids, "scale_of_t")
+    return _evolve_samples(d, w, _per_time(scale_of_t(mids), mids, "scale_of_t"), dt_eff)
 
+
+def _evolve_samples(d: np.ndarray, w: np.ndarray, c: np.ndarray, dt_eff: float) -> np.ndarray:
+    """evolve_affine's propagator for the checked samples c, one per step of
+    dt_eff (see there): the identity for no samples, else the runs' product,
+    over the first half for a mirrored window, checked to be unitary."""
+    if not len(c):
+        return np.eye(d.shape[0], dtype=complex)
     real = np.abs(d.imag).max(initial=0.0) == 0.0 and np.abs(w.imag).max(initial=0.0) == 0.0
     d, w = (d.real, w.real) if real else (d, w)
     starts, lengths = _runs(np.append(True, c[1:] != c[:-1]))
@@ -412,10 +415,11 @@ def _secular_eigh(
 def _eigh(d: np.ndarray, w: np.ndarray, cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors of the stack of Hermitian
     d + cs[k] w, as np.linalg.eigh gives them.  A real arrowhead
-    (_arrowhead) is solved by its secular equation (_secular_eigh),
-    SECULAR_BATCH matrices at a time, with no stack built.  Its matrices
-    with a coupling whose square is not a normal float, and those that do
-    not converge, go to np.linalg.eigh, as does every other pair."""
+    (_arrowhead) is solved by its secular equation (_secular_eigh), in one
+    call for the whole stack (a batch of _chunk runs), with no matrix stack
+    built.  Its matrices with a coupling whose square is not a normal
+    float, and those that do not converge, go to np.linalg.eigh, as does
+    every other pair."""
     arrow = _arrowhead(d, w)
     if arrow is None:
         return np.linalg.eigh(d[None, :, :] + cs[:, None, None] * w[None, :, :])
@@ -424,9 +428,8 @@ def _eigh(d: np.ndarray, w: np.ndarray, cs: np.ndarray) -> tuple[np.ndarray, np.
     with np.errstate(over="ignore"):
         z2 = (cs[:, None] * w[arrow[0], arrow[1]]) ** 2
     solved = np.all((z2 >= _TINY) & (z2 <= _MAX), axis=1)
-    for lo in range(0, len(cs), SECULAR_BATCH):
-        batch = lo + np.flatnonzero(solved[lo : lo + SECULAR_BATCH])
-        lam[batch], v[batch], solved[batch] = _secular_eigh(d, w, cs[batch], *arrow)
+    batch = np.flatnonzero(solved)
+    lam[batch], v[batch], solved[batch] = _secular_eigh(d, w, cs[batch], *arrow)
     rest = ~solved
     if rest.any():
         lam[rest], v[rest] = np.linalg.eigh(d[None] + cs[rest, None, None] * w[None])

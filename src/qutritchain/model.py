@@ -1,6 +1,6 @@
 """Transmon-qutrit chain Hamiltonians in the RWA, and the spin-1 operators
 they are built from.  The check of the RWA itself, rwa_residual, lives in
-transfer, next to the pair's closed form that its RWA side uses.
+transfer, next to the pair's exchange blocks that both its sides run on.
 
 Each transmon keeps its three lowest levels.  Public parameters are cyclic
 frequencies in MHz and times in ns; matrices are built in angular rad/ns

@@ -148,6 +148,12 @@ class ConstraintError(RuntimeError):
         self.residuals = residuals
 
 
+def _check_t_ramp(t_ramp) -> None:
+    """ValueError unless t_ramp is finite and nonnegative."""
+    if not (_finite(t_ramp) and t_ramp >= 0):
+        raise ValueError(f"t_ramp must be nonnegative and finite, got {t_ramp}")
+
+
 def solve_constraint(
     eta: float, t_ramp: float = 2.0, m: int = 3, l: int = 1
 ) -> ConstraintSolution:
@@ -160,8 +166,7 @@ def solve_constraint(
     (0, g_top] works (as for every l >= m) or the root is above the cap.
     """
     _check_eta(eta)
-    if not (_finite(t_ramp) and t_ramp >= 0):
-        raise ValueError(f"t_ramp must be nonnegative and finite, got {t_ramp}")
+    _check_t_ramp(t_ramp)
     if m < 1 or l < 1 or m % 2 == 0 or l % 2 == 0:
         raise ValueError("m and l must be positive and odd")
     eta, t_ramp = float(eta), float(t_ramp)

@@ -18,11 +18,11 @@ from typing import Callable
 import numpy as np
 
 from .evolution import (
+    _evolve_samples,
     _finite,
     _midpoints,
     _n_steps,
     _per_time,
-    _runs,
     _su2_element,
     _su2_fold,
     _su2_mul,
@@ -38,7 +38,7 @@ from .model import (
     chain_hamiltonian,
     x_op,
 )
-from .pulse import TrapezoidPulse, pulse_area
+from .pulse import TrapezoidPulse, _check_t_ramp, pulse_area
 
 COMP_LABELS = ("00", "01", "10", "02", "20")
 COMP_INDICES = tuple(basis_index(s) for s in COMP_LABELS)
@@ -84,7 +84,10 @@ class _Pair(namedtuple("_Pair", "area p q t")):
     exp(i e t), and the {s,11} block is exp(i e t/2) times the SU(2)
     element with first row (p, q), the one time-ordered part.  Each field
     may be an array, one element per sample.  The readouts take e, and only
-    they write the phases.
+    they write the phases.  It serves the transfer step (evolve_transfer,
+    optimize_pulse, population_series) and the tests' frame identity of
+    rwa_residual's RWA side, exp(i omega N T) times a _Pair
+    (tests/_oracles.py); rwa_residual itself runs on the exchange blocks.
     """
 
     __slots__ = ()
@@ -189,20 +192,22 @@ def _exchange_basis() -> tuple[np.ndarray, np.ndarray]:
 _EXCHANGE, _EXCHANGE_SCALE = _exchange_basis()
 
 
-def _evolve_exchange_blocks(d, w, scale_of_t, t_span, dt: float) -> np.ndarray:
-    """evolve_affine of a qutrit pair's d + c(t) w (real symmetric 9x9),
-    block by block in the exchange basis, rotated back to |jk>.
+def _evolve_exchange_blocks(d, w, c: np.ndarray, dt_eff: float) -> np.ndarray:
+    """The propagator of a qutrit pair's d + c(t) w (real symmetric 9x9)
+    for the samples c, one per step of dt_eff, already checked as
+    evolve_affine checks them (evolution._per_time): evolved block by block
+    in the exchange basis and rotated back to |jk>.
 
     A matrix m is taken to the basis as (B^T m B) * _EXCHANGE_SCALE, B =
     _EXCHANGE.  Each entry of B^T m and of (B^T m) B is a sum of at most
     two nonzero exact terms, so an entry that exchange symmetry zeroes is
     exactly 0.  The blocks are the sets of states that w's nonzero
-    off-diagonal entries connect, each evolved by evolve_affine (a 2x2 by
-    its SU(2) fold, an arrowhead by its secular equation).  A state that w
-    connects to no other only turns by its phase exp(-i (d_ii T + w_ii A))
-    over the grid's duration T, with A = sum_k c_k dt_eff from the samples
-    that scale_of_t returns on evolve_affine's grid, checked as it checks
-    them.  d must be diagonal in the exchange basis: an off-diagonal
+    off-diagonal entries connect, each evolved by evolution._evolve_samples
+    (a 2x2 by its SU(2) fold, an arrowhead by its secular equation, a
+    mirrored window over its first half).  A state that w connects to no
+    other only turns by its phase exp(-i (d_ii T + w_ii A)) over the
+    samples' duration T, with A = sum_k c_k dt_eff.  No samples give the
+    identity.  d must be diagonal in the exchange basis: an off-diagonal
     entry, such as those of unequal etas, would couple two blocks or two
     one-state blocks, and is a ValueError.
     """
@@ -210,8 +215,6 @@ def _evolve_exchange_blocks(d, w, scale_of_t, t_span, dt: float) -> np.ndarray:
     off = np.abs(d_x - np.diag(d_x.diagonal())).max()
     if off:
         raise ValueError(f"d is not diagonal in the exchange basis: max off-diagonal {off:.3e}")
-    mids, dt_eff = _midpoints(t_span, dt)
-    c = _per_time(scale_of_t(mids), mids, "scale_of_t")
     reach = (w_x != 0) | np.eye(9, dtype=bool)
     for _ in range(3):  # paths of up to 8 steps connect any two of 9 states
         reach = (reach.astype(int) @ reach) > 0
@@ -220,8 +223,7 @@ def _evolve_exchange_blocks(d, w, scale_of_t, t_span, dt: float) -> np.ndarray:
     u = np.diag(np.where(single, np.exp(-1j * angle), 0.0))
     for block in sorted({tuple(np.flatnonzero(row)) for row in reach[~single]}):
         grid = np.ix_(block, block)
-        u[grid] = evolve_affine(np.diag(d_x.diagonal()[list(block)]), w_x[grid],
-                                lambda ts: c, t_span, dt)
+        u[grid] = _evolve_samples(np.diag(d_x.diagonal()[list(block)]), w_x[grid], c, dt_eff)
     return _EXCHANGE @ (u * _EXCHANGE_SCALE) @ _EXCHANGE.T
 
 
@@ -242,47 +244,34 @@ def rwa_residual(
     (RWA).  That frame differs from the rotating frame by exp(-i omega N t)
     on both sides, which leaves the 2-norm of the gap unchanged.
 
-    RWA side: N commutes with D and W, so each step is exp(i omega N dt)
-    exp(-i (D + g W) dt), and the product is exp(i omega N T) times the
-    pair's rotating-frame product, exact on the grid.  Each run of equal
-    samples is one _Pair.plateau and the runs are folded by _su2_fold: no
-    eigendecomposition.  Exact side: in the exchange basis, h is block
-    diagonal (_evolve_exchange_blocks); {a02}, which XX does not touch, is
-    a constant phase, and the 4x4 {00, 11, 22, s02} and the 2x2 {s01, s12}
-    and {a01, a12} run on evolve_affine, which folds a mirror-symmetric
-    window, such as a trapezoid's (0, t_total), over its first half.  The
-    2x2 blocks are SU(2) folds.  The 4x4 is an arrowhead, in which XX
-    couples 11 to each of the other three and to nothing else, and its
-    runs are decomposed by its secular equation; at omega = -eta / 2 its
-    three other diagonals are equal, and they go to LAPACK.  No 9x9 matrix
-    is decomposed, and each side is checked to be unitary.
-
     g_of_t (MHz) is called once, on the array of midpoint times, and
     follows evolve_affine's rule for scale_of_t: one finite value per time,
-    or a 0-d constant broadcast to every time.  A non-finite omega, a bad
-    eta or a bad g_of_t return is a ValueError before any step.
+    or a 0-d constant broadcast to every time.  Both sides are
+    _evolve_exchange_blocks calls on these samples.  In the exchange basis
+    each side's h is block diagonal, and each block runs on
+    evolution._evolve_samples, which folds a mirror-symmetric window, such
+    as a trapezoid's (0, t_total), over its first half.  RWA side: W
+    couples only 11 and s02, a 2x2 SU(2) fold, and every other state turns
+    by a phase.  Exact side: {a02}, which XX does not touch, is a phase,
+    and the 4x4 {00, 11, 22, s02} and the 2x2 {s01, s12} and {a01, a12}
+    are evolved.  The 2x2 blocks are SU(2) folds.  The 4x4 is an
+    arrowhead, in which XX couples 11 to each of the other three and to
+    nothing else, and its runs are decomposed by its secular equation; at
+    omega = -eta / 2 its three other diagonals are equal, and they go to
+    LAPACK.  No 9x9 matrix is decomposed, and each block is checked to be
+    unitary.  An empty window gives the identity on both sides, and 0.0.
+    A non-finite omega, a bad eta or a bad g_of_t return is a ValueError
+    before any step.
     """
     if not _finite(omega):
         raise ValueError(f"omega must be finite, got {omega}")
-    clock = omega * MHZ_TO_RAD_NS
     n_total = np.add.outer(np.arange(3), np.arange(3)).ravel()
-    d_lab = chain_hamiltonian(eta, [0.0]).diagonal().real - clock * n_total
+    d_lab = chain_hamiltonian(eta, [0.0]).real - np.diag(omega * MHZ_TO_RAD_NS * n_total)
     mids, dt_eff = _midpoints(t_span, dt)
-    g = _per_time(g_of_t(mids), mids, "g_of_t")
-    if not len(g):
-        return 0.0  # both sides are the identity
-    t_total = dt_eff * len(g)
-
-    starts, lengths = _runs(np.append(True, g[1:] != g[:-1]))
-    runs = _Pair.plateau(eta, g[starts], dt_eff * lengths)
-    pair = _Pair(np.sum(runs.area), *_su2_fold(runs.p, runs.q), t_total)
-    u_rwa = np.exp(1j * clock * n_total * t_total)[:, None] * pair.matrix(eta * MHZ_TO_RAD_NS)
-
-    # evolve_affine samples the same midpoint grid, so g is not sampled again
-    g_rad = g * MHZ_TO_RAD_NS
-    xx = np.kron(x_op(), x_op()).real
-    u_exact = _evolve_exchange_blocks(np.diag(d_lab), xx, lambda ts: g_rad, t_span, dt)
-    return float(np.linalg.norm(_unitary(u_exact) - _unitary(u_rwa), ord=2))
+    g = _per_time(g_of_t(mids), mids, "g_of_t") * MHZ_TO_RAD_NS
+    u_exact, u_rwa = (_evolve_exchange_blocks(d_lab, v, g, dt_eff)
+                      for v in (np.kron(x_op(), x_op()).real, _PAIR_W))
+    return float(np.linalg.norm(u_exact - u_rwa, ord=2))
 
 
 def _trapezoid_propagator(d, w, pulse: TrapezoidPulse, r, dt: float) -> np.ndarray:
@@ -452,11 +441,13 @@ def optimize_pulse(
     sampled once, because the ramp does not depend on t_qst.  A t_qst point
     then costs one exact SU(2) plateau element (_Pair.plateau) and a few
     complex products; a new g_max point also folds its ramp, ~1000 steps
-    for a 2 ns ramp.  A seed that is not a pulse (non-finite, g_max < 0 or
-    t_qst < 2 t_ramp) is a ValueError before the search starts, and a bad
-    eta one at the first ramp, before any point.
+    for a 2 ns ramp.  A t_ramp that is not finite and nonnegative, or a
+    seed that is not a pulse (non-finite, g_max < 0 or t_qst < 2 t_ramp),
+    is a ValueError before the search starts, and a bad eta one at the
+    first ramp, before any point.
     """
     g0, t0 = seed
+    _check_t_ramp(t_ramp)
     unit = TrapezoidPulse(1.0, 2.0 * t_ramp, t_ramp)
     if not (_finite(g0) and _finite(t0) and g0 >= 0 and t0 >= 2 * t_ramp):
         raise ValueError(f"seed must be a finite pulse (g_max >= 0, t_qst >= 2 t_ramp), got {seed}")
@@ -556,8 +547,7 @@ def compensation_params(
     if not (_finite(theta) and _finite(phi)):
         raise ValueError(f"theta and phi must be finite, got {theta} and {phi}")
     _check_eta(eta)
-    if not (_finite(t_ramp) and t_ramp >= 0):
-        raise ValueError(f"t_ramp must be nonnegative and finite, got {t_ramp}")
+    _check_t_ramp(t_ramp)
     eta_ang = eta * MHZ_TO_RAD_NS
     th = theta % (2.0 * np.pi)
     ph = phi % (2.0 * np.pi)

@@ -11,6 +11,8 @@ from qutritchain.evolution import (
     HERMITIAN_TOL,
     _batch_step_unitaries,
     _per_time,
+    _runs,
+    _su2_fold,
     evolve,
     evolve_affine,
     hermiticity_defect,
@@ -22,6 +24,7 @@ from qutritchain.model import (
     x_op,
     y_op,
 )
+from qutritchain.transfer import _Pair
 
 
 def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
@@ -133,6 +136,23 @@ def rwa_residual_generic(
     u_exact = evolve(h_exact, t_span, dt)
     u_rwa = evolve_affine(d_lab, coupling_operator(0, 2), g_values, t_span, dt)
     return float(np.linalg.norm(u_exact - u_rwa, ord=2))
+
+
+def rwa_side_by_frame_identity(
+    eta: float, g: np.ndarray, omega: float, dt_eff: float
+) -> np.ndarray:
+    """The RWA side of rwa_residual by its frame identity, for the coupling
+    samples g (MHz), one per step of dt_eff.  N commutes with D and W, so
+    each step is exp(i omega N dt) exp(-i (D + g W) dt), and the product is
+    exp(i omega N T) times the pair's rotating-frame product: each run of
+    equal samples one _Pair.plateau, the runs folded by _su2_fold."""
+    t_total = dt_eff * len(g)
+    starts, lengths = _runs(np.append(True, g[1:] != g[:-1]))
+    runs = _Pair.plateau(eta, g[starts], dt_eff * lengths)
+    pair = _Pair(np.sum(runs.area), *_su2_fold(runs.p, runs.q), t_total)
+    n_total = np.add.outer(np.arange(3), np.arange(3)).ravel()
+    frame = np.exp(1j * omega * MHZ_TO_RAD_NS * n_total * t_total)
+    return frame[:, None] * pair.matrix(eta * MHZ_TO_RAD_NS)
 
 
 def rwa_residual_rotating(

@@ -8,7 +8,7 @@ import pytest
 
 import qutritchain
 from qutritchain import noise
-from qutritchain.chain import intrinsic_error_curve, make_schedule
+from qutritchain.chain import ChainSchedule, intrinsic_error_curve, make_schedule
 from qutritchain.evolution import _midpoints
 from qutritchain.model import chain_hamiltonian
 from qutritchain.pulse import TrapezoidPulse, analytic_params, g_eff, solve_constraint
@@ -157,6 +157,7 @@ ENTRY_POINTS = [
     ("optimize_pulse-seed-g", "seed", lambda x: optimize_pulse(200.0, 2.0, (x, 22.0))),
     ("optimize_pulse-seed-t", "seed", lambda x: optimize_pulse(200.0, 2.0, (37.5, x))),
     ("optimize_pulse-eta", "eta", lambda x: optimize_pulse(x, 2.0, (37.5, 22.0))),
+    ("optimize_pulse-t_ramp", "t_ramp", lambda x: optimize_pulse(200.0, x, (37.5, 22.0))),
     ("population_series-eta", "eta", lambda x: population_series(SHORT_PULSE, x)),
     ("evolve_transfer-eta", "eta", lambda x: evolve_transfer(SHORT_PULSE, x, dt=0.01)),
 ]
@@ -171,6 +172,9 @@ BAD_INPUTS["compensation_params-eta-zero"] = (
 BAD_INPUTS["compensation_params-t_ramp-negative"] = (
     "t_ramp", lambda x: compensation_params(0.0, 0.0, 200.0, t_ramp=x), -1.0
 )
+BAD_INPUTS["optimize_pulse-t_ramp-negative"] = (
+    "t_ramp", lambda x: optimize_pulse(200.0, x, (37.5, 22.0)), -1.0
+)
 # a seed that is no pulse: a plateau of negative duration, a negative coupling
 BAD_INPUTS["optimize_pulse-seed-t-below-two-ramps"] = (
     "seed", lambda x: optimize_pulse(200.0, 2.0, (37.5, x)), 3.0
@@ -178,8 +182,12 @@ BAD_INPUTS["optimize_pulse-seed-t-below-two-ramps"] = (
 BAD_INPUTS["optimize_pulse-seed-g-negative"] = (
     "seed", lambda x: optimize_pulse(200.0, 2.0, (x, 22.0)), -5.0
 )
-# n_steps must be a nonnegative integer, checked before any evolution
+# n_steps must be a nonnegative integer, checked before any evolution and
+# when a schedule is built
 for bad, x in {"negative": -3, "float": 2.5, "float-integral": 3.0, "none": None}.items():
+    BAD_INPUTS[f"ChainSchedule-n_steps-{bad}"] = (
+        "n_steps", lambda x: ChainSchedule(SHORT_PULSE, x, (0.0, 0.0)), x
+    )
     BAD_INPUTS[f"make_schedule-n_steps-{bad}"] = (
         "n_steps", lambda x: make_schedule(37.5, 22.0, 2.0, 200.0, x), x
     )

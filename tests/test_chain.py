@@ -307,10 +307,15 @@ def test_front_vs_full_needs_two_qutrits(n):
         validate_front_vs_full(n, G_OPT, T_OPT, 2.0, ETA, dt=0.01)
 
 
-@pytest.mark.parametrize("n_steps", [0, -1])
-def test_full_chain_needs_a_step(n_steps):
-    sched = ChainSchedule(TrapezoidPulse(G_OPT, T_OPT, 2.0), n_steps, (0.0, 0.0))
-    with pytest.raises(ValueError, match="at least 2 qutrits"):
+@pytest.mark.parametrize(
+    "n_steps, message", [(0, "the full chain needs at least 2 qutrits"), (-1, "n_steps")],
+    ids=["0", "-1"],
+)
+def test_full_chain_needs_a_step(n_steps, message):
+    # a schedule of no steps reaches evolve_chain_full's own check; a
+    # negative step count is refused when the schedule is built
+    with pytest.raises(ValueError, match=message):
+        sched = ChainSchedule(TrapezoidPulse(G_OPT, T_OPT, 2.0), n_steps, (0.0, 0.0))
         evolve_chain_full(sched, ETA)
 
 
@@ -381,11 +386,9 @@ def test_blocked_pair_ramp_matches_the_dense_one(eta, dt, t_ramp):
     # step's 9x9 eigh and the blocks' change of basis).  An empty ramp is
     # the identity on both, exactly.
     pulse = TrapezoidPulse(G_OPT, T_OPT, t_ramp)
-    g = lambda ts: pulse.value(ts) * MHZ_TO_RAD_NS
-    blocked = _evolve_exchange_blocks(
-        chain_hamiltonian(eta, [0.0]), coupling_operator(0, 2), g, pulse.ramp_window, dt
-    )
     mids, dt_ramp = _midpoints(pulse.ramp_window, dt)
+    blocked = _evolve_exchange_blocks(chain_hamiltonian(eta, [0.0]), coupling_operator(0, 2),
+                                      pulse.value(mids) * MHZ_TO_RAD_NS, dt_ramp)
     n_steps = len(mids)
     closed = _Pair.ramp(pulse.value(mids), eta, dt_ramp).matrix(eta * MHZ_TO_RAD_NS)
     assert np.abs(blocked - closed).max() <= (n_steps + 2) * EPS * bool(n_steps)

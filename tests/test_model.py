@@ -11,7 +11,9 @@ from _oracles import (
     runs_by_dimension,
     rwa_residual_generic,
     rwa_residual_rotating,
+    rwa_side_by_frame_identity,
 )
+from qutritchain import evolution, transfer
 from qutritchain.evolution import _midpoints, evolve, hermiticity_defect
 from qutritchain.model import (
     MHZ_TO_RAD_NS,
@@ -24,7 +26,7 @@ from qutritchain.model import (
     y_op,
 )
 from qutritchain.pulse import TrapezoidPulse, analytic_params
-from qutritchain.transfer import _PAIR_W, phase_gate, rwa_residual
+from qutritchain.transfer import _PAIR_W, _evolve_exchange_blocks, phase_gate, rwa_residual
 
 EPS = np.finfo(float).eps
 PROPS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -188,10 +190,11 @@ def test_coupling_cap_enforced():
 
 def test_rwa_residual_zero_coupling():
     # at zero coupling both sides are the phases exp(-i (D - omega N) T),
-    # computed by different code (a closed form against per-block
-    # exponentials), so they agree to the roundoff of the largest phase,
-    # theta = max|diag(D - omega N)| T: eps * theta = 3.4e-13 here, and the
-    # residual is 3.7e-13
+    # from different exchange blocks (XX's 4x4 {00, 11, 22, s02}, whose
+    # uncoupled runs go to LAPACK, against W's SU(2) {11, s02} and the
+    # one-state phases of 00 and 22), so they agree to the roundoff of the
+    # largest phase, theta = max|diag(D - omega N)| T: eps * theta =
+    # 3.4e-13 here, and the residual is 1.1e-13
     eta, omega, t = 200.0, 6000.0, 10.0
     n_total = np.add.outer(np.arange(3), np.arange(3)).ravel()
     diag = np.diag(chain_hamiltonian(eta, [0.0])).real - omega * MHZ_TO_RAD_NS * n_total
@@ -214,16 +217,50 @@ def test_rwa_residual_small_and_monotone():
     assert res[2] < 0.06  # order g/omega, far below unity
 
 
-def test_rwa_residual_samples_coupling_per_array():
+def test_rwa_residual_samples_coupling_per_array(monkeypatch):
     pulse = TrapezoidPulse(37.5, 22.0, 2.0)
-    calls = []
+    calls, grids = [], []
+    midpoints = evolution._midpoints
 
     def counted(ts):
         calls.append(np.shape(ts))
         return pulse.value(ts)
 
+    def counted_grid(*args):
+        grids.append(args)
+        return midpoints(*args)
+
+    for module in (evolution, transfer):
+        monkeypatch.setattr(module, "_midpoints", counted_grid)
     rwa_residual(200.0, counted, (0.0, 22.0), 4000.0, dt=0.002)  # 11000 midpoints
-    assert calls == [(11000,)]  # one grid per call, shared by both sides, no probe
+    # one grid per call, built once and shared by both sides, no probe
+    assert calls == [(11000,)]
+    assert grids == [((0.0, 22.0), 0.002)]
+
+
+@pytest.mark.parametrize("t_span", [(0.0, 0.0), (3.0, 3.0)])
+def test_rwa_residual_of_an_empty_window_is_zero(t_span):
+    # no samples: both sides are the identity, exactly, and so is their gap
+    assert rwa_residual(200.0, lambda ts: 30.0, t_span, 4000.0) == 0.0
+
+
+@pytest.mark.parametrize("dt", [0.001, 0.002])
+@pytest.mark.parametrize("omega", [2000.0, 4000.0, 8000.0])
+@pytest.mark.parametrize("eta", [150.0, 200.0, 290.0])
+def test_rwa_side_matches_its_frame_identity(eta, omega, dt):
+    # the RWA side on the exchange blocks (one SU(2) fold of {11, s02} and
+    # phases) against exp(i omega N T) times the pair's closed form over
+    # the runs, for validate's pulse over its whole window; measured at
+    # most 0.23 n_steps eps (8 GHz, 2 ps)
+    t_ramp = 400.0 / eta
+    pulse = TrapezoidPulse(*analytic_params(eta, t_ramp), t_ramp)
+    mids, dt_eff = _midpoints((0.0, pulse.t_total), dt)
+    g = pulse.value(mids)
+    n_total = np.add.outer(np.arange(3), np.arange(3)).ravel()
+    d_lab = chain_hamiltonian(eta, [0.0]).real - np.diag(omega * MHZ_TO_RAD_NS * n_total)
+    blocks = _evolve_exchange_blocks(d_lab, _PAIR_W, g * MHZ_TO_RAD_NS, dt_eff)
+    ref = rwa_side_by_frame_identity(eta, g, omega, dt_eff)
+    assert np.abs(blocks - ref).max() <= len(mids) * EPS
 
 
 @pytest.mark.parametrize("omega", [2000.0, 8000.0])
@@ -246,13 +283,13 @@ def test_rwa_residual_plateau_is_one_eigendecomposition(monkeypatch):
     runs, lapack = runs_by_dimension(monkeypatch)
     pulse = TrapezoidPulse(37.5, 22.0, 2.0)
     rwa_residual(200.0, pulse.value, (0.0, 22.0), 4000.0, dt=0.002)
-    # no 9x9 matrix and nothing on the RWA side (a closed form); each of the
-    # exact side's coupled exchange blocks, one 4x4 arrowhead and two 2x2,
-    # multiplies out the 1000 up-ramp steps, whose mirror image is the down
-    # ramp, and one run for the plateau; {a02}, which XX does not touch, is
-    # a phase.  The arrowhead's secular solver converges on every run and
-    # the 2x2 blocks are SU(2) folds, so nothing goes to LAPACK
-    assert runs == {4: 1000 + 1, 2: 2 * (1000 + 1)}
+    # no 9x9 matrix; each coupled exchange block, the exact side's 4x4
+    # arrowhead and two 2x2 and the RWA side's 2x2 {11, s02}, multiplies
+    # out the 1000 up-ramp steps, whose mirror image is the down ramp, and
+    # one run for the plateau; every other state is a phase.  The
+    # arrowhead's secular solver converges on every run and the 2x2 blocks
+    # are SU(2) folds, so nothing goes to LAPACK
+    assert runs == {4: 1000 + 1, 2: 3 * (1000 + 1)}
     assert lapack == {}
 
 
@@ -328,10 +365,10 @@ def test_rwa_residual_folds_the_pulse_over_its_up_ramp(monkeypatch, eta, dt):
     rwa_residual(eta, pulse.value, (0.0, pulse.t_total), 4000.0, dt=dt)
     mids, _ = _midpoints((0.0, pulse.t_total), dt)
     up_ramp_runs = np.count_nonzero(mids < t_ramp)  # one run per ramp step
-    # each coupled exchange block (one 4x4, two 2x2) multiplies out its up
-    # ramp and the plateau; the RWA side and the 9x9 take no run, and no
-    # matrix goes to LAPACK
-    assert runs == {4: up_ramp_runs + 1, 2: 2 * (up_ramp_runs + 1)}
+    # each coupled exchange block (the exact side's 4x4 and two 2x2, the
+    # RWA side's 2x2) multiplies out its up ramp and the plateau; no 9x9
+    # takes a run, and no matrix goes to LAPACK
+    assert runs == {4: up_ramp_runs + 1, 2: 3 * (up_ramp_runs + 1)}
     assert lapack == {}
 
 

@@ -216,7 +216,7 @@ def test_exchange_blocks_reject_a_pair_that_is_not_block_diagonal(case):
     # dropped by evolving the blocks apart
     with pytest.raises(ValueError, match="d is not diagonal in the exchange basis"):
         transfer._evolve_exchange_blocks(
-            _symmetry_breaking_pair(case), coupling_operator(0, 2), lambda ts: 1.0, (0.0, 1.0), 0.1
+            _symmetry_breaking_pair(case), coupling_operator(0, 2), np.ones(10), 0.1
         )
 
 
