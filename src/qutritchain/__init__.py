@@ -11,12 +11,7 @@ from .chain import (
     uniform_state,
     validate_front_vs_full,
 )
-from .model import (
-    basis_labels,
-    chain_hamiltonian,
-    x_op,
-    y_op,
-)
+from .model import chain_hamiltonian, x_op, y_op
 from .noise import QutritChannel, amplitude_damping, decoherence_error_curve, phase_damping
 from .pulse import (
     ConstraintSolution,
@@ -51,7 +46,6 @@ __all__ = [
     "TrapezoidPulse",
     "amplitude_damping",
     "analytic_params",
-    "basis_labels",
     "chain_hamiltonian",
     "compensation_params",
     "crossover",

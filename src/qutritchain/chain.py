@@ -8,13 +8,12 @@ The transferred state is therefore carried exactly by an unnormalized
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 # evolve_affine is bound here for bench/tracing.py, which wraps chain.evolve_affine
-from .evolution import _midpoints, evolve_affine  # noqa: F401
+from .evolution import _check_n_steps, _midpoints, evolve_affine  # noqa: F401
 from .model import (
     MHZ_TO_RAD_NS,
     chain_hamiltonian,
@@ -28,17 +27,6 @@ from .transfer import (_evolve_exchange_blocks, _trapezoid_propagator, evolve_tr
 def uniform_state() -> np.ndarray:
     """(|0> + |1> + |2>) / sqrt(3)."""
     return np.ones(3, dtype=complex) / np.sqrt(3.0)
-
-
-def _check_n_steps(n_steps) -> None:
-    """ValueError unless n_steps is a nonnegative integer (operator.index
-    takes it: an int, a numpy integer or a bool, not a float)."""
-    try:
-        ok = operator.index(n_steps) >= 0
-    except TypeError:
-        ok = False
-    if not ok:
-        raise ValueError(f"n_steps must be a nonnegative integer, got {n_steps!r}")
 
 
 @dataclass(frozen=True)
@@ -72,9 +60,9 @@ class ChainSchedule:
 
 def _check_norms(fronts: np.ndarray) -> None:
     """Reject a front, or a (3, m) stack of fronts as columns, whose norm
-    exceeds 1 by more than 1e-12 of roundoff."""
-    if np.any(1.0 - np.sum(np.abs(fronts) ** 2, axis=0) < -1e-12):
-        raise ValueError("front state norm exceeds 1")
+    exceeds 1 by more than 1e-12 of roundoff or is NaN."""
+    if not np.all(np.sum(np.abs(fronts) ** 2, axis=0) - 1.0 <= 1e-12):
+        raise ValueError("front state norm exceeds 1 or is NaN")
 
 
 def _checked_front(front) -> np.ndarray:
@@ -123,20 +111,24 @@ def intrinsic_error_curve(
     every front's norm is checked at once per doubling, so a non-unitary
     step still raises ValueError.  So does a power of M with an entry
     above 1 in modulus (no power of a contraction has one) or a NaN, even
-    where psi0's own fronts stay bounded: the next powers could overflow,
-    and so does an n_steps that is not a nonnegative integer.
+    where psi0's own fronts stay bounded: the next powers could overflow.
+    A NaN in M itself is named so before its fronts are checked.  An
+    n_steps that is not a nonnegative integer is a ValueError too.
     """
     _check_n_steps(n_steps)
     psi0 = _checked_front(uniform_state() if initial is None else initial)
     if n_steps == 0:
         return np.empty((0, 2))
+    not_contraction = ValueError("front map is not a finite contraction: "
+                                 "the step or the compensation is not unitary")
     m = np.stack([step_transfer(e, u_step, comp) for e in np.eye(3, dtype=complex)], axis=1)
+    if not np.isfinite(m).all():
+        raise not_contraction
     fronts, power = m @ psi0[:, None], m
     _check_norms(fronts)
     while fronts.shape[1] < n_steps:
         if not np.abs(power).max() <= 1.0 + 1e-12:
-            raise ValueError("front map is not a finite contraction: "
-                             "the step or the compensation is not unitary")
+            raise not_contraction
         block = power @ fronts[:, : n_steps - fronts.shape[1]]
         _check_norms(block)
         fronts = np.concatenate([fronts, block], axis=1)

@@ -8,6 +8,7 @@ construction (each step is exp(-i H dt) of a Hermitian H).
 
 from __future__ import annotations
 
+import operator
 import sys
 
 import numpy as np
@@ -37,6 +38,17 @@ def _finite(x) -> bool:
     return abs(x) <= sys.float_info.max
 
 
+def _check_n_steps(n_steps) -> None:
+    """ValueError unless n_steps is a nonnegative integer (operator.index
+    takes it: an int, a numpy integer or a bool, not a float)."""
+    try:
+        ok = operator.index(n_steps) >= 0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"n_steps must be a nonnegative integer, got {n_steps!r}")
+
+
 def hermiticity_defect(h: np.ndarray) -> float:
     """Max absolute asymmetry |h - h^dagger|."""
     return float(np.abs(h - h.conj().T).max()) if h.size else 0.0
@@ -49,9 +61,10 @@ def unitarity_defect(u: np.ndarray) -> float:
 
 
 def _unitary(u: np.ndarray) -> np.ndarray:
-    """u, after checking that it is unitary to UNITARY_TOL."""
+    """u, after checking that it is unitary to UNITARY_TOL; a NaN defect
+    fails too."""
     defect = unitarity_defect(u)
-    if defect > UNITARY_TOL:
+    if not defect <= UNITARY_TOL:
         raise ValueError(f"propagator is not unitary: |U^dag U - I|_F = {defect:.3e}")
     return u
 
@@ -197,13 +210,25 @@ def evolve_affine(
     apart: at dt = 0.002, (0, 0.005) takes 2 steps and (0.1, 0.105) takes 3.
     The package's callers evolve ramps at offset 0 and plateaus from t_ramp;
     a plateau is one run at any step count.  Returns the (d, d) propagator,
-    checked to be unitary.  The integrator after the sampling is
-    _evolve_samples, which transfer._evolve_exchange_blocks calls on
-    samples it is handed.
+    checked to be unitary.
+
+    d and w go through np.asarray, so nested lists work too.  Anything but
+    two square 2-D arrays of one size, an entry that is NaN or infinite, or
+    a part that is not Hermitian to HERMITIAN_TOL is a ValueError that
+    names the part, before any time is sampled.  The integrator after the
+    sampling is _evolve_samples, which transfer._evolve_exchange_blocks
+    calls on samples it is handed.
     """
+    d, w = np.asarray(d), np.asarray(w)
+    if d.ndim != 2 or d.shape[0] != d.shape[1] or w.shape != d.shape:
+        raise ValueError(
+            f"d and w must be square matrices of one size, got shapes {d.shape} and {w.shape}"
+        )
     for name, m in (("d", d), ("w", w)):
-        defect = hermiticity_defect(np.asarray(m))
-        if defect > HERMITIAN_TOL:
+        if not np.isfinite(m).all():
+            raise ValueError(f"{name} must be finite")
+        defect = hermiticity_defect(m)
+        if not defect <= HERMITIAN_TOL:
             raise ValueError(f"{name} is not Hermitian: max asymmetry {defect:.3e}")
     mids, dt_eff = _midpoints(t_span, dt)
     return _evolve_samples(d, w, _per_time(scale_of_t(mids), mids, "scale_of_t"), dt_eff)
@@ -493,9 +518,9 @@ def evolve(h_of_t, t_span: tuple[float, float], dt: float) -> np.ndarray:
     values.  Steps are midpoint-sampled: U = prod_k exp(-i h(t_k + dt/2) dt),
     earliest step applied first, and taken in chunks of _chunk(d) steps,
     with d from one sample of h at t_span[0]; a complex chunk is
-    exponentiated in two halves.  Non-Hermitian samples are
-    rejected with the max asymmetry.  Returns the (d, d) propagator, checked
-    to be unitary.
+    exponentiated in two halves.  Non-Hermitian samples, NaN ones
+    included, are rejected with the max asymmetry.  Returns the (d, d)
+    propagator, checked to be unitary.
     """
     mids, dt_eff = _midpoints(t_span, dt)
     # one sample at the window's start gives h's size, and so the chunk
@@ -507,7 +532,7 @@ def evolve(h_of_t, t_span: tuple[float, float], dt: float) -> np.ndarray:
         hs = _sampled(h_of_t, ts, dim)
         defects = np.abs(hs - hs.conj().transpose(0, 2, 1)).reshape(len(ts), -1).max(axis=1)
         worst = int(np.argmax(defects))
-        if defects[worst] > HERMITIAN_TOL:
+        if not defects[worst] <= HERMITIAN_TOL:  # argmax picks a NaN first
             raise ValueError(
                 f"h(t) is not Hermitian at t = {ts[worst]:.6f} ns: "
                 f"max |h - h^dagger| = {defects[worst]:.3e}"

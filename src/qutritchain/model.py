@@ -47,14 +47,6 @@ def y_op() -> np.ndarray:
     )
 
 
-def basis_labels(n: int) -> tuple[str, ...]:
-    """Ordered product-basis labels, e.g. ("00", "01", ..., "22") for n=2."""
-    labels = [""]
-    for _ in range(n):
-        labels = [s + d for s in labels for d in "012"]
-    return tuple(labels)
-
-
 def basis_index(label: str) -> int:
     """Index of a product-basis label under the ordering contract."""
     return int(label, 3)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import _finite
+from .evolution import _check_n_steps, _finite
 
 COMPLETENESS_TOL = 1e-12
 # T2 may pass 2 T1 by this relative amount, the roundoff of a T2 given as 2 T1
@@ -119,10 +119,12 @@ def decoherence_error_curve(
 
         1/3 + 2/9 [sqrt(1-gamma) (2 + (sqrt 2 - 1) gamma) r + (1-gamma) r^4].
 
-    It matches the channel loop to a few 1e-15.  Raises check_lifetimes'
-    ValueError, the one phase_damping raises, unless t_qst is finite and
-    >= 0, t1 and t2 are positive normal floats and T2 <= 2 T1.
+    It matches the channel loop to a few 1e-15.  An n_steps that is not a
+    nonnegative integer is a ValueError, as for chain.intrinsic_error_curve.
+    So is check_lifetimes' rule, the one phase_damping raises: t_qst finite
+    and >= 0, t1 and t2 positive normal floats and T2 <= 2 T1.
     """
+    _check_n_steps(n_steps)
     rate_phi = _dephasing_rate(t_qst, t1, t2)
     k = np.arange(1, n_steps + 1)
     with np.errstate(over="ignore"):  # t or t / T past the float range: full decay

@@ -1,9 +1,9 @@
 """Trapezoidal control pulses and the qutrit transfer constraints.
 
-A transfer pulse must rotate the single-excitation pair {|01>, |10>} by an
-odd multiple of pi/2 while the effective coupling between |02> and |20>
-(mediated by |11> through level repulsion) completes its own odd multiple of
-pi/2.  Areas are reported in radians; amplitudes are cyclic MHz, times ns.
+A transfer pulse must rotate the single-excitation pair {|01>, |10>} by a
+pulse area of 3 pi/2 while the effective coupling between |02> and |20>
+(mediated by |11> through level repulsion) completes an area of pi/2.
+Areas are reported in radians; amplitudes are cyclic MHz, times ns.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def analytic_params(eta: float, t_ramp: float = 2.0) -> tuple[float, float]:
 
     Solves g_max = 3 g_eff(g_max) together with the 3 pi/2 pulse-area
     condition, giving g_max = 3 eta / 16 and t_qst = t_ramp + 8 pi / eta_angular.
-    The 3:1 area ratio (m = 3, l = 1) is baked into the derivation.
+    The 3:1 area ratio is baked into the derivation, as into solve_constraint.
     """
     _check_eta(eta)
     g_max = 3.0 * eta / 16.0
@@ -131,12 +131,11 @@ def analytic_params(eta: float, t_ramp: float = 2.0) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class ConstraintSolution:
-    """Solution of the two transfer area conditions."""
+    """Solution of the two transfer area conditions, pulse area 3 pi/2 and
+    effective area pi/2."""
 
     g_max: float        # MHz
     t_qst: float        # ns
-    m: int
-    l: int
     residuals: tuple[float, float]  # rad, (pulse area, effective area)
 
 
@@ -154,42 +153,37 @@ def _check_t_ramp(t_ramp) -> None:
         raise ValueError(f"t_ramp must be nonnegative and finite, got {t_ramp}")
 
 
-def solve_constraint(
-    eta: float, t_ramp: float = 2.0, m: int = 3, l: int = 1
-) -> ConstraintSolution:
-    """Solve pulse_area = m pi/2 and effective_area = l pi/2 for (g_max, t_qst).
+def solve_constraint(eta: float, t_ramp: float = 2.0) -> ConstraintSolution:
+    """Solve pulse_area = 3 pi/2 and effective_area = pi/2 for (g_max, t_qst).
 
-    t_qst(g) = t_ramp + m pi / (2 g) (g angular) meets the first exactly.
+    t_qst(g) = t_ramp + 3 pi / (2 g) (g angular) meets the first exactly.
     Along it the effective area rises strictly with g up to g_top =
-    m pi / (2 t_ramp), so bisection finds the root (README, "Pulse
+    3 pi / (2 t_ramp), so bisection finds the root (README, "Pulse
     constraint").  ValueError for bad input; ConstraintError when no g in
-    (0, g_top] works (as for every l >= m) or the root is above the cap.
+    (0, g_top] works or the root is above the cap.
     """
     _check_eta(eta)
     _check_t_ramp(t_ramp)
-    if m < 1 or l < 1 or m % 2 == 0 or l % 2 == 0:
-        raise ValueError("m and l must be positive and odd")
     eta, t_ramp = float(eta), float(t_ramp)
-    area = m * np.pi / 2.0 / MHZ_TO_RAD_NS  # MHz ns
+    area = 3 * np.pi / 2.0 / MHZ_TO_RAD_NS  # MHz ns
     g_top = area / t_ramp if t_ramp > 0 else np.inf  # overflows to inf if subnormal
 
     def residuals(g: float) -> tuple[float, tuple[float, float]]:
         p = TrapezoidPulse(g, max(t_ramp + area / g, 2.0 * t_ramp), t_ramp)
-        r_eff = effective_area(p, eta) - l * np.pi / 2.0
-        return p.t_total, (abs(pulse_area(p) - m * np.pi / 2.0), r_eff)
+        r_eff = effective_area(p, eta) - np.pi / 2.0
+        return p.t_total, (abs(pulse_area(p) - 3 * np.pi / 2.0), r_eff)
 
     lo, hi = 0.0, min(COUPLING_CAP_MHZ, g_top)
     t, r = residuals(hi)
-    # for l < m the effective area tends to m pi/2 > l pi/2 as g grows, so
-    # with g_top = inf the doubling still ends, at a finite root
-    while r[1] < 0 and hi < g_top and l < m:
+    # the effective area tends to 3 pi/2 > pi/2 as g grows, so with g_top =
+    # inf the doubling still ends, at a finite root
+    while r[1] < 0 and hi < g_top:
         lo, hi = hi, min(2.0 * hi, g_top)
         t, r = residuals(hi)
     if r[1] < 0:
-        reason = f"; none can for l = {l} >= m = {m}, since g_eff < g" if l >= m else ""
         raise ConstraintError(
             f"no g_max up to g_top = {g_top:.2f} MHz (t_qst = 2 t_ramp) reaches "
-            f"the effective area l pi/2{reason}",
+            "the effective area pi/2",
             (r[0], -r[1]),
         )
     while lo < 0.5 * (lo + hi) < hi:  # each pass drops floats from (lo, hi)
@@ -204,4 +198,4 @@ def solve_constraint(
             f"solution needs g_max = {hi:.2f} MHz, above the {COUPLING_CAP_MHZ} MHz coupler cap",
             r,
         )
-    return ConstraintSolution(hi, t, m, l, r)
+    return ConstraintSolution(hi, t, r)

@@ -45,7 +45,6 @@ PUBLIC_NAMES = [
     "TrapezoidPulse",
     "amplitude_damping",
     "analytic_params",
-    "basis_labels",
     "chain_hamiltonian",
     "compensation_params",
     "crossover",
@@ -182,8 +181,8 @@ BAD_INPUTS["optimize_pulse-seed-t-below-two-ramps"] = (
 BAD_INPUTS["optimize_pulse-seed-g-negative"] = (
     "seed", lambda x: optimize_pulse(200.0, 2.0, (x, 22.0)), -5.0
 )
-# n_steps must be a nonnegative integer, checked before any evolution and
-# when a schedule is built
+# n_steps must be a nonnegative integer, checked before any evolution, when
+# a schedule is built and by both error curves
 for bad, x in {"negative": -3, "float": 2.5, "float-integral": 3.0, "none": None}.items():
     BAD_INPUTS[f"ChainSchedule-n_steps-{bad}"] = (
         "n_steps", lambda x: ChainSchedule(SHORT_PULSE, x, (0.0, 0.0)), x
@@ -193,6 +192,9 @@ for bad, x in {"negative": -3, "float": 2.5, "float-integral": 3.0, "none": None
     )
     BAD_INPUTS[f"intrinsic_error_curve-n_steps-{bad}"] = (
         "n_steps", lambda x: intrinsic_error_curve(x, np.eye(9), np.eye(3)), x
+    )
+    BAD_INPUTS[f"decoherence_error_curve-n_steps-{bad}"] = (
+        "n_steps", lambda x: noise.decoherence_error_curve(x, 20.0), x
     )
 # eta must be positive, with a normal angular value (model._check_eta)
 for name, message, call in ENTRY_POINTS:

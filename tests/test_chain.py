@@ -210,6 +210,20 @@ def test_front_state_validation(step):
     step_transfer(np.array([1.0 + 4e-13, 0.0, 0.0]), u_step, comp)
 
 
+def test_front_checks_refuse_nan(step):
+    # a NaN norm compares False with the 1e-12 slack, so the check must be
+    # one that a NaN fails
+    _, u_step, comp = step
+    nan_front = np.array([np.nan, 0.0, 0.0])
+    with pytest.raises(ValueError, match="norm exceeds 1 or is NaN"):
+        step_transfer(nan_front, u_step, comp)
+    with pytest.raises(ValueError, match="norm exceeds 1 or is NaN"):
+        intrinsic_error_curve(1, u_step, comp, nan_front)
+    # a NaN step at k = 1, where no doubling checks the front map
+    with pytest.raises(ValueError, match="front map is not a finite contraction"):
+        intrinsic_error_curve(1, np.full((9, 9), np.nan), np.eye(3))
+
+
 def test_intrinsic_error_zero_at_start():
     assert abs(np.vdot(uniform_state(), uniform_state())) ** 2 == pytest.approx(1.0, abs=1e-14)
 

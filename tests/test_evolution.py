@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -145,6 +146,13 @@ def test_evolve_rejects_nonhermitian_h_of_t():
         evolve(h, (0.0, 1.0), 0.1)
 
 
+def test_evolve_refuses_nan_h_of_t():
+    # every comparison with NaN is False, so the check must be one that a
+    # NaN defect fails
+    with pytest.raises(ValueError, match="not Hermitian at t"):
+        evolve(lambda ts: np.full((len(ts), 2, 2), np.nan), (0.0, 1.0), 0.1)
+
+
 def test_evolve_affine_matches_generic():
     pulse = TrapezoidPulse(25.0, 8.0, 2.0)
     d = np.diag([0.0, 0.3, -0.9]).astype(complex)
@@ -186,6 +194,42 @@ def test_evolve_affine_rejects_nonhermitian_parts():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="not Hermitian"):
         evolve_affine(bad, np.eye(2), lambda ts: np.zeros_like(ts), (0.0, 1.0), 0.1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["d", "w"])
+def test_evolve_affine_refuses_non_finite_parts(name, bad):
+    # by name, before the Hermiticity check's subtraction warns on inf - inf
+    parts = {"d": np.eye(2), "w": np.array([[0.0, 1.0], [1.0, 0.0]])}
+    parts[name] = np.array([[0.0, bad], [bad, 0.0]])
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        evolve_affine(parts["d"], parts["w"], lambda ts: 1.0, (0.0, 1.0), 0.1)
+
+
+@pytest.mark.parametrize(
+    "d, w",
+    [
+        (np.eye(2), np.eye(3)),  # the 2x2 path read only w's top-left block
+        (np.eye(3), np.eye(2)),
+        (np.ones((2, 3)), np.ones((2, 3))),
+        (np.ones(2), np.ones(2)),
+        (np.eye(2), np.eye(2)[None]),
+    ],
+    ids=["2x2-and-3x3", "3x3-and-2x2", "not-square", "1-d", "stacked-w"],
+)
+def test_evolve_affine_refuses_parts_of_other_shapes(d, w):
+    with pytest.raises(ValueError, match="^d and w must be square matrices of one size"):
+        evolve_affine(d, w, lambda ts: 1.0, (0.0, 1.0), 0.1)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_evolve_affine_takes_nested_lists(dim):
+    # the same propagator as for arrays, on the SU(2) path and on the
+    # arrowhead's secular path
+    d, w = np.diag([0.0, 0.3, -0.9])[:dim, :dim], x_op().real[:dim, :dim]
+    c = lambda ts: np.minimum(ts, 0.6)
+    u = evolve_affine(d, w, c, (0.0, 1.0), 0.1)
+    assert np.array_equal(evolve_affine(d.tolist(), w.tolist(), c, (0.0, 1.0), 0.1), u)
 
 
 @pytest.mark.parametrize(
@@ -294,6 +338,18 @@ def test_propagator_validates_unitarity(monkeypatch):
     monkeypatch.setattr(transfer._Pair, "matrix", lambda self, e: 2.0 * np.eye(9))
     with pytest.raises(ValueError, match="not unitary"):
         evolve_transfer(TrapezoidPulse(30.0, 10.0, 2.0), 200.0, dt=0.01)
+
+
+def test_unitarity_check_refuses_nan():
+    # a NaN defect passed a "defect > tol" check: at eta = 1e300 MHz and a
+    # 1e9 ns step the pair's phases overflow, and evolve_transfer returned
+    # an all-NaN propagator as checked to be unitary
+    with pytest.raises(ValueError, match="not unitary"):
+        evolution._unitary(np.full((2, 2), np.nan))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+        with pytest.raises(ValueError, match="not unitary"):
+            evolve_transfer(TrapezoidPulse(50.0, 1e12, 2.0), 1e300, dt=1e9)
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
